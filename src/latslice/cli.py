@@ -27,8 +27,8 @@ from . import generators as gen
 from .acceptance import ALL_CRITERIA, CriterionResult, run_criterion
 from .dimension import (DimensionProfile, LevelSearchConfig, dyadic_scales,
                         find_levels, mass_dim_profile)
-from .finitefield import (FiniteFieldSet, ff_chebyshev_fraction,
-                          ff_double_count)
+from .finitefield import (DoubleCountError, FiniteFieldSet,
+                          ff_chebyshev_fraction, ff_double_count)
 from .geometry import (FloorLine, PointSet, Tube, read_points,
                        slice_floor_line, slice_tube, validate_separation,
                        write_points)
@@ -676,8 +676,8 @@ def main(argv=None) -> int:
     except CheckFailure as exc:
         print(f"latslice: check failed: {exc}", file=sys.stderr)
         return 3
-    except AssertionError as exc:
-        print(f"latslice: internal assertion failed: {exc}", file=sys.stderr)
+    except (AssertionError, DoubleCountError) as exc:
+        print(f"latslice: internal check failed: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"latslice: i/o error: {exc}", file=sys.stderr)

@@ -170,11 +170,14 @@ def counting_dim_profile(ps: PointSet, window_sizes=None,
         h = s // 2 if placement_strategy == "sliding" else s
         offsets = (0, -1) if placement_strategy == "sliding" else (0,)
         qx, qy = cx // h, cy // h
-        wins = np.concatenate([
-            np.stack([qx + a, qy + b], axis=1)
-            for a in offsets for b in offsets])
+        wx = np.concatenate([qx + a for a in offsets for b in offsets])
+        wy = np.concatenate([qy + b for a in offsets for b in offsets])
         w = np.tile(weight, len(offsets) ** 2)
-        _, inv = np.unique(wins, axis=0, return_inverse=True)
+        # pack each window into one int64 key from coordinate ranks, which
+        # stay below 4n however far apart the windows are
+        _, rx = np.unique(wx, return_inverse=True)
+        ys, ry = np.unique(wy, return_inverse=True)
+        _, inv = np.unique(rx * len(ys) + ry, return_inverse=True)
         counts.append(int(np.bincount(inv, weights=w).max()))
     return profile_from_counts(sizes, counts, method)
 

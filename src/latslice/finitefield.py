@@ -18,6 +18,7 @@ import numpy as np
 
 __all__ = [
     "ChebyshevReport",
+    "DoubleCountError",
     "FFTableRow",
     "FiniteFieldSet",
     "LineFp",
@@ -151,17 +152,23 @@ def ff_line_count_matrix(B: FiniteFieldSet) -> np.ndarray:
     return counts
 
 
+class DoubleCountError(ArithmeticError):
+    """The line sums disagree with |B| * p: the counting code is wrong."""
+
+
 def ff_double_count(B: FiniteFieldSet) -> int:
-    """Sum of slice counts over all p^2 lines; asserted equal to |B| * p.
+    """Sum of slice counts over all p^2 lines, checked equal to |B| * p.
 
     The sum and the cardinality come from independent code paths (per-slope
-    residue histograms vs the grid population), so the assertion guards the
-    counting machinery, not arithmetic tautology.
+    residue histograms vs the grid population), so the check guards the
+    counting machinery, not arithmetic tautology.  A mismatch raises
+    ``DoubleCountError``, which ``python -O`` does not strip.
     """
     total = int(ff_line_count_matrix(B).sum())
     expected = B.cardinality * B.p
-    assert total == expected, (
-        f"double count {total} != |B|*p = {expected} for p={B.p}")
+    if total != expected:
+        raise DoubleCountError(
+            f"double count {total} != |B|*p = {expected} for p={B.p}")
     return total
 
 

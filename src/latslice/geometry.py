@@ -3,7 +3,11 @@
 Conventions used throughout the package:
 
 * Points are (x, y) pairs.  ``PointSet`` stores them as an (n, 2) float64
-  array plus a unit-cell spatial index keyed by ``(floor(x), floor(y))``.
+  array plus a CSR unit-cell index: the points sorted by cell
+  ``(floor(x), floor(y))``, the occupied cells as sorted packed int64 keys
+  with offsets into that order, and the sorted occupied columns and rows.
+  Tube and floor-line slicing visit only occupied columns, all at once as
+  array expressions, and only the rows the strip can reach in each.
   Coordinates may be negative (the cone constructions are built symmetric
   about the y axis); generators that model first-quadrant sets emit
   nonnegative coordinates.
@@ -57,8 +61,9 @@ class Tube:
     """Width-1 strip, open below and closed above.
 
     ``u`` is the slope of the perpendicular direction, so the strip's edges
-    have slope ``-1/u``.  Any finite nonzero ``u`` is accepted: tubes hugging
-    a line of positive slope ``m`` correspond to ``u = -1/m``.  For the
+    have slope ``-1/u``.  Any finite nonzero ``u`` whose ``1/u^2`` is a finite
+    float (``|u|`` above about 7.5e-155) is accepted: tubes hugging a line
+    of positive slope ``m`` correspond to ``u = -1/m``.  For the
     horizontal orientation ``u`` is ignored and the strip is ``v < y <= v+1``.
     """
 
@@ -72,6 +77,11 @@ class Tube:
         if self.orientation == "standard":
             if not math.isfinite(self.u) or self.u == 0.0:
                 raise ValueError("standard tube requires finite nonzero u")
+            try:
+                self.edge_intercepts()
+            except OverflowError:
+                raise ValueError(f"tube slope u={self.u!r} is too close to 0: "
+                                 "its width factor 1/u^2 overflows") from None
         if not math.isfinite(self.v):
             raise ValueError("tube displacement v must be finite")
 
@@ -238,10 +248,24 @@ class BoxSpec:
 # ---------------------------------------------------------------------------
 
 class PointSet:
-    """Immutable planar point collection with a unit-cell index.
+    """Immutable planar point collection with a CSR unit-cell index.
 
-    The index maps integer cells (floor(x), floor(y)) to point row indices;
-    slicing operations walk only the cells a tube or floor line can touch.
+    The index groups the points by unit cell (floor(x), floor(y)) in sorted
+    arrays with offsets, as in a compressed sparse row matrix:
+
+    * ``_order``: the point rows sorted by cell, column first;
+    * ``_col_x`` and ``_row_y``: the distinct occupied columns floor(x) and
+      rows floor(y), ascending;
+    * ``_cell_key``: the occupied cells, ascending, each packed as
+      ``column rank * _stride + row rank`` with ``_stride`` the number of
+      occupied rows plus one, so keys are built from ranks and cannot
+      overflow however large the coordinates are;
+    * ``_cell_start``: where each cell's points begin in ``_order`` (one
+      more entry than cells).  Column j's cells begin at the first key
+      >= j * _stride, so the column offsets need no array of their own.
+
+    Slicing computes a row interval for every occupied column at once and
+    finds the matching cells with one ``searchsorted`` on packed keys.
     """
 
     def __init__(self, points, *, _separated: bool = False):
@@ -259,28 +283,38 @@ class PointSet:
         self._build_index()
 
     def _build_index(self) -> None:
-        pts = self.points
-        n = len(pts)
-        self._cells: dict[tuple[int, int], np.ndarray] = {}
-        self._cols: dict[int, np.ndarray] = {}
-        if n == 0:
-            self._col_keys = np.empty(0, dtype=np.int64)
-            return
-        cells = np.floor(pts).astype(np.int64)
-        order = np.lexsort((cells[:, 1], cells[:, 0]))
-        sc = cells[order]
-        breaks = np.flatnonzero((sc[1:, 0] != sc[:-1, 0]) | (sc[1:, 1] != sc[:-1, 1]))
-        starts = np.concatenate(([0], breaks + 1))
-        ends = np.concatenate((breaks + 1, [n]))
-        for a, b in zip(starts, ends):
-            key = (int(sc[a, 0]), int(sc[a, 1]))
-            self._cells[key] = order[a:b]
-        col_rows: dict[int, list[int]] = {}
-        for (cx, cy) in self._cells:
-            col_rows.setdefault(cx, []).append(cy)
-        self._cols = {cx: np.array(sorted(rows), dtype=np.int64)
-                      for cx, rows in col_rows.items()}
-        self._col_keys = np.array(sorted(self._cols), dtype=np.int64)
+        floors = np.floor(self.points)
+        self._col_x, col_rank = np.unique(floors[:, 0], return_inverse=True)
+        self._row_y, row_rank = np.unique(floors[:, 1], return_inverse=True)
+        self._stride = len(self._row_y) + 1
+        keys = col_rank.astype(np.int64) * self._stride + row_rank
+        self._order = np.argsort(keys, kind="stable")
+        keys = keys[self._order]
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        starts = np.flatnonzero(first)
+        self._cell_key = keys[starts]
+        self._cell_start = np.append(starts, len(keys))
+
+    def _points_in_rows(self, cols, row_lo, row_hi) -> np.ndarray:
+        """Rows of ``points`` whose cell lies in occupied column ``cols[j]``
+        (an index into ``_col_x``) between rows ``row_lo[j]`` and
+        ``row_hi[j]`` inclusive, for every j at once, in cell order.
+
+        The row bounds are floats and may be infinite: they are compared
+        with the occupied rows as floats and never cast to integers.
+        """
+        base = np.asarray(cols, dtype=np.int64) * self._stride
+        k_lo = np.searchsorted(self._row_y, row_lo, side="left")
+        k_hi = np.searchsorted(self._row_y, row_hi, side="right")
+        cell = np.searchsorted(self._cell_key, np.concatenate([base + k_lo, base + k_hi]))
+        start = self._cell_start[cell[:len(base)]]
+        stop = self._cell_start[cell[len(base):]]
+        hit = stop > start
+        start, stop = start[hit], stop[hit]
+        length = stop - start
+        offset = np.repeat(start - (np.cumsum(length) - length), length)
+        return self._order[np.arange(len(offset)) + offset]
 
     def __len__(self) -> int:
         return len(self.points)
@@ -296,28 +330,21 @@ class PointSet:
 
     def contains(self, x: float, y: float) -> bool:
         """Exact membership of the coordinate pair."""
-        key = (int(math.floor(x)), int(math.floor(y)))
-        idx = self._cells.get(key)
-        if idx is None:
+        cx, cy = np.floor(float(x)), np.floor(float(y))
+        col = int(np.searchsorted(self._col_x, cx))
+        if col == len(self._col_x) or self._col_x[col] != cx:
             return False
-        pts = self.points[idx]
+        pts = self.points[self._points_in_rows([col], [cy], [cy])]
         return bool(np.any((pts[:, 0] == x) & (pts[:, 1] == y)))
 
     def max_cell_population(self) -> int:
-        if not self._cells:
-            return 0
-        return max(len(v) for v in self._cells.values())
+        return int(np.diff(self._cell_start).max(initial=0))
 
     def cell_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Occupied unit cells and their populations, sorted by cell."""
-        if not self._cells:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy(), empty.copy()
-        keys = sorted(self._cells)
-        cx = np.array([k[0] for k in keys], dtype=np.int64)
-        cy = np.array([k[1] for k in keys], dtype=np.int64)
-        pop = np.array([len(self._cells[k]) for k in keys], dtype=np.int64)
-        return cx, cy, pop
+        cx = _as_int64(self._col_x[self._cell_key // self._stride])
+        cy = _as_int64(self._row_y[self._cell_key % self._stride])
+        return cx, cy, np.diff(self._cell_start)
 
     def box_count(self, box: BoxSpec) -> int:
         return int(np.count_nonzero(box.contains(self.points[:, 0],
@@ -383,66 +410,34 @@ def box_count(obj, box: BoxSpec) -> int:
     return int(obj.box_count(box))
 
 
-def _solve_linear_le(a: float, b: float) -> tuple[float, float]:
-    """Solution interval of a*c <= b over the reals (a != 0)."""
-    if a > 0:
-        return (-math.inf, b / a)
-    return (b / a, math.inf)
+def _as_int64(values: np.ndarray) -> np.ndarray:
+    """Integer-valued floats as int64, refusing values int64 cannot hold."""
+    if values.size and not (-2.0 ** 63 <= values.min() and values.max() < 2.0 ** 63):
+        raise OverflowError("integer coordinates beyond the int64 range")
+    return values.astype(np.int64)
 
 
 def slice_tube(ps: PointSet, tube: Tube) -> PointSet:
-    """Subset of ``ps`` inside ``tube``, gathered by walking index cells.
+    """Subset of ``ps`` inside ``tube``, gathered from the CSR cell index.
 
-    Only cells whose column the tube crosses are examined; membership of the
-    gathered candidates is then decided by the exact strip inequality.
+    Every occupied column gets the row interval the tube can reach over it,
+    all columns in one array expression; the points of those cells are then
+    filtered by the exact strip inequality ``Tube.contains``.  The row
+    bounds use the same float expressions as that inequality, evaluated at
+    the column's two ends: rounding is monotone, so the computed edges at
+    any x in the column lie between their values at the ends, and no point
+    the inequality accepts is left out, however steep the tube.
     """
-    if len(ps) == 0:
-        return ps._subset(np.empty(0, dtype=np.int64))
-    xmin, ymin, xmax, ymax = ps.bbox
-    hits: list[np.ndarray] = []
-
-    if tube.orientation == "horizontal":
-        r0 = int(math.floor(tube.v))
-        rows = (r0, r0 + 1)
-        for cx in ps._col_keys:
-            cells = ps._cells
-            for r in rows:
-                idx = cells.get((int(cx), r))
-                if idx is not None:
-                    hits.append(idx)
-    else:
-        a = tube.edge_slope()
-        lo_b, up_b = tube.edge_intercepts()
-        # Column c is worth visiting iff the tube's y-range over [c, c+1]
-        # meets [ymin, ymax]:  a*c + lo_b + min(a,0) <= ymax  and
-        #                      a*c + up_b + max(a,0) >= ymin.
-        c_lo, c_hi = -math.inf, math.inf
-        i1 = _solve_linear_le(a, ymax - lo_b - min(a, 0.0))
-        i2 = _solve_linear_le(-a, -(ymin - up_b - max(a, 0.0)))
-        c_lo = max(i1[0], i2[0])
-        c_hi = min(i1[1], i2[1])
-        c_start = max(int(math.floor(xmin)), int(math.floor(c_lo)) - 1)
-        c_end = min(int(math.floor(xmax)), int(math.ceil(c_hi)) + 1)
-        cols = ps._cols
-        for cx in range(c_start, c_end + 1):
-            rows = cols.get(cx)
-            if rows is None:
-                continue
-            y_lo = a * cx + lo_b + min(a, 0.0)
-            y_hi = a * cx + up_b + max(a, 0.0)
-            r_lo = int(math.floor(y_lo)) - 1
-            r_hi = int(math.floor(y_hi)) + 1
-            k0 = int(np.searchsorted(rows, r_lo, side="left"))
-            k1 = int(np.searchsorted(rows, r_hi, side="right"))
-            for r in rows[k0:k1]:
-                hits.append(ps._cells[(cx, int(r))])
-
-    if not hits:
-        return ps._subset(np.empty(0, dtype=np.int64))
-    cand = np.concatenate(hits)
-    pts = ps.points[cand]
+    a = tube.edge_slope()
+    lo, up = tube.edge_intercepts()
+    x0 = ps._col_x
+    b0, b1 = a * x0, a * (x0 + 1.0)
+    rows = ps._points_in_rows(np.arange(len(x0)),
+                              np.floor(np.minimum(b0, b1) + lo),
+                              np.floor(np.maximum(b0, b1) + up))
+    pts = ps.points[rows]
     keep = tube.contains(pts[:, 0], pts[:, 1])
-    return ps._subset(np.sort(cand[keep]))
+    return ps._subset(np.sort(rows[keep]))
 
 
 def slice_floor_line(ps: PointSet, line: FloorLine, x_max: float = math.inf) -> np.ndarray:
@@ -450,38 +445,18 @@ def slice_floor_line(ps: PointSet, line: FloorLine, x_max: float = math.inf) -> 
     sitting exactly on the broken line y = floor(u x + v).
 
     Returns the sorted array of distinct y values.  Only points with integer
-    y can qualify, and any qualifying point lies within one cell row of the
-    broken line, so the walk visits a bounded strip of index cells.
+    y can qualify.  The walk visits only occupied columns with floor(x) <=
+    x_max, and in each only the rows between the line's floor values at the
+    column's two ends (the same float expression as the membership test,
+    which is monotone in x), all columns in one array expression.
     """
     if not (x_max > 0.0):
         raise ValueError("x_max must be positive")
-    if len(ps) == 0:
-        return np.empty(0, dtype=np.int64)
-    xmin, _, xmax, _ = ps.bbox
-    hi = min(xmax, x_max)
-    if hi < xmin:
-        return np.empty(0, dtype=np.int64)
-    u, v = line.u, line.v
-    found: set[int] = set()
-    c_start = int(math.floor(xmin))
-    c_end = int(math.floor(hi))
-    cols = ps._cols
-    for cx in range(c_start, c_end + 1):
-        rows = cols.get(cx)
-        if rows is None:
-            continue
-        r_lo = int(math.floor(u * cx + v)) - 1
-        r_hi = int(math.floor(u * (cx + 1) + v)) + 1
-        k0 = int(np.searchsorted(rows, r_lo, side="left"))
-        k1 = int(np.searchsorted(rows, r_hi, side="right"))
-        for r in rows[k0:k1]:
-            idx = ps._cells[(cx, int(r))]
-            pts = ps.points[idx]
-            ok = (pts[:, 0] <= x_max) \
-                & (pts[:, 1] == np.floor(u * pts[:, 0] + v))
-            for y in pts[ok, 1]:
-                found.add(int(y))
-    return np.array(sorted(found), dtype=np.int64)
+    x0 = ps._col_x[:np.searchsorted(ps._col_x, x_max, side="right")]
+    rows = ps._points_in_rows(np.arange(len(x0)), line.y_at(x0), line.y_at(x0 + 1.0))
+    pts = ps.points[rows]
+    ok = (pts[:, 0] <= x_max) & (pts[:, 1] == line.y_at(pts[:, 0]))
+    return _as_int64(np.unique(pts[ok, 1]))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,15 @@ def test_criterion_01_double_count_identity():
     assert d["elapsed_s"] < 30.0
 
 
+def test_criterion_01_reports_a_broken_identity(monkeypatch):
+    from latslice import finitefield as ff
+    real = ff.ff_line_count_matrix
+    monkeypatch.setattr(ff, "ff_line_count_matrix", lambda B: real(B) + 1)
+    res = acc.criterion_01_double_count()
+    assert not res.passed
+    assert "double count" in res.details["error"]
+
+
 def test_criterion_02_chebyshev_battery():
     d = check(acc.criterion_02_chebyshev())
     assert d["sets"] + d["empty_skipped"] == 700

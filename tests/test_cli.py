@@ -265,3 +265,20 @@ def test_emit_profile_csv_rejects_empty(tmp_path):
     with pytest.raises(ValueError):
         cli.emit_profile_csv(empty, str(tmp_path / "e.csv"))
     assert not (tmp_path / "e.csv").exists()
+
+
+def test_ff_double_count_mismatch_gives_check_exit(capsys, monkeypatch):
+    from latslice import finitefield as ff
+    real = ff.ff_line_count_matrix
+    monkeypatch.setattr(ff, "ff_line_count_matrix", lambda B: real(B) * 2)
+    rc = cli.main(["ff", "--p", "5", "--set", "full", "--verify", "identity"])
+    assert rc == 3
+    assert "double count" in capsys.readouterr().err
+
+
+def test_tiny_tube_slope_gives_config_exit(tmp_path, capsys):
+    pts = tmp_path / "p.txt"
+    run_json(["generate", "--kind", "unit_line",
+              "--params", '{"m": 1.0, "count": 5}', "--out", str(pts)], capsys)
+    rc, _ = run_cli(["slice", "--in", str(pts), "--tube=1e-200,0"], capsys)
+    assert rc == 2

@@ -122,6 +122,22 @@ def test_double_count_exact_across_densities():
             assert ff.ff_double_count(b) == b.cardinality * p
 
 
+def test_double_count_mismatch_raises_typed_error(monkeypatch):
+    # the identity check must survive python -O, so it cannot be an assert
+    real = ff.ff_line_count_matrix
+
+    def off_by_one(B):
+        mat = real(B).copy()
+        mat[0, 0] += 1
+        return mat
+
+    monkeypatch.setattr(ff, "ff_line_count_matrix", off_by_one)
+    b = ff.FiniteFieldSet.random(7, density=0.5, seed=1)
+    with pytest.raises(ff.DoubleCountError, match="double count"):
+        ff.ff_double_count(b)
+    assert not issubclass(ff.DoubleCountError, (AssertionError, ValueError))
+
+
 # ---------------------------------------------------------------------------
 # Chebyshev-style exception bounds
 # ---------------------------------------------------------------------------

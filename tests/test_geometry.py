@@ -57,8 +57,9 @@ def test_cell_index_assigns_each_point_once():
     pts = rng.uniform(-20, 20, size=(500, 2))
     ps = PointSet(pts)
     seen = np.zeros(len(pts), dtype=int)
-    for key, idx in ps._cells.items():
-        for i in idx:
+    cx, cy, _ = ps.cell_arrays()
+    for k, key in enumerate(zip(cx.tolist(), cy.tolist())):
+        for i in ps._order[ps._cell_start[k]:ps._cell_start[k + 1]]:
             assert tuple(np.floor(pts[i]).astype(int)) == key
             seen[i] += 1
     assert np.all(seen == 1)
@@ -150,6 +151,16 @@ def test_tube_width_samples():
 def test_tube_rejects_zero_u():
     with pytest.raises(ValueError):
         Tube(0.0, 1.0)
+
+
+def test_tube_rejects_slope_whose_width_factor_overflows():
+    # 1/u^2 overflows below |u| ~ 7.5e-155; such tubes used to be accepted
+    # and then raise OverflowError from edge_intercepts
+    for u in (1e-200, -1e-160, 5e-324):
+        with pytest.raises(ValueError, match="too close to 0"):
+            Tube(u, 0.0)
+    t = Tube(1e-150, 0.0)
+    assert t.edge_intercepts() == (0.0, math.sqrt(1.0 + 1e-150 ** -2))
 
 
 def test_horizontal_tube():
@@ -284,11 +295,12 @@ def test_slice_tube_steep_and_shallow_slopes():
     xs, ys = np.meshgrid(np.arange(30), np.arange(30))
     pts = np.column_stack([xs.ravel(), ys.ravel()]).astype(float)
     ps = PointSet(pts)
-    for u in (0.01, 100.0, -0.01, -100.0):
-        tube = Tube(u, 1.0)
-        fast = slice_tube(ps, tube).points
-        naive = pts[tube.contains(pts[:, 0], pts[:, 1])]
-        assert fast.shape == naive.shape
+    for u in (0.01, 100.0, -0.01, -100.0, 1e-20, -1e-20, 1e20):
+        for v in (1.0, 3.2):
+            tube = Tube(u, v)
+            fast = slice_tube(ps, tube).points
+            naive = pts[tube.contains(pts[:, 0], pts[:, 1])]
+            assert np.array_equal(fast, naive)
 
 
 # ---------------------------------------------------------------------------
