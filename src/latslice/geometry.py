@@ -290,9 +290,7 @@ class PointSet:
         keys = col_rank.astype(np.int64) * self._stride + row_rank
         self._order = np.argsort(keys, kind="stable")
         keys = keys[self._order]
-        first = np.ones(len(keys), dtype=bool)
-        first[1:] = keys[1:] != keys[:-1]
-        starts = np.flatnonzero(first)
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
         self._cell_key = keys[starts]
         self._cell_start = np.append(starts, len(keys))
 
@@ -310,9 +308,7 @@ class PointSet:
         cell = np.searchsorted(self._cell_key, np.concatenate([base + k_lo, base + k_hi]))
         start = self._cell_start[cell[:len(base)]]
         stop = self._cell_start[cell[len(base):]]
-        hit = stop > start
-        start, stop = start[hit], stop[hit]
-        length = stop - start
+        length = np.maximum(stop - start, 0)
         offset = np.repeat(start - (np.cumsum(length) - length), length)
         return self._order[np.arange(len(offset)) + offset]
 

@@ -27,21 +27,30 @@ small = st.one_of(st.integers(-30, 30).map(float),
 
 
 @st.composite
-def point_arrays(draw, min_size=0):
-    """Clusters of small offsets around 0 and around +-2^53 (in float)."""
-    n_clusters = draw(st.integers(1, 3))
+def point_arrays(draw):
+    """Clusters around 0 and around +-2^53 (offsets added in float): either
+    a few drawn points spread over [-30, 30]^2, or up to 200 seeded points
+    packed into [-6, 6]^2 on a grid of step 1, 1/2 or 2^-20, dense enough
+    that a width-1 tube through the cluster holds many of them."""
     parts = []
-    for _ in range(n_clusters):
-        ox = draw(st.sampled_from(OFFSETS))
-        oy = draw(st.sampled_from(OFFSETS))
-        rel = draw(st.lists(st.tuples(small, small), min_size=min_size,
-                            max_size=40))
-        parts.extend((ox + dx, oy + dy) for dx, dy in rel)
-    return np.array(parts, dtype=float).reshape(-1, 2)
+    for _ in range(draw(st.integers(1, 3))):
+        offset = np.array([draw(st.sampled_from(OFFSETS)),
+                           draw(st.sampled_from(OFFSETS))])
+        if draw(st.booleans()):
+            rel = np.array(draw(st.lists(st.tuples(small, small), max_size=40)),
+                           dtype=float).reshape(-1, 2)
+        else:
+            rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+            step = draw(st.sampled_from((1.0, 0.5, 2.0 ** -20)))
+            size = (draw(st.integers(1, 200)), 2)
+            rel = np.round(rng.uniform(-6.0, 6.0, size=size) / step) * step
+        parts.append(offset + rel)
+    return np.concatenate(parts)
 
 
 slopes = st.builds(lambda e, s: s * 10.0 ** e,
-                   st.floats(-150.0, 150.0), st.sampled_from((-1.0, 1.0)))
+                   st.one_of(st.floats(-2.0, 2.0), st.floats(-150.0, 150.0)),
+                   st.sampled_from((-1.0, 1.0)))
 
 
 def edge_points(tube: Tube, xs: np.ndarray, limit: float) -> np.ndarray:
