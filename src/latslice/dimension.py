@@ -49,6 +49,8 @@ class DimensionProfile:
     ``ratio_scales`` holds the denominators actually used (side length for
     first-quadrant boxes, full width 2l for centered boxes), ``estimate``
     the tail summary, ``tail_start`` the first ladder index inside the tail.
+    ``counts`` is int64, or an object array of exact Python ints when a
+    count does not fit int64.
     """
 
     scales: np.ndarray
@@ -77,10 +79,26 @@ def _tail_start(ratio_scales: np.ndarray) -> int:
     return int(np.searchsorted(np.log(ratio_scales), cutoff))
 
 
+def _exact_counts(counts) -> np.ndarray:
+    """Counts as int64 while every one fits, else as exact Python ints."""
+    try:
+        return np.asarray(counts, dtype=np.int64)
+    except OverflowError:
+        return np.array([int(c) for c in counts], dtype=object)
+
+
+def _log(counts: np.ndarray) -> np.ndarray:
+    """Natural logs of positive counts; math.log keeps Python ints of any
+    size finite, where a float conversion would overflow past 2^1024."""
+    if counts.dtype == object:
+        return np.array([math.log(c) for c in counts], dtype=float)
+    return np.log(counts)
+
+
 def profile_from_counts(scales, counts, method: str = "ratio_max_tail",
                         ratio_scales=None) -> DimensionProfile:
     scales = np.asarray(scales, dtype=float)
-    counts = np.asarray(counts, dtype=np.int64)
+    counts = _exact_counts(counts)
     if scales.ndim != 1 or scales.size == 0:
         raise ValueError("scales must be a nonempty 1-d array")
     if counts.shape != scales.shape:
@@ -90,14 +108,14 @@ def profile_from_counts(scales, counts, method: str = "ratio_max_tail",
     rs = scales if ratio_scales is None else np.asarray(ratio_scales, dtype=float)
     ratios = np.zeros_like(scales)
     informative = counts > 1
-    ratios[informative] = np.log(counts[informative]) / np.log(rs[informative])
+    ratios[informative] = _log(counts[informative]) / np.log(rs[informative])
     t0 = _tail_start(rs)
     if method == "ratio_max_tail":
         estimate = float(ratios[t0:].max()) if t0 < len(ratios) else 0.0
     elif method == "regression_tail":
         mask = counts[t0:] >= 1
         xs = np.log(rs[t0:][mask])
-        ys = np.log(counts[t0:][mask])
+        ys = _log(counts[t0:][mask])
         estimate = float(np.polyfit(xs, ys, 1)[0]) if xs.size >= 2 else 0.0
     else:
         raise ValueError(f"unknown method {method!r}")

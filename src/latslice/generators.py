@@ -3,8 +3,9 @@
 Materialized generators return :class:`~latslice.geometry.PointSet`.  The
 cone-based families blow up doubly exponentially, so they also come in an
 implicit flavor: an object carrying an exact membership predicate and exact
-rectangle counts by row summation, usable by the dimension profilers without
-ever enumerating points.  Implicit and materialized modes agree exactly
+closed-form rectangle counts (floor sums over each band, never a sweep over
+rows), usable by the dimension profilers without ever enumerating points.
+Counts are Python ints, exact at any band however far they pass 2^64.  Implicit and materialized modes agree exactly
 wherever both are defined; all generators are deterministic functions of
 their parameters (plus an explicit seed for the random family).
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -44,7 +46,6 @@ __all__ = [
 ]
 
 MAX_MATERIALIZE_POINTS = 20_000_000
-MAX_ROW_SWEEP = 10_000_000
 EXACT_INT_LIMIT = 2 ** 53
 
 
@@ -100,20 +101,20 @@ class ParabolicStaircase:
         return m * m == xi and m <= self.m_max and yi <= m - 1
 
     def rect_count(self, x0, x1, y0, y1) -> int:
-        """Exact count inside the closed rectangle [x0,x1] x [y0,y1]."""
-        if x1 < 1 or y1 < 0 or x1 < x0 or y1 < y0:
+        """Exact count inside the closed rectangle [x0,x1] x [y0,y1], in
+        closed form: column m holds rows 0..m-1, so for rectangle rows lo..top
+        the columns m <= top + 1 hold m - lo points each (none below m = lo)
+        and every later column holds top - lo + 1."""
+        cols = _int_span(max(x0, 1), min(x1, self.m_max ** 2))
+        rows = _int_span(max(y0, 0), min(y1, self.m_max - 1))
+        if cols is None or rows is None:
             return 0
-        m_lo = 1
-        if x0 > 1:
-            m_lo = math.isqrt(math.ceil(x0) - 1) + 1
-        m_hi = self.m_max if x1 >= self.m_max ** 2 \
-            else min(self.m_max, math.isqrt(math.floor(x1)))
-        lo_y = _col_ceil(y0, 0)
-        total = 0
-        for m in range(m_lo, m_hi + 1):
-            hi_y = m - 1 if y1 >= m - 1 else math.floor(y1)
-            if hi_y >= lo_y:
-                total += hi_y - lo_y + 1
+        m_lo, m_hi = math.isqrt(cols[0] - 1) + 1, math.isqrt(cols[1])
+        lo, top = rows
+        first, last = max(m_lo, lo + 1), min(m_hi, top + 1)
+        total = max(0, m_hi - max(m_lo, top + 2) + 1) * (top - lo + 1)
+        if first <= last:
+            total += (first + last - 2 * lo) * (last - first + 1) // 2
         return total
 
     def box_count(self, box: BoxSpec) -> int:
@@ -136,12 +137,26 @@ class ParabolicStaircase:
 def gen_parabolic_staircase(m_max: int, mode: str = "materialize"):
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    stair = ParabolicStaircase(m_max)
-    if mode == "materialize":
-        return stair.materialize()
+    return _in_mode(ParabolicStaircase(m_max), mode)
+
+
+def _in_mode(family, mode: str):
+    """The implicit family itself, or its materialized point set."""
     if mode == "implicit":
-        return stair
+        return family
+    if mode == "materialize":
+        return family.materialize()
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def _int_span(lo, hi) -> tuple[int, int] | None:
+    """(ceil(lo), floor(hi)), the integers of the closed interval [lo, hi],
+    or None when it holds none.  Callers clamp the ends to finite values
+    first, so only an empty interval may have an infinite end."""
+    if lo > hi:
+        return None
+    a, b = math.ceil(lo), math.floor(hi)
+    return (a, b) if a <= b else None
 
 
 def _axis_box_count(implicit, box: BoxSpec) -> int:
@@ -300,9 +315,66 @@ def zigzag_tube_counts(delta: float, n_levels: int, tube: Tube,
 # ---------------------------------------------------------------------------
 #
 # All three families place lattice points in sparse horizontal bands whose
-# heights grow like 2^(2^k), inside a narrow vertical cone.  Band rows hold
-# consecutive integer x in ranges cut out by exact rational slope bounds, so
-# implicit counts and materialized points agree bit for bit.
+# heights grow like 2^(2^k), inside a narrow vertical cone.  A band is a row
+# range whose rows hold the consecutive integer x between a lower and an
+# upper bound of the form sign * floor((p*y + r) / q), cut out by exact
+# rational slopes, so implicit counts and materialized points agree bit for
+# bit.  One kernel serves all three families: membership, materialization,
+# size estimates and rectangle counts, the last in closed form (floor sums
+# over at most six pieces per band), so counts are exact Python ints at any
+# band and cost O(log) integer operations, not one step per row.
+
+class _Bound(NamedTuple):
+    """Row bound y -> sign * floor((p*y + r) / q), p >= 0 and q >= 1, so it
+    is monotone in y; p = 0, q = 1 makes the constant sign * r."""
+
+    sign: int
+    p: int
+    r: int
+    q: int
+
+    def at(self, y: int) -> int:
+        return self.sign * ((self.p * y + self.r) // self.q)
+
+    def total(self, a: int, b: int) -> int:
+        """Sum of the bound over the rows a..b."""
+        return self.sign * _floor_sum(b - a + 1, self.q, self.p, self.p * a + self.r)
+
+
+class _Band(NamedTuple):
+    """Rows lo <= y < hi, row y holding the integers lower(y)..upper(y).
+
+    Every row satisfies upper(y) >= lower(y) - 1, so a row is never
+    negatively wide."""
+
+    lo: int
+    hi: int
+    lower: _Bound
+    upper: _Bound
+
+
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum_{i=0}^{n-1} floor((a*i + b) / m) for n >= 0, m >= 1 and any
+    integers a, b, in O(log m) steps (Knuth, Concrete Mathematics 3.5; the
+    AtCoder Library's floor_sum)."""
+    total = 0
+    while True:
+        qa, a = divmod(a, m)
+        qb, b = divmod(b, m)
+        total += qa * (n * (n - 1) // 2) + qb * n
+        top = a * n + b
+        if top < m:
+            return total
+        n, b = divmod(top, m)
+        m, a = a, m
+
+
+def _slope_span(lo: Fraction, hi: Fraction) -> tuple[_Bound, _Bound]:
+    """Bounds of the integer x with lo <= x / y < hi: ceil(y lo) and
+    ceil(y hi) - 1."""
+    return (_Bound(1, lo.numerator, lo.denominator - 1, lo.denominator),
+            _Bound(1, hi.numerator, -1, hi.denominator))
+
 
 def _band_rows(k: int) -> tuple[int, int]:
     """Row range [lo, hi) of band k: lo = 2^(2^(k+1)), height 2^(2^k)."""
@@ -310,18 +382,6 @@ def _band_rows(k: int) -> tuple[int, int]:
         raise ValueError("band index too large to represent")
     lo = 1 << (1 << (k + 1))
     return lo, lo + (1 << (1 << k))
-
-
-def _band_index_for_row(y: int) -> int | None:
-    """Band whose rows could contain integer y, or None."""
-    if y < 4:
-        return None
-    e = y.bit_length() - 1          # band base has bit length 2^(k+1) + 1
-    if e & (e - 1) or e < 2:
-        return None
-    k = e.bit_length() - 2
-    lo, hi = _band_rows(k)
-    return k if lo <= y < hi else None
 
 
 def _as_int(value) -> int | None:
@@ -332,18 +392,106 @@ def _as_int(value) -> int | None:
     return None
 
 
-def _row_floor(value, limit_hint: float) -> int:
-    """floor() for the float rectangle bounds used against integer rows."""
-    if value >= limit_hint:
-        return int(limit_hint)
-    return math.floor(value)
+def _first_change(pred, lo: int, hi: int) -> int:
+    """First y in lo..hi where the monotone ``pred`` differs from pred(lo),
+    found by bisection; hi + 1 if there is none."""
+    start = pred(lo)
+    if pred(hi) == start:
+        return hi + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(mid) == start:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
-def _col_ceil(value, limit_hint: int) -> int:
-    """ceil() clamped from below, safe for -inf rectangle bounds."""
-    if value <= limit_hint:
-        return int(limit_hint)
-    return math.ceil(value)
+def _band_count(band: _Band, a: int, b: int, x0, x1) -> int:
+    """Points of the rows a..b of ``band`` with columns in [x0, x1].
+
+    Both bounds are monotone, so each clamp binds on a prefix or a suffix of
+    the rows: splitting where it starts to bind leaves at most three pieces.
+    In a piece with no clamp binding no row is negatively wide; in the
+    others the width is monotone, so one more split drops the empty rows.
+    Each remaining piece is two floor sums.
+    """
+    lower, upper = band.lower, band.upper
+    # an infinite side becomes a clamp that binds on no row
+    cols = _int_span(max(x0, min(lower.at(a), lower.at(b))),
+                     min(x1, max(upper.at(a), upper.at(b))))
+    if cols is None:
+        return 0
+    c0, c1 = cols
+    left_clamp, right_clamp = _Bound(1, 0, c0, 1), _Bound(1, 0, c1, 1)
+    cuts = sorted({a, b + 1, _first_change(lambda y: lower.at(y) < c0, a, b),
+                   _first_change(lambda y: upper.at(y) > c1, a, b)})
+    total = 0
+    for s, e in zip(cuts, cuts[1:]):
+        e -= 1
+        left = left_clamp if lower.at(s) < c0 else lower
+        right = right_clamp if upper.at(s) > c1 else upper
+
+        def empty(y, left=left, right=right):   # negatively wide
+            return right.at(y) < left.at(y) - 1
+
+        cut = _first_change(empty, s, e)
+        if empty(s):
+            s = cut
+        else:
+            e = cut - 1
+        if s <= e:
+            total += right.total(s, e) - left.total(s, e) + (e - s + 1)
+    return total
+
+
+def _bands_rect_count(bands, x0, x1, y0, y1) -> int:
+    """Exact count inside the closed rectangle [x0,x1] x [y0,y1]."""
+    total = 0
+    for band in bands:
+        if y1 < band.lo:
+            break
+        rows = _int_span(max(y0, band.lo), min(y1, band.hi - 1))
+        if rows is not None:
+            total += _band_count(band, *rows, x0, x1)
+    return total
+
+
+def _bands_contain(bands, x, y) -> bool:
+    xi, yi = _as_int(x), _as_int(y)
+    if xi is None or yi is None:
+        return False
+    for band in bands:
+        if yi < band.lo:
+            return False
+        if yi < band.hi:
+            return band.lower.at(yi) <= xi <= band.upper.at(yi)
+    return False
+
+
+def _bands_size_estimate(bands) -> float:
+    """The exact point total rounded to a float; inf past float range."""
+    total = 0
+    for band in bands:
+        total += _band_count(band, band.lo, band.hi - 1, -math.inf, math.inf)
+        if total.bit_length() > 1023:
+            return math.inf
+    return float(total)
+
+
+def _bands_materialize(family) -> PointSet:
+    est = family.size_estimate()
+    if est > MAX_MATERIALIZE_POINTS:
+        raise MaterializeError(
+            f"{family!r} holds about {est:.3g} points; the cap is "
+            f"{MAX_MATERIALIZE_POINTS} (use the implicit set for counts)")
+    rows = []
+    for band in family._bands():
+        for y in range(band.lo, band.hi):
+            xs = np.arange(band.lower.at(y), band.upper.at(y) + 1, dtype=float)
+            rows.append(np.column_stack([xs, np.full(xs.size, float(y))]))
+    pts = np.concatenate(rows) if rows else np.empty((0, 2))
+    return PointSet(pts, _separated=True)
 
 
 @dataclass(frozen=True)
@@ -367,78 +515,31 @@ class ConeAnnuli:
             raise ValueError("need 0 <= k_min <= k_max")
         object.__setattr__(self, "half", Fraction(math.tan(self.theta / 2)))
 
-    def _row_span(self, y: int) -> tuple[int, int]:
-        hw = math.floor(y * self.half)
-        return -hw, hw
+    def _bands(self):
+        p, q = self.half.numerator, self.half.denominator
+        lower, upper = _Bound(-1, p, 0, q), _Bound(1, p, 0, q)
+        for k in range(self.k_min, self.k_max + 1):
+            yield _Band(*_band_rows(k), lower, upper)
 
     def contains(self, x, y) -> bool:
-        xi, yi = _as_int(x), _as_int(y)
-        if xi is None or yi is None:
-            return False
-        k = _band_index_for_row(yi)
-        if k is None or not (self.k_min <= k <= self.k_max):
-            return False
-        lo, hi = self._row_span(yi)
-        return lo <= xi <= hi
+        return _bands_contain(self._bands(), x, y)
 
     def rect_count(self, x0, x1, y0, y1) -> int:
-        total = 0
-        for k in range(self.k_min, self.k_max + 1):
-            b_lo, b_hi = _band_rows(k)
-            if y1 < b_lo:
-                break
-            r_lo = _col_ceil(y0, b_lo)
-            r_hi = min(b_hi - 1, _row_floor(y1, b_hi - 1))
-            if r_hi - r_lo >= MAX_ROW_SWEEP:
-                raise ValueError("rectangle spans too many rows to sweep")
-            for y in range(r_lo, r_hi + 1):
-                lo, hi = self._row_span(y)
-                c_lo = _col_ceil(x0, lo)
-                c_hi = min(hi, _row_floor(x1, hi))
-                if c_hi >= c_lo:
-                    total += c_hi - c_lo + 1
-        return total
+        return _bands_rect_count(self._bands(), x0, x1, y0, y1)
 
     def box_count(self, box: BoxSpec) -> int:
         return _axis_box_count(self, box)
 
     def size_estimate(self) -> float:
-        """Approximate point total (exact enough for refuse messages)."""
-        est = 0.0
-        for k in range(self.k_min, self.k_max + 1):
-            try:
-                est += self.theta * 2.0 ** (3 * (1 << k))
-            except OverflowError:
-                return math.inf
-        return est
+        return _bands_size_estimate(self._bands())
 
     def materialize(self) -> PointSet:
-        if self.k_max > 3:
-            raise MaterializeError(
-                f"cone annuli with k_max={self.k_max} hold about "
-                f"{self.size_estimate():.3g} points; cap is k_max <= 3 "
-                "(use the implicit set for counts)")
-        rows = []
-        for k in range(self.k_min, self.k_max + 1):
-            b_lo, b_hi = _band_rows(k)
-            for y in range(b_lo, b_hi):
-                lo, hi = self._row_span(y)
-                xs = np.arange(lo, hi + 1, dtype=float)
-                rows.append(np.column_stack([xs, np.full(xs.size, float(y))]))
-        pts = np.concatenate(rows) if rows else np.empty((0, 2))
-        if len(pts) > MAX_MATERIALIZE_POINTS:
-            raise MaterializeError(f"materialization holds {len(pts)} points")
-        return PointSet(pts, _separated=True)
+        return _bands_materialize(self)
 
 
 def gen_cone_annuli(theta: float, k_min: int, k_max: int,
                     mode: str = "implicit"):
-    cone = ConeAnnuli(theta, k_min, k_max)
-    if mode == "implicit":
-        return cone
-    if mode == "materialize":
-        return cone.materialize()
-    raise ValueError(f"unknown mode {mode!r}")
+    return _in_mode(ConeAnnuli(theta, k_min, k_max), mode)
 
 
 @dataclass(frozen=True)
@@ -477,72 +578,28 @@ class ConeStaircase:
         """Angular opening actually used: theta * sum 2^-(2^k) ~ 0.816 theta."""
         return float(sum(self._w))
 
-    def _row_span(self, y: int, k: int) -> tuple[int, int]:
-        lo_s, hi_s = self.slope_interval(k)
-        return math.ceil(y * lo_s), math.ceil(y * hi_s) - 1
+    def _bands(self):
+        for k in range(self.k_max + 1):
+            yield _Band(*_band_rows(k), *_slope_span(*self.slope_interval(k)))
 
     def contains(self, x, y) -> bool:
-        xi, yi = _as_int(x), _as_int(y)
-        if xi is None or yi is None:
-            return False
-        k = _band_index_for_row(yi)
-        if k is None or k > self.k_max:
-            return False
-        lo, hi = self._row_span(yi, k)
-        return lo <= xi <= hi
+        return _bands_contain(self._bands(), x, y)
 
     def rect_count(self, x0, x1, y0, y1) -> int:
-        total = 0
-        for k in range(self.k_max + 1):
-            b_lo, b_hi = _band_rows(k)
-            if y1 < b_lo:
-                break
-            r_lo = _col_ceil(y0, b_lo)
-            r_hi = min(b_hi - 1, _row_floor(y1, b_hi - 1))
-            if r_hi - r_lo >= MAX_ROW_SWEEP:
-                raise ValueError("rectangle spans too many rows to sweep")
-            for y in range(r_lo, r_hi + 1):
-                lo, hi = self._row_span(y, k)
-                c_lo = _col_ceil(x0, lo)
-                c_hi = min(hi, _row_floor(x1, hi))
-                if c_hi >= c_lo:
-                    total += c_hi - c_lo + 1
-        return total
+        return _bands_rect_count(self._bands(), x0, x1, y0, y1)
 
     def box_count(self, box: BoxSpec) -> int:
         return _axis_box_count(self, box)
 
     def size_estimate(self) -> float:
-        """Rough total count: each band-k row holds about theta 2^(2^k) points."""
-        return sum(self.theta * 2.0 ** min(2 * (1 << k), 1030)
-                   for k in range(self.k_max + 1))
+        return _bands_size_estimate(self._bands())
 
     def materialize(self) -> PointSet:
-        if self.k_max > 3:
-            est = sum(self.theta * 2.0 ** (1 << k) * (1 << (1 << k))
-                      for k in range(self.k_max + 1) if (1 << k) < 900)
-            raise MaterializeError(
-                f"cone staircase with k_max={self.k_max} holds about "
-                f"{est:.3g} points; cap is k_max <= 3")
-        rows = []
-        for k in range(self.k_max + 1):
-            b_lo, b_hi = _band_rows(k)
-            for y in range(b_lo, b_hi):
-                lo, hi = self._row_span(y, k)
-                if hi >= lo:
-                    xs = np.arange(lo, hi + 1, dtype=float)
-                    rows.append(np.column_stack([xs, np.full(xs.size, float(y))]))
-        pts = np.concatenate(rows) if rows else np.empty((0, 2))
-        return PointSet(pts, _separated=True)
+        return _bands_materialize(self)
 
 
 def gen_cone_staircase(theta: float, k_max: int, mode: str = "implicit"):
-    cone = ConeStaircase(theta, k_max)
-    if mode == "implicit":
-        return cone
-    if mode == "materialize":
-        return cone.materialize()
-    raise ValueError(f"unknown mode {mode!r}")
+    return _in_mode(ConeStaircase(theta, k_max), mode)
 
 
 @dataclass(frozen=True)
@@ -579,95 +636,35 @@ class ConeFixedWidth:
         h_prev = 1 << (1 << (self.k0 + j - 1))
         return h_j, h_j + h_prev
 
-    def _row_span(self, y: int, j: int) -> tuple[int, int]:
-        lo_s = (j - 1) * self._w
-        hi_s = j * self._w
-        return math.ceil(y * lo_s), math.ceil(y * hi_s) - 1
-
-    def _level_for_row(self, y: int) -> int | None:
-        if y < 2:
-            return None
-        e = y.bit_length() - 1      # level base has bit length 2^(k0+j) + 1
-        if e & (e - 1):
-            return None
-        j = e.bit_length() - 1 - self.k0
-        if not (1 <= j <= self.n_levels):
-            return None
-        lo, hi = self.level_rows(j)
-        return j if lo <= y < hi else None
+    def _bands(self):
+        for j in range(1, self.n_levels + 1):
+            yield _Band(*self.level_rows(j),
+                        *_slope_span((j - 1) * self._w, j * self._w))
 
     def contains(self, x, y) -> bool:
-        xi, yi = _as_int(x), _as_int(y)
-        if xi is None or yi is None:
-            return False
-        j = self._level_for_row(yi)
-        if j is None:
-            return False
-        lo, hi = self._row_span(yi, j)
-        return lo <= xi <= hi
+        return _bands_contain(self._bands(), x, y)
 
     def rect_count(self, x0, x1, y0, y1) -> int:
-        total = 0
-        for j in range(1, self.n_levels + 1):
-            b_lo, b_hi = self.level_rows(j)
-            if y1 < b_lo:
-                break
-            r_lo = _col_ceil(y0, b_lo)
-            r_hi = min(b_hi - 1, _row_floor(y1, b_hi - 1))
-            if r_hi - r_lo >= MAX_ROW_SWEEP:
-                raise ValueError("rectangle spans too many rows to sweep")
-            for y in range(r_lo, r_hi + 1):
-                lo, hi = self._row_span(y, j)
-                c_lo = _col_ceil(x0, lo)
-                c_hi = min(hi, _row_floor(x1, hi))
-                if c_hi >= c_lo:
-                    total += c_hi - c_lo + 1
-        return total
+        return _bands_rect_count(self._bands(), x0, x1, y0, y1)
 
     def box_count(self, box: BoxSpec) -> int:
         return _axis_box_count(self, box)
 
     def level_count(self, j: int) -> int:
-        """Exact point count of level j (row sweep)."""
+        """Exact point count of level j (a closed-form rectangle count)."""
         b_lo, b_hi = self.level_rows(j)
         return self.rect_count(-math.inf, math.inf, b_lo, b_hi - 1)
 
     def size_estimate(self) -> float:
-        est = 0.0
-        for j in range(1, self.n_levels + 1):
-            exp = ((1 << j) + (1 << (j - 1)) - 1) * (1 << self.k0)
-            est += self.theta * 2.0 ** min(exp, 1030)
-        return est
+        return _bands_size_estimate(self._bands())
 
     def materialize(self) -> PointSet:
-        est = 0.0
-        for j in range(1, self.n_levels + 1):
-            exp = ((1 << j) + (1 << (j - 1)) - 1) * (1 << self.k0)
-            est += self.theta * 2.0 ** min(exp, 1030)
-        if est > MAX_MATERIALIZE_POINTS:
-            raise MaterializeError(
-                f"fixed-width cone with k0={self.k0}, n_levels={self.n_levels} "
-                f"holds about {est:.3g} points; materialize fewer levels")
-        rows = []
-        for j in range(1, self.n_levels + 1):
-            b_lo, b_hi = self.level_rows(j)
-            for y in range(b_lo, b_hi):
-                lo, hi = self._row_span(y, j)
-                if hi >= lo:
-                    xs = np.arange(lo, hi + 1, dtype=float)
-                    rows.append(np.column_stack([xs, np.full(xs.size, float(y))]))
-        pts = np.concatenate(rows) if rows else np.empty((0, 2))
-        return PointSet(pts, _separated=True)
+        return _bands_materialize(self)
 
 
 def gen_cone_fixed_width(theta: float, k0: int, n_levels: int | None = None,
                          mode: str = "implicit"):
-    cone = ConeFixedWidth(theta, k0, n_levels)
-    if mode == "implicit":
-        return cone
-    if mode == "materialize":
-        return cone.materialize()
-    raise ValueError(f"unknown mode {mode!r}")
+    return _in_mode(ConeFixedWidth(theta, k0, n_levels), mode)
 
 
 # ---------------------------------------------------------------------------

@@ -61,9 +61,10 @@ class Tube:
     """Width-1 strip, open below and closed above.
 
     ``u`` is the slope of the perpendicular direction, so the strip's edges
-    have slope ``-1/u``.  Any finite nonzero ``u`` whose ``1/u^2`` is a finite
-    float (``|u|`` above about 7.5e-155) is accepted: tubes hugging a line
-    of positive slope ``m`` correspond to ``u = -1/m``.  For the
+    have slope ``-1/u``.  Any finite nonzero ``u`` whose ``1/u^2`` and ``u^2``
+    are finite floats (``|u|`` between about 7.5e-155 and 1.3e154) is
+    accepted: tubes hugging a line of positive slope ``m`` correspond to
+    ``u = -1/m``.  For the
     horizontal orientation ``u`` is ignored and the strip is ``v < y <= v+1``.
     """
 
@@ -82,6 +83,7 @@ class Tube:
             except OverflowError:
                 raise ValueError(f"tube slope u={self.u!r} is too close to 0: "
                                  "its width factor 1/u^2 overflows") from None
+            _check_square(self.u, "tube")
         if not math.isfinite(self.v):
             raise ValueError("tube displacement v must be finite")
 
@@ -143,6 +145,16 @@ class Tube:
         return Tube(self.u, self.v + k, self.orientation)
 
 
+def _check_square(u: float, what: str) -> None:
+    """Reject a slope whose square overflows: the aligned coordinates and
+    the enclosing tube divide by sqrt(1 + u^2)."""
+    try:
+        u ** 2
+    except OverflowError:
+        raise ValueError(f"{what} slope u={u!r} is too steep: u^2 overflows "
+                         "(|u| must stay below about 1.3e154)") from None
+
+
 def tube_contains(tube: Tube, point) -> bool:
     x, y = point
     return bool(tube.contains(float(x), float(y)))
@@ -174,6 +186,7 @@ class FloorLine:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.u) and self.u > 0.0):
             raise ValueError("floor line requires finite u > 0")
+        _check_square(self.u, "floor line")
         if not (math.isfinite(self.v) and self.v >= 0.0):
             raise ValueError("floor line requires finite v >= 0")
 
@@ -187,6 +200,8 @@ class FloorLine:
         vertical extent is 1 and perpendicular width 1/sqrt(1+u^2) < 1.  The
         returned tube has edge slope u and its closed upper edge on
         y = u x + v, so the slab (hence the broken line) sits inside it.
+        Raises ValueError for u below about 7.5e-155, where the tube's
+        parameter -1/u is too steep.
         """
         w = math.sqrt(1.0 + self.u ** 2)
         return Tube(u=-1.0 / self.u, v=self.v / w - 1.0)

@@ -282,3 +282,26 @@ def test_tiny_tube_slope_gives_config_exit(tmp_path, capsys):
               "--params", '{"m": 1.0, "count": 5}', "--out", str(pts)], capsys)
     rc, _ = run_cli(["slice", "--in", str(pts), "--tube=1e-200,0"], capsys)
     assert rc == 2
+
+
+def test_steep_levels_slope_gives_config_exit(tmp_path, capsys):
+    pts = tmp_path / "p.txt"
+    run_json(["generate", "--kind", "unit_line",
+              "--params", '{"m": 1.0, "count": 5}', "--out", str(pts)], capsys)
+    rc = cli.main(["levels", "--in", str(pts), "--u", "1e200"])
+    assert rc == 2
+    assert "too steep" in capsys.readouterr().err
+
+
+def test_dim_reports_counts_beyond_int64(tmp_path, capsys):
+    desc = tmp_path / "stair.json"
+    run_json(["generate", "--kind", "cone_staircase", "--params",
+              '{"theta": 0.5, "k_max": 5}', "--mode", "implicit",
+              "--out", str(desc)], capsys)
+    prof = tmp_path / "prof.csv"
+    rep = run_json(["dim", "--in", str(desc), "--scales",
+                    f"dyadic:{2.0 ** 70}", "--out", str(prof)], capsys)
+    # bands 0-5 lie inside [0, 2^70]^2; the total passes 2^63 - 1
+    assert rep["results"]["top_count"] == 9223372040076067104
+    assert int(prof.read_text().strip().splitlines()[-1].split(",")[1]) \
+        == 9223372040076067104

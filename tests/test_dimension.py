@@ -47,6 +47,21 @@ def test_mass_staircase_closed_form_at_top_scale():
     assert prof.counts[-1] == 524800
 
 
+def test_mass_profile_keeps_counts_beyond_int64_exact():
+    cone = gen.ConeStaircase(0.5, 6)
+    scales = dim.dyadic_scales(2.0 ** 140)
+    for method in ("ratio_max_tail", "regression_tail"):
+        prof = dim.mass_dim_profile(cone, scales=scales, method=method)
+        top = cone.box_count(BoxSpec("first_quadrant", 2.0 ** 140))
+        assert top > 2 ** 127
+        assert prof.counts.dtype == object and prof.counts[-1] == top
+        assert prof.ratios[-1] == pytest.approx(math.log(top) / math.log(2.0 ** 140),
+                                                abs=1e-12)
+    # ladders whose counts fit int64 keep the int64 array
+    small = dim.mass_dim_profile(cone, scales=dim.dyadic_scales(2.0 ** 40))
+    assert small.counts.dtype == np.int64
+
+
 def test_mass_centered_boxes():
     ps = gen.gen_cartesian(np.arange(9), np.arange(9))
     prof = dim.mass_dim_profile(ps, scales=[4.0], kind="centered")

@@ -203,6 +203,24 @@ def test_cone_annuli_box_counts_agree():
             assert cone.box_count(box) == ps.box_count(box)
 
 
+def test_empty_rectangles_with_infinite_bounds_count_zero():
+    # +inf lower and -inf upper bounds used to raise OverflowError
+    inf = math.inf
+    assert gen.ConeStaircase(0.5, 3).rect_count(inf, inf, 0, 100) == 0
+    assert gen.ConeAnnuli(0.2, 0, 2).rect_count(-inf, -inf, 0, 100) == 0
+    assert gen.ConeFixedWidth(0.5, 1).rect_count(0, 100, inf, inf) == 0
+    assert gen.ParabolicStaircase(10).rect_count(0, 100, inf, inf) == 0
+
+
+def test_deep_bands_count_without_a_row_cap():
+    # band 6 of the staircase starts at row 2^128; its counts need 128 bits
+    cone = gen.ConeStaircase(0.5, 6)
+    below = gen.ConeStaircase(0.5, 5).rect_count(-math.inf, math.inf, 0, 2 ** 128)
+    total = cone.box_count(BoxSpec("first_quadrant", 2.0 ** 140))
+    assert total.bit_length() == 128 and total > below > 2 ** 63
+    assert cone.size_estimate() == float(total)
+
+
 def test_cone_annuli_k_min_drops_low_bands():
     cone = gen.ConeAnnuli(0.2, 1, 2)
     assert cone.rect_count(-100, 100, 4, 5) == 0

@@ -163,6 +163,19 @@ def test_tube_rejects_slope_whose_width_factor_overflows():
     assert t.edge_intercepts() == (0.0, math.sqrt(1.0 + 1e-150 ** -2))
 
 
+def test_steep_slopes_whose_square_overflows_are_rejected():
+    # u^2 overflows above |u| ~ 1.3e154; axial_coord, perp_coord and
+    # enclosing_tube used to raise OverflowError from it
+    for u in (1e200, -1e155, 1.35e154):
+        with pytest.raises(ValueError, match="too steep"):
+            Tube(u, 0.0)
+        with pytest.raises(ValueError, match="too steep"):
+            FloorLine(abs(u), 0.0)
+    t = Tube(-1e154, 0.0)
+    assert t.axial_coord(1.0, 0.0) == 1e154 / math.sqrt(1.0 + 1e154 ** 2)
+    assert FloorLine(1e154, 0.0).enclosing_tube().u == -1e-154
+
+
 def test_horizontal_tube():
     t = Tube.horizontal(2.0)
     assert t.orientation == "horizontal"

@@ -31,8 +31,8 @@ from latslice.geometry import BoxSpec
 
 SETTINGS = settings(max_examples=120, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
-DEEP_SETTINGS = settings(max_examples=25, deadline=None,
-                         suppress_health_check=[HealthCheck.too_slow])
+RECT_SETTINGS = settings(SETTINGS, max_examples=500)
+DEEP_SETTINGS = settings(SETTINGS, max_examples=60)
 
 
 # ---------------------------------------------------------------------------
@@ -102,37 +102,45 @@ def naive_rect_count(fam, x0, x1, y0, y1) -> int:
 # Rectangles
 # ---------------------------------------------------------------------------
 
-LOWER_INF = (-math.inf,)
-UPPER_INF = (math.inf,)
+INFINITIES = (-math.inf, math.inf)
 OFFSETS = st.one_of(st.integers(-3, 3),
                     st.sampled_from((-0.5, 0.25, 0.5, 0.75, -1e-9, 1e-9)))
 
 
-def bound(anchors, infinities, spread):
-    """A rectangle bound: an infinity, an anchor nudged by a small integer or
-    fraction, or a free integer or float within +-spread."""
-    return st.one_of(
-        st.sampled_from(infinities),
-        st.builds(lambda a, d: a + d, st.sampled_from(anchors), OFFSETS),
-        st.integers(-spread, spread),
-        st.floats(-spread, spread, allow_nan=False))
+def nudge(anchor: int, offset):
+    """anchor + offset, as a float where that is exact and as a Fraction
+    past 2^53, where a float would round the bound by whole rows."""
+    return anchor + offset if abs(anchor) < 2 ** 53 else anchor + Fraction(offset)
+
+
+@st.composite
+def bound(draw, anchors, spread):
+    """A rectangle bound: mostly an anchor nudged by a small integer or
+    fraction, else an infinity or a free integer or float within +-spread."""
+    kind = draw(st.sampled_from(("anchor", "anchor", "anchor", "inf", "free")))
+    if kind == "anchor":
+        return nudge(draw(st.sampled_from(anchors)), draw(OFFSETS))
+    if kind == "inf":
+        return draw(st.sampled_from(INFINITIES))
+    return draw(st.one_of(st.integers(-spread, spread),
+                          st.floats(-spread, spread, allow_nan=False)))
 
 
 @st.composite
 def rectangles(draw, bands, spread):
     """(x0, x1, y0, y1) anchored on rows of ``bands`` and on their spans at
-    the first, last and one drawn row, so clamps bind mid-band."""
+    the first, last and two drawn rows, so clamps start to bind mid-band."""
     lo, hi, span = draw(st.sampled_from(bands))
-    ref = draw(st.integers(lo, hi - 1))
-    rows = [lo - 1, lo, hi - 1, hi, ref]
-    cols = [c for y in (lo, ref, hi - 1) for c in span(y)]
-    x0, x1 = (draw(bound(cols, LOWER_INF, spread)),
-              draw(bound(cols, UPPER_INF, spread)))
-    y0, y1 = (draw(bound(rows, LOWER_INF, spread)),
-              draw(bound(rows, UPPER_INF, spread)))
-    if draw(st.booleans()) and math.isfinite(x0) and math.isfinite(x1):
+    refs = [draw(st.integers(lo, hi - 1)) for _ in range(2)]
+    rows = [lo - 1, lo, hi - 1, hi, *refs]
+    cols = [c for y in (lo, *refs, hi - 1) for c in span(y)]
+    x0, x1 = (draw(bound(cols, spread)),
+              draw(bound(cols, spread)))
+    y0, y1 = (draw(bound(rows, spread)),
+              draw(bound(rows, spread)))
+    if draw(st.integers(0, 3)) == 0:
         x0, x1 = x1, x0
-    if draw(st.integers(0, 3)) == 0 and math.isfinite(y0) and math.isfinite(y1):
+    if draw(st.integers(0, 7)) == 0:
         y0, y1 = y1, y0
     return x0, x1, y0, y1
 
@@ -148,7 +156,7 @@ small_families = st.one_of(
     st.builds(gen.ConeFixedWidth, thetas, st.just(2), st.integers(1, 2)))
 
 
-@SETTINGS
+@RECT_SETTINGS
 @given(small_families, st.data())
 def test_cone_rect_count_matches_row_sweep(fam, data):
     bands = list(documented_bands(fam))
@@ -162,11 +170,11 @@ def test_parabolic_rect_count_matches_column_sweep(m_max, data):
     fam = gen.ParabolicStaircase(m_max)
     cols = [m * m for m in (1, m_max // 2 + 1, m_max)]
     rows = [0, m_max // 2, m_max - 1, m_max]
-    x0, x1 = (data.draw(bound(cols, LOWER_INF, 2000)),
-              data.draw(bound(cols, UPPER_INF, 2000)))
-    y0, y1 = (data.draw(bound(rows, LOWER_INF, 60)),
-              data.draw(bound(rows, UPPER_INF, 60)))
-    if data.draw(st.booleans()) and all(map(math.isfinite, (x0, x1, y0, y1))):
+    x0, x1 = (data.draw(bound(cols, 2000)),
+              data.draw(bound(cols, 2000)))
+    y0, y1 = (data.draw(bound(rows, 60)),
+              data.draw(bound(rows, 60)))
+    if data.draw(st.booleans()):
         x0, x1, y0, y1 = x1, x0, y1, y0
     assert fam.rect_count(x0, x1, y0, y1) == naive_rect_count(fam, x0, x1, y0, y1)
 
@@ -194,14 +202,14 @@ def test_deep_band_windows_match_row_sweep(name, data):
     start = data.draw(st.one_of(st.integers(lo - 50, lo + 50),
                                 st.integers(lo, hi - 1),
                                 st.integers(hi - 10_000, hi + 50)))
-    y0 = start + data.draw(st.sampled_from((0, -0.5, 0.25)))
-    y1 = start + data.draw(st.integers(0, 10_000)) \
-        + data.draw(st.sampled_from((0, 0.5, -0.25)))
+    y0 = nudge(start, data.draw(st.sampled_from((0, -0.5, 0.25))))
+    y1 = nudge(start + data.draw(st.integers(0, 10_000)),
+               data.draw(st.sampled_from((0, 0.5, -0.25))))
     mid = min(max(start + 5_000, lo), hi - 1)
     cols = [c for y in (max(start, lo), mid, min(start + 10_000, hi - 1))
             for c in span(y)]
-    x0 = data.draw(bound(cols, LOWER_INF, 1))
-    x1 = data.draw(bound(cols, UPPER_INF, 1))
+    x0 = data.draw(bound(cols, 1))
+    x1 = data.draw(bound(cols, 1))
     want = naive_rect_count(fam, x0, x1, y0, y1)
     assert fam.rect_count(x0, x1, y0, y1) == want
 
@@ -212,6 +220,21 @@ def test_deep_band_window_counts_exceed_int64():
     want = naive_rect_count(fam, -math.inf, math.inf, lo, lo + 9_999)
     assert want > 2 ** 64
     assert fam.rect_count(-math.inf, math.inf, lo, lo + 9_999) == want
+
+
+@SETTINGS
+@given(st.one_of(small_families, st.sampled_from(list(DEEP.values()))), st.data())
+def test_cone_contains_matches_documented_spans(fam, data):
+    lo, hi, span = data.draw(st.sampled_from(list(documented_bands(fam))))
+    y = data.draw(st.sampled_from((lo - 1, lo, hi - 1, hi))
+                  | st.integers(lo, hi - 1))
+    a, b = span(min(max(y, lo), hi - 1))
+    x = data.draw(st.sampled_from((a - 1, a, b, b + 1)) | st.integers(a - 2, b + 2))
+    want = lo <= y < hi and a <= x <= b
+    assert fam.contains(x, y) == want
+    if abs(x) < 2 ** 53 and abs(y) < 2 ** 53:
+        assert fam.contains(float(x), float(y)) == want
+        assert not fam.contains(x + 0.5, y)
 
 
 # ---------------------------------------------------------------------------
