@@ -5,9 +5,10 @@ cone-based families blow up doubly exponentially, so they also come in an
 implicit flavor: an object carrying an exact membership predicate and exact
 closed-form rectangle counts (floor sums over each band, never a sweep over
 rows), usable by the dimension profilers without ever enumerating points.
-Counts are Python ints, exact at any band however far they pass 2^64.  Implicit and materialized modes agree exactly
-wherever both are defined; all generators are deterministic functions of
-their parameters (plus an explicit seed for the random family).
+Counts are Python ints, exact at any band however far they pass 2^64.
+Implicit and materialized modes agree exactly wherever both are defined; all
+generators are deterministic functions of their parameters (plus an explicit
+seed for the random family).
 
 Angular conventions for the cone families: the cone axis is vertical and
 "angle" is measured as horizontal slope offset x/y (exact to first order for

@@ -64,8 +64,8 @@ class Tube:
     have slope ``-1/u``.  Any finite nonzero ``u`` whose ``1/u^2`` and ``u^2``
     are finite floats (``|u|`` between about 7.5e-155 and 1.3e154) is
     accepted: tubes hugging a line of positive slope ``m`` correspond to
-    ``u = -1/m``.  For the
-    horizontal orientation ``u`` is ignored and the strip is ``v < y <= v+1``.
+    ``u = -1/m``.  For the horizontal orientation ``u`` is ignored and the
+    strip is ``v < y <= v+1``.
     """
 
     u: float
