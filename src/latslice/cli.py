@@ -3,7 +3,7 @@
 Each subcommand builds a RunConfig, dispatches through run(), and emits a
 JSON report plus command-specific artifacts (point files, profile CSVs).
 Identical configs reproduce identical results blocks; only the provenance
-timestamp differs between runs.
+(timestamp and stage timings) differs between runs.
 
 Exit codes: 0 ok, 2 config error, 3 assertion failure, 4 I/O error.
 """
@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import tempfile
+import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -69,10 +70,40 @@ class RunConfig:
 
 
 @dataclass
+class Stages:
+    """Where a run's time went, reported as ``provenance.stages``.
+
+    ``load_s`` is the time spent loading the input set (point file or
+    implicit descriptor) and ``points_loaded`` the number of points read
+    from a point file; both are None when there is no such input.
+    ``run_s`` is the time from the start of the run to the writing of the
+    report, so it covers the whole command up to that point.
+    """
+
+    start: float = field(default_factory=time.perf_counter)
+    load_s: float | None = None
+    points_loaded: int | None = None
+
+    def load(self, path: str):
+        """``load_set(path)``, timed and counted."""
+        t0 = time.perf_counter()
+        obj = load_set(path)
+        self.load_s = time.perf_counter() - t0
+        if isinstance(obj, PointSet):
+            self.points_loaded = len(obj)
+        return obj
+
+    def as_dict(self) -> dict:
+        return {"load_s": self.load_s, "points_loaded": self.points_loaded,
+                "run_s": time.perf_counter() - self.start}
+
+
+@dataclass
 class Report:
     config: RunConfig
     results: dict
     artifacts: dict = field(default_factory=dict)
+    stages: Stages = field(default_factory=Stages)
 
     def to_json(self) -> str:
         payload = {
@@ -85,7 +116,7 @@ class Report:
                 "tool": "latslice",
                 "version": __version__,
                 "timestamp": datetime.now(timezone.utc).isoformat(),
-                "threads": os.environ.get("LATSLICE_THREADS"),
+                "stages": self.stages.as_dict(),
             },
         }
         return json.dumps(payload, indent=2, sort_keys=True)
@@ -202,7 +233,7 @@ def load_set(path: str):
 # Command implementations
 # ---------------------------------------------------------------------------
 
-def _run_generate(cfg: RunConfig) -> Report:
+def _run_generate(cfg: RunConfig, stages: Stages) -> Report:
     p = cfg.params
     kind, mode = p["kind"], p.get("mode", "materialize")
     if mode not in ("materialize", "implicit"):
@@ -229,18 +260,18 @@ def _run_generate(cfg: RunConfig) -> Report:
                     "params": p.get("params", {})}
             _atomic_write_text(cfg.out, json.dumps(desc, indent=2) + "\n")
             artifacts["descriptor"] = cfg.out
-    return Report(cfg, results, artifacts)
+    return Report(cfg, results, artifacts, stages)
 
 
-def _run_validate(cfg: RunConfig) -> Report:
-    obj = load_set(cfg.params["in"])
+def _run_validate(cfg: RunConfig, stages: Stages) -> Report:
+    obj = stages.load(cfg.params["in"])
     if not isinstance(obj, PointSet):
         raise ConfigError("validate needs a materialized point file")
     rep = validate_separation(obj)
     return Report(cfg, {"points": len(obj),
                         "min_distance": rep.min_distance,
                         "closest_pair": rep.closest_pair,
-                        "separated": rep.valid})
+                        "separated": rep.valid}, stages=stages)
 
 
 def _parse_scales(spec: str) -> np.ndarray:
@@ -253,9 +284,9 @@ def _parse_scales(spec: str) -> np.ndarray:
     raise ConfigError(f"--scales must look like dyadic:<max>, got {spec!r}")
 
 
-def _run_dim(cfg: RunConfig) -> Report:
+def _run_dim(cfg: RunConfig, stages: Stages) -> Report:
     p = cfg.params
-    obj = load_set(p["in"])
+    obj = stages.load(p["in"])
     scales = _parse_scales(p["scales"]) if p.get("scales") else None
     prof = mass_dim_profile(obj, scales=scales, kind=p.get("kind", "first_quadrant"),
                             method=p.get("method", "ratio_max_tail"))
@@ -265,7 +296,7 @@ def _run_dim(cfg: RunConfig) -> Report:
         artifacts["profile_csv"] = cfg.out
     return Report(cfg, {"estimate": prof.estimate, "method": prof.method,
                         "scales": len(prof), "top_scale": float(prof.scales[-1]),
-                        "top_count": int(prof.counts[-1])}, artifacts)
+                        "top_count": int(prof.counts[-1])}, artifacts, stages)
 
 
 def _parse_pair(text: str, flag: str) -> tuple[float, float]:
@@ -278,9 +309,9 @@ def _parse_pair(text: str, flag: str) -> tuple[float, float]:
         raise ConfigError(f"{flag} expects numbers, got {text!r}") from None
 
 
-def _run_slice(cfg: RunConfig) -> Report:
+def _run_slice(cfg: RunConfig, stages: Stages) -> Report:
     p = cfg.params
-    ps = load_set(p["in"])
+    ps = stages.load(p["in"])
     if not isinstance(ps, PointSet):
         raise ConfigError("slice needs a materialized point file")
     if p.get("tube") is not None and p.get("floor") is not None:
@@ -307,7 +338,7 @@ def _run_slice(cfg: RunConfig) -> Report:
             artifacts["heights_file"] = cfg.out
     else:
         raise ConfigError("slice needs --tube U,V or --floor U,V")
-    return Report(cfg, results, artifacts)
+    return Report(cfg, results, artifacts, stages)
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -323,9 +354,9 @@ def _parse_grid(text: str) -> tuple[int, int]:
     return gu, gv
 
 
-def _run_survey(cfg: RunConfig) -> Report:
+def _run_survey(cfg: RunConfig, stages: Stages) -> Report:
     p = cfg.params
-    ps = load_set(p["in"])
+    ps = stages.load(p["in"])
     if not isinstance(ps, PointSet):
         raise ConfigError("survey needs a materialized point file")
     kwargs = dict(n_side=p["N"], m_range=p.get("M"),
@@ -361,12 +392,11 @@ def _run_survey(cfg: RunConfig) -> Report:
             lines.append(",".join(str(x) for x in idx) + f",{int(val)}")
         _atomic_write_text(cells_path, "\n".join(lines) + "\n")
         artifacts["cells_csv"] = cells_path
+    report = Report(cfg, results, artifacts, stages)
     if cfg.out:
-        rep_obj = Report(cfg, results, artifacts)
-        _atomic_write_text(cfg.out, rep_obj.to_json() + "\n")
+        _atomic_write_text(cfg.out, report.to_json() + "\n")
         artifacts["report_json"] = cfg.out
-        return rep_obj
-    return Report(cfg, results, artifacts)
+    return report
 
 
 def _parse_ff_set(spec: str, p: int) -> FiniteFieldSet:
@@ -398,7 +428,7 @@ def _parse_ff_set(spec: str, p: int) -> FiniteFieldSet:
     return FiniteFieldSet.from_points(p, pairs)
 
 
-def _run_ff(cfg: RunConfig) -> Report:
+def _run_ff(cfg: RunConfig, stages: Stages) -> Report:
     p = cfg.params
     prime = p["p"]
     B = _parse_ff_set(p.get("set", "full"), prime)
@@ -429,7 +459,7 @@ def _run_ff(cfg: RunConfig) -> Report:
         else:
             raise ConfigError(f"unknown --verify check {check!r}")
     results["ok"] = not failures
-    report = Report(cfg, results)
+    report = Report(cfg, results, stages=stages)
     if cfg.out:
         _atomic_write_text(cfg.out, report.to_json() + "\n")
         report.artifacts["report_json"] = cfg.out
@@ -438,9 +468,9 @@ def _run_ff(cfg: RunConfig) -> Report:
     return report
 
 
-def _run_levels(cfg: RunConfig) -> Report:
+def _run_levels(cfg: RunConfig, stages: Stages) -> Report:
     p = cfg.params
-    ps = load_set(p["in"])
+    ps = stages.load(p["in"])
     if not isinstance(ps, PointSet):
         raise ConfigError("levels needs a materialized point file")
     try:
@@ -454,7 +484,7 @@ def _run_levels(cfg: RunConfig) -> Report:
                "search_bound": lsc.search_bound,
                "levels": prof.levels, "counts": prof.counts,
                "thresholds": prof.thresholds}
-    report = Report(cfg, results)
+    report = Report(cfg, results, stages=stages)
     if cfg.out:
         _atomic_write_text(cfg.out, report.to_json() + "\n")
         report.artifacts["report_json"] = cfg.out
@@ -493,7 +523,7 @@ def _repro_ff(cfg: RunConfig) -> tuple[list[CriterionResult], dict]:
     return res, {"p": prime, "failures": failures}
 
 
-def _run_repro(cfg: RunConfig) -> Report:
+def _run_repro(cfg: RunConfig, stages: Stages) -> Report:
     name = cfg.params.get("name", "all")
     extra: dict = {}
     if name == "all":
@@ -517,7 +547,8 @@ def _run_repro(cfg: RunConfig) -> Report:
         print(r.line())
     ok = all(r.passed for r in results)
     report = Report(cfg, {"recipe": name, "ok": ok, **extra,
-                          "criteria": [dataclasses.asdict(r) for r in results]})
+                          "criteria": [dataclasses.asdict(r) for r in results]},
+                    stages=stages)
     if cfg.out:
         _atomic_write_text(cfg.out, report.to_json() + "\n")
         report.artifacts["report_json"] = cfg.out
@@ -541,7 +572,7 @@ RUNNERS = {
 
 def run(config: RunConfig) -> Report:
     """Dispatch a validated RunConfig to its command implementation."""
-    return RUNNERS[config.command](config)
+    return RUNNERS[config.command](config, Stages())
 
 
 # ---------------------------------------------------------------------------

@@ -93,10 +93,8 @@ class ParabolicStaircase:
     m_max: int
 
     def contains(self, x, y) -> bool:
-        if x != int(x) or y != int(y):
-            return False
-        xi, yi = int(x), int(y)
-        if xi < 1 or yi < 0:
+        xi, yi = _as_int(x), _as_int(y)
+        if xi is None or yi is None or xi < 1 or yi < 0:
             return False
         m = math.isqrt(xi)
         return m * m == xi and m <= self.m_max and yi <= m - 1

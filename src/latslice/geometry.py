@@ -3,14 +3,14 @@
 Conventions used throughout the package:
 
 * Points are (x, y) pairs.  ``PointSet`` stores them as an (n, 2) float64
-  array plus a CSR unit-cell index: the points sorted by cell
-  ``(floor(x), floor(y))``, the occupied cells as sorted packed int64 keys
-  with offsets into that order, and the sorted occupied columns and rows.
-  Tube and floor-line slicing visit only occupied columns, all at once as
-  array expressions, and only the rows the strip can reach in each.
-  Coordinates may be negative (the cone constructions are built symmetric
-  about the y axis); generators that model first-quadrant sets emit
-  nonnegative coordinates.
+  array plus a CSR unit-cell index, built on first use: the points sorted
+  by cell ``(floor(x), floor(y))``, the occupied cells as sorted packed
+  int64 keys with offsets into that order, and the sorted occupied columns
+  and rows.  Tube and floor-line slicing visit only occupied columns, all
+  at once as array expressions, and only the rows the strip can reach in
+  each.  Coordinates may be negative (the cone constructions are built
+  symmetric about the y axis); generators that model first-quadrant sets
+  emit nonnegative coordinates.
 
 * A tube of perpendicular slope ``u`` (``u != 0``, either sign) is the strip
 
@@ -30,6 +30,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -280,7 +282,11 @@ class PointSet:
       >= j * _stride, so the column offsets need no array of their own.
 
     Slicing computes a row interval for every occupied column at once and
-    finds the matching cells with one ``searchsorted`` on packed keys.
+    finds the matching cells with one ``searchsorted`` on packed keys.  The
+    index is built on the first call that needs it (``contains``,
+    ``cell_arrays``, ``max_cell_population``, ``slice_tube``,
+    ``slice_floor_line``) and kept, so a set that is only counted in boxes,
+    validated or written never pays for it.
     """
 
     def __init__(self, points, *, _separated: bool = False):
@@ -295,19 +301,23 @@ class PointSet:
         arr.setflags(write=False)
         self.points = arr
         self.separation_checked = bool(_separated)
-        self._build_index()
+        self._order = None
 
-    def _build_index(self) -> None:
+    def _index(self) -> None:
+        """Build the CSR index unless it is built already."""
+        if self._order is not None:
+            return
         floors = np.floor(self.points)
         self._col_x, col_rank = np.unique(floors[:, 0], return_inverse=True)
         self._row_y, row_rank = np.unique(floors[:, 1], return_inverse=True)
         self._stride = len(self._row_y) + 1
         keys = col_rank.astype(np.int64) * self._stride + row_rank
-        self._order = np.argsort(keys, kind="stable")
-        keys = keys[self._order]
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
         starts = np.flatnonzero(np.diff(keys, prepend=-1))
         self._cell_key = keys[starts]
         self._cell_start = np.append(starts, len(keys))
+        self._order = order
 
     def _points_in_rows(self, cols, row_lo, row_hi) -> np.ndarray:
         """Rows of ``points`` whose cell lies in occupied column ``cols[j]``
@@ -341,6 +351,7 @@ class PointSet:
 
     def contains(self, x: float, y: float) -> bool:
         """Exact membership of the coordinate pair."""
+        self._index()
         cx, cy = np.floor(float(x)), np.floor(float(y))
         col = int(np.searchsorted(self._col_x, cx))
         if col == len(self._col_x) or self._col_x[col] != cx:
@@ -349,10 +360,12 @@ class PointSet:
         return bool(np.any((pts[:, 0] == x) & (pts[:, 1] == y)))
 
     def max_cell_population(self) -> int:
+        self._index()
         return int(np.diff(self._cell_start).max(initial=0))
 
     def cell_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Occupied unit cells and their populations, sorted by cell."""
+        self._index()
         cx = _as_int64(self._col_x[self._cell_key // self._stride])
         cy = _as_int64(self._row_y[self._cell_key % self._stride])
         return cx, cy, np.diff(self._cell_start)
@@ -441,6 +454,7 @@ def slice_tube(ps: PointSet, tube: Tube) -> PointSet:
     """
     a = tube.edge_slope()
     lo, up = tube.edge_intercepts()
+    ps._index()
     x0 = ps._col_x
     b0, b1 = a * x0, a * (x0 + 1.0)
     rows = ps._points_in_rows(np.arange(len(x0)),
@@ -463,6 +477,7 @@ def slice_floor_line(ps: PointSet, line: FloorLine, x_max: float = math.inf) -> 
     """
     if not (x_max > 0.0):
         raise ValueError("x_max must be positive")
+    ps._index()
     x0 = ps._col_x[:np.searchsorted(ps._col_x, x_max, side="right")]
     rows = ps._points_in_rows(np.arange(len(x0)), line.y_at(x0), line.y_at(x0 + 1.0))
     pts = ps.points[rows]
@@ -475,37 +490,106 @@ def slice_floor_line(ps: PointSet, line: FloorLine, x_max: float = math.inf) -> 
 # ---------------------------------------------------------------------------
 
 def write_points(ps: PointSet, path) -> None:
-    """One point per line, two whitespace-separated decimal fields.
+    """Write ``ps`` as a point file (format under ``read_points``).
 
-    Integer coordinates are written without a decimal part; all values
-    round-trip exactly through ``read_points``.
+    The file is a ``# x y`` header line, then one point per line as two
+    space-separated decimal fields.  Integer coordinates below 2^53 in
+    magnitude are written without a decimal part (``-0.0`` as ``0``), every
+    other value as Python's shortest round-trip ``repr``, so ``read_points``
+    gives back the same floats.  The text is built in one piece and written
+    with one call.
     """
+    xs, ys = (_column_text(col) for col in ps.points.T)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# x y\n")
-        for x, y in ps.points:
-            fh.write(f"{_fmt(x)} {_fmt(y)}\n")
+        fh.write("# x y\n" + "".join([f"{x} {y}\n" for x, y in zip(xs, ys)]))
 
 
-def _fmt(value: float) -> str:
-    if value == int(value) and abs(value) < 2 ** 53:
-        return str(int(value))
-    return repr(float(value))
+def _column_text(col: np.ndarray) -> list[str]:
+    """The decimal text of each value: integers without a decimal part."""
+    values = col.astype(object)
+    whole = (np.trunc(col) == col) & (np.abs(col) < 2.0 ** 53)
+    values[whole] = col[whole].astype(np.int64).tolist()
+    return list(map(str, values.tolist()))
+
+
+# numpy.loadtxt fetches a name with a URL scheme and decompresses one
+# ending in these suffixes; read_points gives it an absolute path, which is
+# never a URL, and for these suffixes the lines of the text already read
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def read_points(path) -> PointSet:
-    """Parse the two-field point format; '#' lines are comments."""
-    xs: list[float] = []
-    ys: list[float] = []
+    """Parse a point file, UTF-8 text with one point per line.
+
+    * A line holds exactly two fields separated by whitespace, each a
+      finite decimal number in numpy's float syntax (Python's ``float``
+      syntax without ``_`` separators or non-ASCII digits).
+    * A line whose first non-blank character is ``#`` is a comment, and
+      blank lines are skipped; a ``#`` after data on a line is an error.
+    * A file with no data lines gives the empty set.
+
+    The whole file is parsed at once by ``numpy.loadtxt``.  A malformed file
+    raises ``ValueError`` whose message starts with ``path:line`` of the
+    first bad line; a line scan runs only then, to find that line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected two fields, got {len(parts)}")
-            xs.append(float(parts[0]))
-            ys.append(float(parts[1]))
-    if not xs:
-        return PointSet(np.empty((0, 2)))
-    return PointSet(np.column_stack([xs, ys]))
+        text = fh.read()
+    try:
+        pts = _parse_points(path, text)
+    except ValueError as exc:
+        raise ValueError(_first_bad_line(path, text) or f"{path}: {exc}") from None
+    return PointSet(pts)
+
+
+def _parse_points(path, text: str) -> np.ndarray:
+    """The (n, 2) coordinates of a well-formed point file whose contents
+    are ``text``; ValueError, without a line number, for any other file."""
+    if not _comments_start_lines(text):
+        raise ValueError("'#' after data on a line")
+    name = os.fsdecode(os.path.abspath(path))
+    source = text.split("\n") if name.endswith(_COMPRESSED_SUFFIXES) else name
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                UserWarning)
+        pts = np.loadtxt(source, dtype=float, comments="#", ndmin=2,
+                         encoding="utf-8")
+    if pts.size and (pts.shape[1] != 2 or not np.isfinite(pts).all()):
+        raise ValueError("expected two finite fields per line")
+    return pts
+
+
+def _comments_start_lines(text: str) -> bool:
+    """Whether every '#' in ``text`` has only whitespace before it on its
+    line, so that it starts a comment line."""
+    pos = text.find("#")
+    while pos >= 0:
+        if text[text.rfind("\n", 0, pos) + 1:pos].strip():
+            return False
+        end = text.find("\n", pos)
+        pos = -1 if end < 0 else text.find("#", end)
+    return True
+
+
+def _first_bad_line(path, text: str) -> str | None:
+    """``path:line: reason`` for the first line of ``text`` that breaks the
+    point-file format, or None if there is none."""
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        fields = line.split()
+        if not fields or fields[0].startswith("#"):
+            continue
+        if len(fields) != 2:
+            return f"{path}:{lineno}: expected two fields, got {len(fields)}"
+        for field in fields:
+            if not _is_coordinate(field):
+                return f"{path}:{lineno}: {field!r} is not a finite decimal number"
+    return None
+
+
+def _is_coordinate(field: str) -> bool:
+    """Whether numpy parses ``field`` as a finite float64."""
+    if not field.isascii() or "_" in field:
+        return False
+    try:
+        return math.isfinite(float(field))
+    except ValueError:
+        return False

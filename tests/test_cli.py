@@ -247,13 +247,35 @@ def test_version_flag():
     assert proc.stdout.strip() == "latslice 0.1.0"
 
 
-def test_threads_env_recorded(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("LATSLICE_THREADS", "4")
+def test_provenance_stages(tmp_path, capsys):
     pts = tmp_path / "p.txt"
     rep = run_json(["generate", "--kind", "unit_line",
                     "--params", '{"m": 1.0, "count": 3}',
                     "--out", str(pts)], capsys)
-    assert rep["provenance"]["threads"] == "4"
+    stages = rep["provenance"]["stages"]
+    assert stages["load_s"] is None and stages["points_loaded"] is None
+    assert stages["run_s"] >= 0.0
+    assert "threads" not in rep["provenance"]
+
+    rep = run_json(["slice", "--in", str(pts), "--tube=0,-0.5"], capsys)
+    stages = rep["provenance"]["stages"]
+    assert sorted(stages) == ["load_s", "points_loaded", "run_s"]
+    assert stages["points_loaded"] == 3
+    assert 0.0 <= stages["load_s"] <= stages["run_s"]
+
+    desc = tmp_path / "stair.json"
+    run_json(["generate", "--kind", "parabolic_staircase", "--mode",
+              "implicit", "--params", '{"m_max": 8}', "--out", str(desc)], capsys)
+    stages = run_json(["dim", "--in", str(desc), "--scales", "dyadic:64"],
+                      capsys)["provenance"]["stages"]
+    assert stages["points_loaded"] is None
+    assert 0.0 <= stages["load_s"] <= stages["run_s"]
+
+    out = tmp_path / "levels.json"
+    run_json(["levels", "--in", str(pts), "--u=-1", "--out", str(out)], capsys)
+    written = json.loads(out.read_text())["provenance"]["stages"]
+    assert written["points_loaded"] == 3
+    assert written["load_s"] <= written["run_s"]
 
 
 def test_emit_profile_csv_rejects_empty(tmp_path):

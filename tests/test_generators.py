@@ -77,6 +77,18 @@ def test_staircase_membership():
     assert not implicit.contains(81.0, 0.0)  # beyond m_max
 
 
+@pytest.mark.parametrize("family", [gen.ParabolicStaircase(10),
+                                    gen.ConeStaircase(0.5, 3),
+                                    gen.ConeAnnuli(0.2, 0, 2),
+                                    gen.ConeFixedWidth(0.5, 1, n_levels=1)])
+def test_contains_is_false_for_non_finite_coordinates(family):
+    x0, y0 = family.materialize().points[-1]
+    assert family.contains(x0, y0)
+    for bad in (math.inf, -math.inf, math.nan):
+        for x, y in ((bad, y0), (x0, bad), (bad, bad)):
+            assert family.contains(x, y) is False
+
+
 def test_staircase_separated():
     assert validate_separation(gen.gen_parabolic_staircase(32)).valid
 
