@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -418,11 +419,15 @@ def _parse_ff_set(spec: str, p: int) -> FiniteFieldSet:
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                fields = line.split()
-                if len(fields) != 2:
-                    raise ConfigError(
-                        f"{spec}:{line_no}: expected 'x y', got {line!r}")
-                pairs.append((int(fields[0]), int(fields[1])))
+                try:
+                    x, y = map(int, line.split())
+                except ValueError:
+                    raise ConfigError(f"{spec}:{line_no}: expected two "
+                                      f"integers 'x y', got {line!r}") from None
+                if not (0 <= x < p and 0 <= y < p):
+                    raise ConfigError(f"{spec}:{line_no}: point ({x}, {y}) "
+                                      f"outside [0, {p})^2")
+                pairs.append((x, y))
     except OSError as exc:
         raise OSError(f"cannot read --set file {spec}: {exc}") from None
     return FiniteFieldSet.from_points(p, pairs)
@@ -579,7 +584,10 @@ def run(config: RunConfig) -> Report:
 # argparse front end
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: parsing does not change
+    it, and building it costs far more than one ``parse_args``."""
     ap = argparse.ArgumentParser(
         prog="latslice",
         description="dimension and slicing workbench for 1-separated "

@@ -7,6 +7,12 @@ identity: each point lies on exactly one line per slope, hence on exactly p
 lines of the family, so slice counts summed over all lines equal |B| * p.
 Markov's inequality on the exact per-slope average |B| / p then bounds the
 fraction of lines with unusually large intersection.
+
+The p x p line-count matrix is one histogram of the residues (y - u x) mod p
+per slope u.  ``ff_line_count_matrix`` counts a block of consecutive slopes
+with one ``bincount`` over keys that interleave residue and slope, and steps
+the keys from block to block by integer subtraction with an unsigned wrap,
+so it takes no modulo per incidence; the matrix is exact int64.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ __all__ = [
 ]
 
 MAX_PRIME = 10_000
+_BLOCK_KEYS = 1 << 12
 
 
 def is_prime(p: int) -> bool:
@@ -78,13 +85,20 @@ class FiniteFieldSet:
 
     @classmethod
     def from_points(cls, p: int, pairs) -> "FiniteFieldSet":
+        """The set of the given (x, y) pairs; repeats count once."""
         p = _check_prime(p)
+        pairs = list(pairs)
+        try:
+            pts = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+            inside = bool(np.all((pts >= 0) & (pts < p)))
+        except OverflowError:
+            inside = False
+        if not inside:
+            x, y = next((x, y) for x, y in pairs
+                        if not (0 <= int(x) < p and 0 <= int(y) < p))
+            raise ValueError(f"point ({x}, {y}) outside [0, {p})^2")
         grid = np.zeros((p, p), dtype=bool)
-        for x, y in pairs:
-            xi, yi = int(x), int(y)
-            if not (0 <= xi < p and 0 <= yi < p):
-                raise ValueError(f"point ({x}, {y}) outside [0, {p})^2")
-            grid[xi, yi] = True
+        grid[pts[:, 0], pts[:, 1]] = True
         return cls(p, grid)
 
     @classmethod
@@ -141,14 +155,32 @@ def ff_slice_count(B: FiniteFieldSet, u: int, v: int) -> int:
 def ff_line_count_matrix(B: FiniteFieldSet) -> np.ndarray:
     """Matrix counts[u, v] = |B intersect l_{u,v}| for all p^2 lines.
 
-    A point (x, y) lies on l_{u,v} iff v = y - u x, so each slope's row is
-    one histogram of y - u x over the points of B.
+    A point (x, y) lies on l_{u,v} iff v = (y - u x) mod p.  Slopes go in
+    blocks of ``block`` (about 2^12 histogram bins a block, which stay in
+    cache): slope u0 + j gives a point the key r * block + j, r its residue,
+    and one ``bincount`` of the block's keys fills the block's rows.  For
+    the next block every residue drops by s = block * x mod p, so each key
+    drops by s * block.  In unsigned arithmetic a key whose residue fell
+    below 0 wraps past every valid key, so the smaller of (key - s * block)
+    and (key + (p - s) * block) is the stepped key.
     """
     p = B.p
     xs, ys = np.nonzero(B.grid)
-    counts = np.zeros((p, p), dtype=np.int64)
-    for u in range(p):
-        counts[u] = np.bincount((ys - u * xs) % p, minlength=p)
+    block = max(1, min(p, _BLOCK_KEYS // p))
+    lane = np.arange(block)[:, None]
+    keys = ((ys - lane * xs) % p * block + lane).astype(np.uint64)
+    down = (block * xs % p * block).astype(np.uint64)
+    up = np.uint64(p * block) - down
+    lower = np.empty_like(keys)
+    counts = np.empty((p, p), dtype=np.int64)
+    for u0 in range(0, p, block):
+        if u0:
+            np.subtract(keys, down, out=lower)
+            keys += up
+            np.minimum(keys, lower, out=keys)
+        m = min(block, p - u0)
+        hist = np.bincount(keys[:m].ravel().view(np.int64), minlength=p * block)
+        counts[u0:u0 + m] = hist.reshape(p, block)[:, :m].T
     return counts
 
 

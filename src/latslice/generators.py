@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-import mpmath
 import numpy as np
 
 from .geometry import BoxSpec, PointSet, Tube
@@ -211,11 +210,11 @@ def _zigzag_coeffs(delta: float) -> tuple[float, float, float, float, float]:
 
 def _zigzag_lattice_corners(delta: float, n_levels: int,
                             limit: int | None = None) -> tuple[list[int], bool]:
-    t_exact = Fraction(math.tan(math.pi / 4 + delta))
+    num, den = math.tan(math.pi / 4 + delta).as_integer_ratio()
     corners = [1]
     truncated = False
     for _ in range(n_levels):
-        nxt = math.ceil(corners[-1] * t_exact)
+        nxt = -(-corners[-1] * num // den)
         if limit is not None and nxt > limit:
             truncated = True
             break
@@ -261,52 +260,60 @@ def gen_zigzag(delta: float, n_levels: int) -> tuple[PointSet, ZigzagTrace]:
     return PointSet(np.concatenate(chunks), _separated=True), trace
 
 
-def zigzag_tube_counts(delta: float, n_levels: int, tube: Tube,
-                       dps: int = 80) -> tuple[list[int], np.ndarray]:
+def _floor_root(c: int, q: int) -> int:
+    """floor(c * sqrt(q)) for integers c and q >= 0."""
+    m = c * c * q
+    r = math.isqrt(m)
+    if c >= 0:
+        return r
+    return -r if r * r == m else -r - 1
+
+
+def zigzag_tube_counts(delta: float, n_levels: int,
+                       tube: Tube) -> tuple[list[int], np.ndarray]:
     """Cumulative tube slice counts of the zigzag, level by level, without
     materializing any points.
 
-    Counts lattice points on each vertical/horizontal zigzag segment inside
-    ``tube`` by exact interval arithmetic at ``dps`` decimal digits, which
-    keeps integer boundaries sharp far beyond float range (corners up to
-    ~10^(dps-20) are safe).  Returns (lattice corners, cumulative counts
-    after each level); entry k covers everything up to corner k+1.
+    Counts the lattice points of each vertical/horizontal zigzag segment
+    inside ``tube`` exactly, at any depth.  ``u`` and ``v`` are read as the
+    rationals their floats denote, u = -a/b and v = c/d, so the tube's edges
+    are y = (b d x + E) / (a d) with E = c sqrt(q) below and (c + d) sqrt(q)
+    above, q = a^2 + b^2.  Each segment end is then floor((n + E) / m) =
+    (n + floor(E)) // m for integers n and m > 0, and floor(E) takes one
+    ``isqrt`` per edge, so every level costs a few integer floor divisions.
+    Returns (lattice corners, cumulative counts after each level); entry k
+    covers everything up to corner k+1.
 
-    Matches slice_tube on the materialized set wherever that set fits in
-    memory; intended for the deep levels where it does not.
+    The counts are exact for the real strip v w < y + x/u <= (v + 1) w,
+    w = sqrt(1 + 1/u^2).  ``slice_tube`` tests the same strip in floats, so
+    on the materialized set the two can differ at a point on an edge (an
+    exact tie, possible when q is a perfect square, as for u = -3/4) or
+    within float rounding of one; elsewhere they agree.
     """
     if tube.orientation != "standard" or tube.u >= 0:
         raise ValueError("zigzag tubes have positive edge slope, which means u < 0")
     lattice, _ = _zigzag_lattice_corners(delta, n_levels)
-    with mpmath.workdps(dps):
-        u = mpmath.mpf(tube.u)
-        v = mpmath.mpf(tube.v)
-        slope = -1 / u
-        w = mpmath.sqrt(1 + 1 / (u * u))
-        b_lo = v * w
-        b_up = (v + 1) * w
+    u, v = Fraction(float(tube.u)), Fraction(float(tube.v))
+    a, b = -u.numerator, u.denominator
+    c, d = v.numerator, v.denominator
+    q = a * a + b * b
+    e_lo, e_up = _floor_root(c, q), _floor_root(c + d, q)
+    ad, bd = a * d, b * d
 
-        seed_in = int(bool(slope + b_lo < 1 and 1 <= slope + b_up))
-        counts = []
-        total = seed_in
-        for k in range(len(lattice) - 1):
-            c0, c1 = lattice[k], lattice[k + 1]
-            # vertical x = c0: integer y with c0 < y <= c1 and
-            # slope*c0 + b_lo < y <= slope*c0 + b_up
-            lo_y = slope * c0 + b_lo
-            up_y = slope * c0 + b_up
-            start = max(c0 + 1, int(mpmath.floor(lo_y)) + 1)
-            stop = min(c1, int(mpmath.floor(up_y)))
-            total += max(0, stop - start + 1)
-            # horizontal y = c1: integer x with c0 < x <= c1 and
-            # (c1 - b_up)/slope <= x < (c1 - b_lo)/slope
-            lo_x = (c1 - b_up) / slope
-            hi_x = (c1 - b_lo) / slope
-            start = max(c0 + 1, int(mpmath.ceil(lo_x)))
-            stop = min(c1, int(mpmath.ceil(hi_x)) - 1)
-            total += max(0, stop - start + 1)
-            counts.append(total)
-        return lattice, np.array(counts, dtype=np.int64)
+    total = int((bd + e_lo) // ad < 1 <= (bd + e_up) // ad)   # the seed (1, 1)
+    counts = []
+    for c0, c1 in zip(lattice, lattice[1:]):
+        # vertical x = c0: integer y in (c0, c1] with lo(c0) < y <= up(c0)
+        start = max(c0 + 1, (bd * c0 + e_lo) // ad + 1)
+        stop = min(c1, (bd * c0 + e_up) // ad)
+        total += max(0, stop - start + 1)
+        # horizontal y = c1: integer x in (c0, c1] with
+        # (c1 a d - E_up) / (b d) <= x < (c1 a d - E_lo) / (b d)
+        start = max(c0 + 1, -((e_up - c1 * ad) // bd))
+        stop = min(c1, -((e_lo - c1 * ad) // bd) - 1)
+        total += max(0, stop - start + 1)
+        counts.append(total)
+    return lattice, np.array(counts, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

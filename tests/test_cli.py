@@ -157,6 +157,76 @@ def test_ff_full_set(capsys):
     assert rep["results"]["identity"]["expected"] == 125
 
 
+def test_ff_set_file(tmp_path, capsys):
+    pts = tmp_path / "b.txt"
+    pts.write_text("# x y\n\n1 2\n 1 2 \n0 4\n6 6\n")
+    rep = run_json(["ff", "--p", "7", "--set", str(pts),
+                    "--verify", "identity,chebyshev"], capsys)
+    assert rep["results"]["cardinality"] == 3
+    assert rep["results"]["identity"]["total"] == 21
+    assert rep["results"]["ok"] is True
+
+
+@pytest.mark.parametrize("body, line_no, needle", [
+    ("1 2\n1.5 2\n", 2, "expected two integers"),
+    ("# header\n3 9\n", 2, "point (3, 9) outside [0, 7)^2"),
+    ("1 2 3\n", 1, "expected two integers"),
+    ("\n\n-1 0\n", 3, "point (-1, 0) outside"),
+    ("0\n", 1, "expected two integers"),
+])
+def test_ff_set_file_names_the_bad_line(tmp_path, capsys, body, line_no, needle):
+    pts = tmp_path / "b.txt"
+    pts.write_text(body)
+    rc = cli.main(["ff", "--p", "7", "--set", str(pts)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert f"{pts}:{line_no}: " in captured.err
+    assert needle in captured.err
+
+
+def test_ff_set_missing_file_gives_io_exit(tmp_path, capsys):
+    rc = cli.main(["ff", "--p", "7", "--set", str(tmp_path / "none.txt")])
+    assert rc == 4
+    assert "cannot read --set file" in capsys.readouterr().err
+
+
+def _stable(report_text):
+    """A report with the per-run provenance (timestamp, timings) removed."""
+    rep = json.loads(report_text)
+    del rep["provenance"]["timestamp"], rep["provenance"]["stages"]
+    return json.dumps(rep, sort_keys=True)
+
+
+def test_repeated_main_calls_give_identical_reports(tmp_path, capsys):
+    # the parser is built once per process; later calls must parse alike
+    pts = tmp_path / "line.txt"
+    run_json(["generate", "--kind", "unit_line",
+              "--params", '{"m": 1.0, "count": 30}', "--out", str(pts)], capsys)
+    commands = [
+        (["ff", "--p", "11", "--set", "random:0.3:2",
+          "--verify", "identity,chebyshev"], 0),
+        (["dim", "--in", str(pts), "--scales", "dyadic:16"], 0),
+        (["slice", "--in", str(pts), "--tube=-1,0"], 0),
+        (["slice", "--in", str(pts)], 2),
+        (["ff", "--p", "9"], 2),
+    ]
+    first = []
+    for argv, want_rc in commands:
+        rc, out = run_cli(argv, capsys)
+        assert rc == want_rc
+        first.append(_stable(out) if rc == 0 else out)
+    for _ in range(2):
+        for (argv, want_rc), want in zip(commands, first):
+            rc, out = run_cli(argv, capsys)
+            assert rc == want_rc
+            assert (_stable(out) if rc == 0 else out) == want
+    assert cli._build_parser() is cli._build_parser()
+    fresh = cli._build_parser.__wrapped__()
+    for argv, _ in commands:
+        assert cli._build_parser().parse_args(argv) == fresh.parse_args(argv)
+
+
 def test_levels_empty_on_axis_tube(tmp_path, capsys):
     pts = tmp_path / "line.txt"
     run_json(["generate", "--kind", "unit_line",

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from latslice import dimension as dim
 from latslice import finitefield as ff
@@ -56,6 +58,13 @@ def test_from_points_deduplicates_and_checks_range():
     assert as_set(b.points()) == {(1, 2), (0, 4)}
     with pytest.raises(ValueError):
         ff.FiniteFieldSet.from_points(5, [(6, 7)])
+    # the message names the first point outside, as given
+    with pytest.raises(ValueError, match=r"point \(-1, 0\) outside \[0, 5\)\^2"):
+        ff.FiniteFieldSet.from_points(5, [(1, 2), (-1, 0), (9, 9)])
+    with pytest.raises(ValueError, match=rf"point \(4, {2 ** 70}\) outside"):
+        ff.FiniteFieldSet.from_points(5, [(4, 2 ** 70)])
+    grid = ff.FiniteFieldSet.from_points(5, np.array([[4, 0], [0, 4]])).grid
+    assert grid[4, 0] and grid[0, 4] and grid.sum() == 2
 
 
 def test_random_is_seeded():
@@ -101,6 +110,71 @@ def test_line_count_matrix_shape_and_totals():
     assert mat.shape == (11, 11)
     assert mat.sum() == b.cardinality * 11
     assert mat[3, 8] == ff.ff_slice_count(b, 3, 8)
+
+
+# ---------------------------------------------------------------------------
+# Line matrix against the per-slope histogram
+# ---------------------------------------------------------------------------
+
+PRIMES_TO_211 = [p for p in range(2, 212) if ff.is_prime(p)]
+SET_KINDS = ("empty", "full", "point", "column0", "random", "product")
+
+
+def per_slope_matrix(B):
+    """Reference: one histogram of (y - u x) mod p per slope u."""
+    p = B.p
+    xs, ys = np.nonzero(B.grid)
+    counts = np.zeros((p, p), dtype=np.int64)
+    for u in range(p):
+        counts[u] = np.bincount((ys - u * xs) % p, minlength=p)
+    return counts
+
+
+@st.composite
+def ff_sets(draw):
+    p = draw(st.sampled_from(PRIMES_TO_211))
+    kind = draw(st.sampled_from(SET_KINDS))
+    coord = st.integers(0, p - 1)
+    if kind == "empty":
+        return ff.FiniteFieldSet(p)
+    if kind == "full":
+        return ff.FiniteFieldSet.full(p)
+    if kind == "point":
+        return ff.FiniteFieldSet.from_points(p, [(draw(coord), draw(coord))])
+    if kind == "product":
+        return ff.FiniteFieldSet.from_product(
+            p, draw(st.lists(coord, max_size=p)), draw(st.lists(coord, max_size=p)))
+    density = draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    if kind == "random":
+        return ff.FiniteFieldSet(p, rng.random((p, p)) < density)
+    grid = np.zeros((p, p), dtype=bool)
+    grid[0] = rng.random(p) < density
+    return ff.FiniteFieldSet(p, grid)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(ff_sets())
+def test_line_count_matrix_matches_per_slope_histogram(b):
+    mat = ff.ff_line_count_matrix(b)
+    assert mat.dtype == np.int64
+    assert np.array_equal(mat, per_slope_matrix(b))
+    # every point lies on exactly one line per slope
+    assert np.all(mat.sum(axis=1) == b.cardinality)
+    # a point with x = 0 lies on line (u, y) for every u; any other point
+    # meets column v for exactly one slope
+    column0 = b.grid[0].astype(np.int64)
+    assert np.array_equal(
+        mat.sum(axis=0),
+        b.p * column0 + b.cardinality - int(column0.sum()))
+
+
+@pytest.mark.parametrize("p", [1031, 2053])
+def test_line_count_matrix_large_primes(p):
+    # 1031 slopes end in a partial block; at 2053 a block holds one slope
+    b = ff.FiniteFieldSet.random(p, density=0.002, seed=p)
+    assert np.array_equal(ff.ff_line_count_matrix(b), per_slope_matrix(b))
 
 
 # ---------------------------------------------------------------------------

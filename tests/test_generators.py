@@ -2,8 +2,11 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from latslice import generators as gen
 from latslice.generators import MaterializeError
@@ -171,6 +174,97 @@ def test_zigzag_tube_counts_deep_levels_stay_logarithmic():
     lattice, cums = gen.zigzag_tube_counts(0.2, 95, tube)
     assert lattice[-1] > 2 ** 53            # exact integers beyond floats
     assert cums[-1] <= 8.0 * math.log(lattice[-1])
+
+
+def mpmath_tube_counts(delta, n_levels, tube, dps=200):
+    """Reference: the tube counts by interval arithmetic at ``dps`` digits."""
+    lattice, _ = gen._zigzag_lattice_corners(delta, n_levels)
+    with mpmath.workdps(dps):
+        u, v = mpmath.mpf(tube.u), mpmath.mpf(tube.v)
+        slope = -1 / u
+        w = mpmath.sqrt(1 + 1 / (u * u))
+        b_lo, b_up = v * w, (v + 1) * w
+        total = int(bool(slope + b_lo < 1 and 1 <= slope + b_up))
+        counts = []
+        for c0, c1 in zip(lattice, lattice[1:]):
+            start = max(c0 + 1, int(mpmath.floor(slope * c0 + b_lo)) + 1)
+            stop = min(c1, int(mpmath.floor(slope * c0 + b_up)))
+            total += max(0, stop - start + 1)
+            start = max(c0 + 1, int(mpmath.ceil((c1 - b_up) / slope)))
+            stop = min(c1, int(mpmath.ceil((c1 - b_lo) / slope)) - 1)
+            total += max(0, stop - start + 1)
+            counts.append(total)
+        return lattice, counts
+
+
+def exact_tube_count(points, tube):
+    """Points with v w < y + x/u <= (v + 1) w, w = sqrt(1 + 1/u^2), decided
+    in rationals: z <= c w holds iff z <= 0 <= c, or z^2 <= c^2 w^2 with
+    z, c >= 0, or z^2 >= c^2 w^2 with z, c <= 0."""
+    u, v = Fraction(tube.u), Fraction(tube.v)
+    w2 = 1 + 1 / (u * u)
+
+    def at_most(z, c):
+        if z <= 0 <= c:
+            return True
+        if z >= 0 and c >= 0:
+            return z * z <= c * c * w2
+        if z <= 0 and c <= 0:
+            return z * z >= c * c * w2
+        return False
+
+    count = 0
+    for x, y in points.tolist():
+        z = Fraction(y) + Fraction(x) / u
+        count += not at_most(z, v) and at_most(z, v + 1)
+    return count
+
+
+def criterion_07_tubes():
+    t = math.tan(math.pi / 4 + 0.2)
+    slopes = 1.0 + (np.arange(20) + 0.5) * ((t - 1.0) / 20.0)
+    return [Tube(-1.0 / float(s), 0.0) for s in slopes]
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.floats(-4.0, -0.25, exclude_min=True, exclude_max=True),
+       st.floats(-3.0, 3.0), st.integers(1, 400))
+def test_zigzag_tube_counts_match_mpmath(u, v, depth):
+    # mpmath rounds an exact tie either way, so skip rational edge widths
+    frac = Fraction(u)
+    assume(math.isqrt(q := frac.numerator ** 2 + frac.denominator ** 2) ** 2 != q)
+    tube = Tube(u, v)
+    lattice, cums = gen.zigzag_tube_counts(0.2, depth, tube)
+    want_lattice, want = mpmath_tube_counts(0.2, depth, tube)
+    assert lattice == want_lattice
+    assert cums.tolist() == want
+
+
+@pytest.mark.parametrize("u", [-3 / 4, -4 / 3, -5 / 12])
+@pytest.mark.parametrize("v", [-3.0, -1.0, 0.0, 1.0, 2.0])
+def test_zigzag_tube_counts_exact_on_pythagorean_slopes(u, v):
+    # at u = -3/4 the edge width is exactly 5/3, so lattice points sit on
+    # the edges; every level's count must match exact rational membership
+    tube = Tube(u, v)
+    _, cums = gen.zigzag_tube_counts(0.2, 12, tube)
+    for depth in (1, 5, 12):
+        ps, _ = gen.gen_zigzag(0.2, depth)
+        assert cums[depth - 1] == exact_tube_count(ps.points, tube)
+
+
+def test_zigzag_tube_counts_known_ties():
+    assert gen.zigzag_tube_counts(0.2, 12, Tube(-0.75, 0.0))[1][-1] == 30
+    assert gen.zigzag_tube_counts(0.2, 12, Tube(-0.75, 2.0))[1][-1] == 21
+
+
+def test_zigzag_tube_counts_exact_at_depth_500():
+    # corners reach about 90 digits here, past what 80-digit arithmetic
+    # resolves
+    for tube in criterion_07_tubes():
+        lattice, cums = gen.zigzag_tube_counts(0.2, 500, tube)
+        assert len(str(lattice[-1])) >= 85
+        assert cums.tolist() == mpmath_tube_counts(0.2, 500, tube)[1]
 
 
 # ---------------------------------------------------------------------------
