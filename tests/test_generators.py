@@ -177,8 +177,12 @@ def test_zigzag_tube_counts_deep_levels_stay_logarithmic():
 
 
 def mpmath_tube_counts(delta, n_levels, tube, dps=200):
-    """Reference: the tube counts by interval arithmetic at ``dps`` digits."""
-    lattice, _ = gen._zigzag_lattice_corners(delta, n_levels)
+    """Reference: the corners by Fraction products, the tube counts by
+    interval arithmetic at ``dps`` digits."""
+    t = Fraction(math.tan(math.pi / 4 + delta))
+    lattice = [1]
+    for _ in range(n_levels):
+        lattice.append(math.ceil(lattice[-1] * t))
     with mpmath.workdps(dps):
         u, v = mpmath.mpf(tube.u), mpmath.mpf(tube.v)
         slope = -1 / u
@@ -264,7 +268,7 @@ def test_zigzag_tube_counts_exact_at_depth_500():
     for tube in criterion_07_tubes():
         lattice, cums = gen.zigzag_tube_counts(0.2, 500, tube)
         assert len(str(lattice[-1])) >= 85
-        assert cums.tolist() == mpmath_tube_counts(0.2, 500, tube)[1]
+        assert (lattice, cums.tolist()) == mpmath_tube_counts(0.2, 500, tube)
 
 
 # ---------------------------------------------------------------------------
