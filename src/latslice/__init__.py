@@ -14,7 +14,7 @@ from .dimension import (DimensionProfile, LevelProfile, LevelSearchConfig,
                         dim_1d_profile, dyadic_scales, ff_dim, find_levels,
                         mass_dim_profile, profile_from_counts)
 from .finitefield import (ChebyshevReport, DoubleCountError, FFTableRow,
-                          FiniteFieldSet, LineFp, ff_affine_intersection,
+                          FiniteFieldSet, ff_affine_intersection,
                           ff_chebyshev_fraction, ff_double_count,
                           ff_exception_limit_table, ff_line_count_matrix,
                           ff_line_points, ff_slice_count, is_prime)
@@ -54,7 +54,7 @@ __all__ = [
     "SurveyConfig", "SurveyReport", "survey_floor_lines", "tube_dim_along",
     "exception_ray_scan",
     # finite field
-    "FiniteFieldSet", "LineFp", "is_prime", "ff_line_points",
+    "FiniteFieldSet", "is_prime", "ff_line_points",
     "ff_slice_count", "ff_line_count_matrix", "ff_double_count",
     "DoubleCountError",
     "ChebyshevReport", "ff_chebyshev_fraction", "ff_affine_intersection",

@@ -1,9 +1,18 @@
 """Command-line workbench.
 
-Each subcommand builds a RunConfig, dispatches through run(), and emits a
-JSON report plus command-specific artifacts (point files, profile CSVs).
-Identical configs reproduce identical results blocks; only the provenance
-(timestamp and stage timings) differs between runs.
+Each subcommand is one entry of ``COMMANDS``: its help text, its runner,
+whether its ``--out`` names the report JSON (survey, ff, levels, repro) or
+an artifact (generate, dim, slice), and its argparse flags.  ``main`` parses
+the flags and passes their values to ``run(command, params)``.
+
+A runner computes; it writes no files.  It returns its results block, the
+artifacts to write as ``(key, path, writer)`` triples, and the message of a
+failed check (or None).  ``run()`` is the only code that writes files: each
+artifact through ``_atomic_write``, then the ``--out`` report, and only then
+does it raise ``CheckFailure`` for a failed check.  The report's ``params``
+block holds the flag values other than ``out``, ``seed`` and ``cells``, so
+identical flags give identical ``params`` and ``results`` blocks; only the
+provenance (timestamp and stage timings) differs between runs.
 
 Exit codes: 0 ok, 2 config error, 3 assertion failure, 4 I/O error.
 """
@@ -21,12 +30,14 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from . import generators as gen
-from .acceptance import ALL_CRITERIA, CriterionResult, run_criterion
+from .acceptance import (ALL_CRITERIA, CriterionResult, _ff_battery,
+                         run_criterion)
 from .dimension import (DimensionProfile, LevelSearchConfig, dyadic_scales,
                         find_levels, mass_dim_profile)
 from .finitefield import (DoubleCountError, FiniteFieldSet,
@@ -34,9 +45,9 @@ from .finitefield import (DoubleCountError, FiniteFieldSet,
 from .geometry import (FloorLine, PointSet, Tube, read_points,
                        slice_floor_line, slice_tube, validate_separation,
                        write_points)
-from .survey import SurveyConfig, survey_floor_lines, tube_dim_along
+from .survey import SurveyConfig, survey_floor_lines
 
-__all__ = ["RunConfig", "Report", "run", "emit_profile_csv", "main"]
+__all__ = ["COMMANDS", "Report", "run", "emit_profile_csv", "main"]
 
 
 class ConfigError(ValueError):
@@ -48,27 +59,8 @@ class CheckFailure(AssertionError):
 
 
 # ---------------------------------------------------------------------------
-# Config and report plumbing
+# Report plumbing
 # ---------------------------------------------------------------------------
-
-COMMANDS = ("generate", "validate", "dim", "slice", "survey", "ff",
-            "levels", "repro")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything that determines a run's results block."""
-
-    command: str
-    params: dict = field(default_factory=dict)
-    seed: int = 0
-    out: str | None = None
-    sidecars: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.command not in COMMANDS:
-            raise ConfigError(f"unknown command {self.command!r}")
-
 
 @dataclass
 class Stages:
@@ -85,13 +77,15 @@ class Stages:
     load_s: float | None = None
     points_loaded: int | None = None
 
-    def load(self, path: str):
-        """``load_set(path)``, timed and counted."""
+    def load(self, path: str, command: str):
+        """``load_set(path)``, timed; scanning commands refuse descriptors."""
         t0 = time.perf_counter()
         obj = load_set(path)
         self.load_s = time.perf_counter() - t0
         if isinstance(obj, PointSet):
             self.points_loaded = len(obj)
+        elif command in ("validate", "slice", "survey", "levels"):
+            raise ConfigError(f"{command} needs a materialized point file")
         return obj
 
     def as_dict(self) -> dict:
@@ -101,16 +95,18 @@ class Stages:
 
 @dataclass
 class Report:
-    config: RunConfig
+    command: str
+    params: dict
+    seed: int
     results: dict
     artifacts: dict = field(default_factory=dict)
     stages: Stages = field(default_factory=Stages)
 
     def to_json(self) -> str:
         payload = {
-            "command": self.config.command,
-            "params": _jsonable(self.config.params),
-            "seed": self.config.seed,
+            "command": self.command,
+            "params": _jsonable(self.params),
+            "seed": self.seed,
             "results": _jsonable(self.results),
             "artifacts": _jsonable(self.artifacts),
             "provenance": {
@@ -155,11 +151,9 @@ def _atomic_write(path: str, writer) -> None:
         raise
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    def writer(tmp):
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    _atomic_write(path, writer)
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def emit_profile_csv(profile: DimensionProfile, path) -> None:
@@ -171,7 +165,7 @@ def emit_profile_csv(profile: DimensionProfile, path) -> None:
     for s, c in zip(profile.scales.tolist(), profile.counts.tolist()):
         r = ratios.get(s, float("nan"))
         lines.append(f"{s:.12g},{int(c)},{r:.12g}")
-    _atomic_write_text(str(path), "\n".join(lines) + "\n")
+    _write_text(str(path), "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -227,52 +221,47 @@ def load_set(path: str):
         desc = json.load(fh)
     if desc.get("format") != IMPLICIT_FORMAT:
         raise ConfigError(f"{path}: not a point file or implicit descriptor")
+    if "kind" not in desc:
+        raise ConfigError(f"{path}: implicit descriptor has no 'kind'")
     return _call_generator(desc["kind"], desc.get("params", {}), "implicit")
 
 
 # ---------------------------------------------------------------------------
-# Command implementations
+# Runners: (flag values, Stages) -> (results, artifacts, failure)
 # ---------------------------------------------------------------------------
 
-def _run_generate(cfg: RunConfig, stages: Stages) -> Report:
-    p = cfg.params
-    kind, mode = p["kind"], p.get("mode", "materialize")
-    if mode not in ("materialize", "implicit"):
-        raise ConfigError(f"unknown mode {mode!r}")
-    obj = _call_generator(kind, p.get("params", {}), mode)
+def _run_generate(a: dict, stages: Stages):
+    try:
+        a["params"] = json.loads(a["params"])   # the report shows the object
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"--params is not valid JSON: {exc}") from None
+    if not isinstance(a["params"], dict):
+        raise ConfigError("--params must be a JSON object")
+    kind, mode = a["kind"], a["mode"]
+    obj = _call_generator(kind, a["params"], mode)
     results: dict = {"kind": kind, "mode": mode}
-    artifacts: dict = {}
     if kind == "zigzag":
-        ps, trace = obj
+        obj, trace = obj
         results.update(lambda1=trace.lambda1, lambda2=trace.lambda2,
                        truncated=trace.truncated,
                        levels=len(trace.lattice_corners) - 1,
                        top_corner=trace.lattice_corners[-1])
-        obj = ps
     if mode == "materialize" or isinstance(obj, PointSet):
         results["points"] = len(obj)
-        if cfg.out:
-            _atomic_write(cfg.out, lambda tmp: write_points(obj, tmp))
-            artifacts["points_file"] = cfg.out
-    else:
-        results["size_estimate"] = obj.size_estimate()
-        if cfg.out:
-            desc = {"format": IMPLICIT_FORMAT, "kind": kind,
-                    "params": p.get("params", {})}
-            _atomic_write_text(cfg.out, json.dumps(desc, indent=2) + "\n")
-            artifacts["descriptor"] = cfg.out
-    return Report(cfg, results, artifacts, stages)
+        return results, [("points_file", a["out"],
+                          lambda tmp: write_points(obj, tmp))], None
+    results["size_estimate"] = obj.size_estimate()
+    desc = json.dumps({"format": IMPLICIT_FORMAT, "kind": kind,
+                       "params": a["params"]}, indent=2) + "\n"
+    return results, [("descriptor", a["out"],
+                      lambda tmp: _write_text(tmp, desc))], None
 
 
-def _run_validate(cfg: RunConfig, stages: Stages) -> Report:
-    obj = stages.load(cfg.params["in"])
-    if not isinstance(obj, PointSet):
-        raise ConfigError("validate needs a materialized point file")
-    rep = validate_separation(obj)
-    return Report(cfg, {"points": len(obj),
-                        "min_distance": rep.min_distance,
-                        "closest_pair": rep.closest_pair,
-                        "separated": rep.valid}, stages=stages)
+def _run_validate(a: dict, stages: Stages):
+    ps = stages.load(a["in"], "validate")
+    rep = validate_separation(ps)
+    return {"points": len(ps), "min_distance": rep.min_distance,
+            "closest_pair": rep.closest_pair, "separated": rep.valid}, [], None
 
 
 def _parse_scales(spec: str) -> np.ndarray:
@@ -285,19 +274,16 @@ def _parse_scales(spec: str) -> np.ndarray:
     raise ConfigError(f"--scales must look like dyadic:<max>, got {spec!r}")
 
 
-def _run_dim(cfg: RunConfig, stages: Stages) -> Report:
-    p = cfg.params
-    obj = stages.load(p["in"])
-    scales = _parse_scales(p["scales"]) if p.get("scales") else None
-    prof = mass_dim_profile(obj, scales=scales, kind=p.get("kind", "first_quadrant"),
-                            method=p.get("method", "ratio_max_tail"))
-    artifacts = {}
-    if cfg.out:
-        emit_profile_csv(prof, cfg.out)
-        artifacts["profile_csv"] = cfg.out
-    return Report(cfg, {"estimate": prof.estimate, "method": prof.method,
-                        "scales": len(prof), "top_scale": float(prof.scales[-1]),
-                        "top_count": int(prof.counts[-1])}, artifacts, stages)
+def _run_dim(a: dict, stages: Stages):
+    obj = stages.load(a["in"], "dim")
+    scales = _parse_scales(a["scales"]) if a["scales"] else None
+    prof = mass_dim_profile(obj, scales=scales, kind=a["kind"],
+                            method=a["method"])
+    results = {"estimate": prof.estimate, "method": prof.method,
+               "scales": len(prof), "top_scale": float(prof.scales[-1]),
+               "top_count": int(prof.counts[-1])}
+    return results, [("profile_csv", a["out"],
+                      lambda tmp: emit_profile_csv(prof, tmp))], None
 
 
 def _parse_pair(text: str, flag: str) -> tuple[float, float]:
@@ -310,36 +296,25 @@ def _parse_pair(text: str, flag: str) -> tuple[float, float]:
         raise ConfigError(f"{flag} expects numbers, got {text!r}") from None
 
 
-def _run_slice(cfg: RunConfig, stages: Stages) -> Report:
-    p = cfg.params
-    ps = stages.load(p["in"])
-    if not isinstance(ps, PointSet):
-        raise ConfigError("slice needs a materialized point file")
-    if p.get("tube") is not None and p.get("floor") is not None:
+def _run_slice(a: dict, stages: Stages):
+    ps = stages.load(a["in"], "slice")
+    if a["tube"] is not None and a["floor"] is not None:
         raise ConfigError("slice takes exactly one of --tube or --floor")
-    artifacts = {}
-    if p.get("tube") is not None:
-        u, v = _parse_pair(p["tube"], "--tube")
-        tube = Tube.horizontal(v) if u == 0.0 else Tube(u, v)
-        sub = slice_tube(ps, tube)
-        results = {"mode": "tube", "u": u, "v": v, "count": len(sub)}
-        if cfg.out:
-            _atomic_write(cfg.out, lambda tmp: write_points(sub, tmp))
-            artifacts["points_file"] = cfg.out
-    elif p.get("floor") is not None:
-        u, v = _parse_pair(p["floor"], "--floor")
-        x_max = p.get("x_max", math.inf)
-        ys = slice_floor_line(ps, FloorLine(u, v), x_max)
-        results = {"mode": "floor", "u": u, "v": v, "x_max": x_max,
-                   "count": int(ys.size), "heights": ys}
-        if cfg.out:
-            body = "# distinct integer heights\n" \
-                + "".join(f"{int(y)}\n" for y in ys)
-            _atomic_write_text(cfg.out, body)
-            artifacts["heights_file"] = cfg.out
-    else:
+    if a["tube"] is not None:
+        u, v = _parse_pair(a["tube"], "--tube")
+        sub = slice_tube(ps, Tube.horizontal(v) if u == 0.0 else Tube(u, v))
+        return ({"mode": "tube", "u": u, "v": v, "count": len(sub)},
+                [("points_file", a["out"], lambda tmp: write_points(sub, tmp))],
+                None)
+    if a["floor"] is None:
         raise ConfigError("slice needs --tube U,V or --floor U,V")
-    return Report(cfg, results, artifacts, stages)
+    u, v = _parse_pair(a["floor"], "--floor")
+    ys = slice_floor_line(ps, FloorLine(u, v), a["x_max"])
+    return ({"mode": "floor", "u": u, "v": v, "x_max": a["x_max"],
+             "count": int(ys.size), "heights": ys},
+            [("heights_file", a["out"], lambda tmp: _write_text(
+                tmp, "# distinct integer heights\n"
+                + "".join(f"{int(y)}\n" for y in ys)))], None)
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -355,49 +330,37 @@ def _parse_grid(text: str) -> tuple[int, int]:
     return gu, gv
 
 
-def _run_survey(cfg: RunConfig, stages: Stages) -> Report:
-    p = cfg.params
-    ps = stages.load(p["in"])
-    if not isinstance(ps, PointSet):
-        raise ConfigError("survey needs a materialized point file")
-    kwargs = dict(n_side=p["N"], m_range=p.get("M"),
-                  k_threshold=p.get("k"))
-    if p.get("mc"):
-        kwargs.update(mode="mc", mc_samples=p["mc"], seed=cfg.seed)
+def _cells_csv(counts: np.ndarray) -> str:
+    lines = ["i,j,count"] if counts.ndim == 2 else ["i,count"]
+    for idx, val in np.ndenumerate(counts):
+        lines.append(",".join(str(x) for x in idx) + f",{int(val)}")
+    return "\n".join(lines) + "\n"
+
+
+def _run_survey(a: dict, stages: Stages):
+    ps = stages.load(a["in"], "survey")
+    kwargs = dict(n_side=a["N"], m_range=a["M"], k_threshold=a["k"])
+    if a["mc"]:
+        kwargs.update(mode="mc", mc_samples=a["mc"], seed=a["seed"])
     else:
-        gu, gv = _parse_grid(p.get("grid", "512x512"))
+        gu, gv = _parse_grid(a["grid"])
         kwargs.update(mode="grid", grid_u=gu, grid_v=gv)
     try:
         scfg = SurveyConfig(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    rep = survey_floor_lines(ps, scfg, store_counts="cells" in cfg.sidecars)
-    results = {
-        "points_in_window": rep.point_count,
-        "lattice_row_points": rep.lattice_row_points,
-        "mean": rep.mean, "bound": rep.bound, "k": rep.k,
-        "threshold": rep.threshold,
-        "exception_fraction": rep.exception_fraction,
-        "good_fraction": rep.good_fraction,
-        "mean_exact_v": rep.mean_exact_v,
-        "resolution_term": rep.resolution_term,
-        "mc_std_error": rep.mc_std_error,
-    }
-    artifacts = {}
-    cells_path = cfg.sidecars.get("cells")
-    if cells_path:
-        counts = rep.counts
-        lines = ["i,j,count"] if counts.ndim == 2 else ["i,count"]
-        it = np.ndenumerate(counts)
-        for idx, val in it:
-            lines.append(",".join(str(x) for x in idx) + f",{int(val)}")
-        _atomic_write_text(cells_path, "\n".join(lines) + "\n")
-        artifacts["cells_csv"] = cells_path
-    report = Report(cfg, results, artifacts, stages)
-    if cfg.out:
-        _atomic_write_text(cfg.out, report.to_json() + "\n")
-        artifacts["report_json"] = cfg.out
-    return report
+    rep = survey_floor_lines(ps, scfg, store_counts=bool(a["cells"]))
+    results = {"points_in_window": rep.point_count,
+               "lattice_row_points": rep.lattice_row_points,
+               "mean": rep.mean, "bound": rep.bound, "k": rep.k,
+               "threshold": rep.threshold,
+               "exception_fraction": rep.exception_fraction,
+               "good_fraction": rep.good_fraction,
+               "mean_exact_v": rep.mean_exact_v,
+               "resolution_term": rep.resolution_term,
+               "mc_std_error": rep.mc_std_error}
+    return results, [("cells_csv", a["cells"],
+                      lambda tmp: _write_text(tmp, _cells_csv(rep.counts)))], None
 
 
 def _parse_ff_set(spec: str, p: int) -> FiniteFieldSet:
@@ -433,20 +396,17 @@ def _parse_ff_set(spec: str, p: int) -> FiniteFieldSet:
     return FiniteFieldSet.from_points(p, pairs)
 
 
-def _run_ff(cfg: RunConfig, stages: Stages) -> Report:
-    p = cfg.params
-    prime = p["p"]
-    B = _parse_ff_set(p.get("set", "full"), prime)
+def _run_ff(a: dict, stages: Stages):
+    prime = a["p"]
+    B = _parse_ff_set(a["set"], prime)
     results: dict = {"p": prime, "cardinality": B.cardinality}
-    checks = [c for c in p.get("verify", "identity").split(",") if c]
     failures = []
-    for check in checks:
+    for check in [c for c in a["verify"].split(",") if c]:
         if check == "identity":
             total = ff_double_count(B)
             ok = total == B.cardinality * prime
-            results["identity"] = {"total": total,
-                                   "expected": B.cardinality * prime,
-                                   "ok": ok}
+            results["identity"] = {"total": total, "ok": ok,
+                                   "expected": B.cardinality * prime}
             if not ok:
                 failures.append("identity")
         elif check.startswith("chebyshev"):
@@ -456,91 +416,55 @@ def _run_ff(cfg: RunConfig, stages: Stages) -> Report:
                 raise ConfigError("chebyshev check needs a nonempty set")
             rep = ff_chebyshev_fraction(B, k)
             ok = rep.good_fraction >= rep.markov_bound
-            results["chebyshev"] = {"k": k,
-                                    "good_fraction": rep.good_fraction,
+            results["chebyshev"] = {"k": k, "good_fraction": rep.good_fraction,
                                     "bound": rep.markov_bound, "ok": ok}
             if not ok:
                 failures.append("chebyshev")
         else:
             raise ConfigError(f"unknown --verify check {check!r}")
     results["ok"] = not failures
-    report = Report(cfg, results, stages=stages)
-    if cfg.out:
-        _atomic_write_text(cfg.out, report.to_json() + "\n")
-        report.artifacts["report_json"] = cfg.out
-    if failures:
-        raise CheckFailure(f"ff checks failed: {', '.join(failures)}")
-    return report
+    failure = f"ff checks failed: {', '.join(failures)}" if failures else None
+    return results, [], failure
 
 
-def _run_levels(cfg: RunConfig, stages: Stages) -> Report:
-    p = cfg.params
-    ps = stages.load(p["in"])
-    if not isinstance(ps, PointSet):
-        raise ConfigError("levels needs a materialized point file")
+def _run_levels(a: dict, stages: Stages):
+    ps = stages.load(a["in"], "levels")
     try:
-        lsc = LevelSearchConfig(alpha=p.get("alpha", 0.0),
-                                psi=p.get("psi", 1.0),
-                                search_bound=p.get("bound", 1024))
+        lsc = LevelSearchConfig(alpha=a["alpha"], psi=a["psi"],
+                                search_bound=a["bound"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    prof = find_levels(ps, p["u"], lsc)
-    results = {"u": p["u"], "alpha": lsc.alpha, "psi": lsc.psi,
-               "search_bound": lsc.search_bound,
-               "levels": prof.levels, "counts": prof.counts,
-               "thresholds": prof.thresholds}
-    report = Report(cfg, results, stages=stages)
-    if cfg.out:
-        _atomic_write_text(cfg.out, report.to_json() + "\n")
-        report.artifacts["report_json"] = cfg.out
-    return report
+    prof = find_levels(ps, a["u"], lsc)
+    return {"u": a["u"], "alpha": lsc.alpha, "psi": lsc.psi,
+            "search_bound": lsc.search_bound, "levels": prof.levels,
+            "counts": prof.counts, "thresholds": prof.thresholds}, [], None
 
 
-# ---------------------------------------------------------------------------
-# repro: the acceptance battery as commands
-# ---------------------------------------------------------------------------
-
-def _repro_example2(cfg: RunConfig) -> tuple[list[CriterionResult], dict]:
-    from .acceptance import (criterion_05_staircase_counts,
-                             criterion_06_staircase_dimensions)
-    res = [criterion_05_staircase_counts(), criterion_06_staircase_dimensions()]
-    pair = res[1].details
-    return res, {"ratio": pair.get("ratio"),
-                 "slice_estimate": pair.get("slice_estimate")}
-
-
-def _repro_ff(cfg: RunConfig) -> tuple[list[CriterionResult], dict]:
-    prime = cfg.params.get("p", 13)
-    failures = 0
-    for i in range(100):
-        B = FiniteFieldSet.random(prime, density=(i + 1) / 100.0,
-                                  seed=100_000 * prime + i)
-        if ff_double_count(B) != B.cardinality * prime:
-            failures += 1
-        if B.cardinality:
-            k = math.log(prime)
-            rep = ff_chebyshev_fraction(B, k)
-            if rep.good_fraction < 1.0 - 1.0 / k:
-                failures += 1
-    passed = failures == 0
-    res = [CriterionResult(0, f"ff battery p={prime}", passed,
-                           {"sets": 100, "failures": failures})]
-    return res, {"p": prime, "failures": failures}
-
-
-def _run_repro(cfg: RunConfig, stages: Stages) -> Report:
-    name = cfg.params.get("name", "all")
+def _run_repro(a: dict, stages: Stages):
+    name = a["name"]
     extra: dict = {}
     if name == "all":
         results = [fn() for fn in ALL_CRITERIA]
     elif name == "example2":
-        results, extra = _repro_example2(cfg)
+        results = [run_criterion(5), run_criterion(6)]
+        pair = results[1].details
+        extra = {"ratio": pair.get("ratio"),
+                 "slice_estimate": pair.get("slice_estimate")}
     elif name == "ff":
-        results, extra = _repro_ff(cfg)
+        prime, failures = a.get("p", 13), 0
+        for B in _ff_battery(prime):
+            if ff_double_count(B) != B.cardinality * prime:
+                failures += 1
+            k = math.log(prime)
+            if B.cardinality and \
+                    ff_chebyshev_fraction(B, k).good_fraction < 1.0 - 1.0 / k:
+                failures += 1
+        results = [CriterionResult(0, f"ff battery p={prime}", failures == 0,
+                                   {"sets": 100, "failures": failures})]
+        extra = {"p": prime, "failures": failures}
     else:
-        ident = name[len("criterion"):] if name.startswith("criterion") else name
         try:
-            number = int(ident)
+            number = int(name.removeprefix("criterion"))
         except ValueError:
             raise ConfigError(
                 f"unknown repro recipe {name!r}; use all, example2, ff, "
@@ -548,41 +472,109 @@ def _run_repro(cfg: RunConfig, stages: Stages) -> Report:
         if not 1 <= number <= len(ALL_CRITERIA):
             raise ConfigError(f"criterion number out of range: {number}")
         results = [run_criterion(number)]
-    for r in results:
-        print(r.line())
-    ok = all(r.passed for r in results)
-    report = Report(cfg, {"recipe": name, "ok": ok, **extra,
-                          "criteria": [dataclasses.asdict(r) for r in results]},
-                    stages=stages)
-    if cfg.out:
-        _atomic_write_text(cfg.out, report.to_json() + "\n")
-        report.artifacts["report_json"] = cfg.out
-    if not ok:
-        raise CheckFailure(f"repro {name}: "
-                           f"{sum(not r.passed for r in results)} criteria failed")
-    return report
+    print("\n".join(r.line() for r in results))
+    failed = sum(not r.passed for r in results)
+    failure = f"repro {name}: {failed} criteria failed" if failed else None
+    return ({"recipe": name, "ok": not failed, **extra,
+             "criteria": [dataclasses.asdict(r) for r in results]}, [], failure)
 
 
-RUNNERS = {
-    "generate": _run_generate,
-    "validate": _run_validate,
-    "dim": _run_dim,
-    "slice": _run_slice,
-    "survey": _run_survey,
-    "ff": _run_ff,
-    "levels": _run_levels,
-    "repro": _run_repro,
+# ---------------------------------------------------------------------------
+# The command table, run() and the argparse front end
+# ---------------------------------------------------------------------------
+
+class Command(NamedTuple):
+    help: str
+    runner: Callable
+    report_out: bool        # --out names the report JSON, not an artifact
+    flags: tuple            # (names, add_argument keywords) per flag
+
+
+def _flag(*names, **kwargs):
+    return names, kwargs
+
+
+IN = _flag("--in", dest="in", metavar="INFILE", required=True)
+REPORT_OUT = _flag("--out", help="report JSON path")
+
+COMMANDS = {
+    "generate": Command("build an example point set", _run_generate, False, (
+        _flag("--kind", required=True, choices=sorted(GENERATORS)),
+        _flag("--params", default="{}",
+              help="generator parameters as a JSON object"),
+        _flag("--mode", default="materialize",
+              choices=("materialize", "implicit")),
+        _flag("--out", help="point file (or descriptor for implicit)"))),
+    "validate": Command("check 1-separation of a point file",
+                        _run_validate, False, (IN,)),
+    "dim": Command("mass dimension profile", _run_dim, False, (
+        IN,
+        _flag("--scales", help="dyadic:<max>, e.g. dyadic:1048576"),
+        _flag("--kind", default="first_quadrant",
+              choices=("first_quadrant", "centered")),
+        _flag("--method", default="ratio_max_tail",
+              choices=("ratio_max_tail", "regression_tail")),
+        _flag("--out", help="profile CSV path"))),
+    "slice": Command("slice by one tube or floor line", _run_slice, False, (
+        IN,
+        _flag("--tube", help="U,V tube parameters (U=0 for horizontal)"),
+        _flag("--floor", help="U,V floor-line parameters"),
+        _flag("--x-max", type=float, default=math.inf,
+              help="floor slices: ignore points with x beyond this"),
+        _flag("--out", help="output point/heights file"))),
+    "survey": Command("floor-line slice-count survey", _run_survey, True, (
+        IN,
+        _flag("--N", type=int, required=True,
+              help="window side: survey restricted to [0,N]^2"),
+        _flag("--M", type=float, help="parameter range (0,M]^2"),
+        _flag("--grid", default="512x512", help="GUxGV cell grid"),
+        _flag("--mc", type=int, help="Monte Carlo samples instead"),
+        _flag("--seed", type=int, default=0),
+        _flag("--k", type=float, help="exception threshold factor"),
+        REPORT_OUT, _flag("--cells", help="per-cell CSV sidecar"))),
+    "ff": Command("finite-field incidence checks", _run_ff, True, (
+        _flag("--p", type=int, required=True, help="prime modulus"),
+        _flag("--set", default="full",
+              help="point file, random:<density>:<seed>, or full"),
+        _flag("--verify", default="identity",
+              help="comma list: identity, chebyshev[:k]"), REPORT_OUT)),
+    "levels": Command("find dyadic annulus levels in a tube", _run_levels,
+                      True, (
+        IN,
+        _flag("--u", type=float, required=True),
+        _flag("--alpha", type=float, default=0.0),
+        _flag("--psi", type=float, default=1.0),
+        _flag("--bound", type=int, default=1024), REPORT_OUT)),
+    "repro": Command("run reproducibility recipes", _run_repro, True, (
+        _flag("name", nargs="?", default="all",
+              help="all, example2, ff, or criterion<1..10>"),
+        _flag("--p", type=int, default=argparse.SUPPRESS,
+              help="prime for the ff recipe"), REPORT_OUT)),
 }
 
-
-def run(config: RunConfig) -> Report:
-    """Dispatch a validated RunConfig to its command implementation."""
-    return RUNNERS[config.command](config, Stages())
+_NOT_PARAMS = ("out", "seed", "cells")
 
 
-# ---------------------------------------------------------------------------
-# argparse front end
-# ---------------------------------------------------------------------------
+def run(command: str, params: dict) -> Report:
+    """Run one command on its flag values (``vars`` of the parsed flags).
+    The only code that writes files: the runner's artifacts, then the
+    ``--out`` report, then it raises ``CheckFailure`` if a check failed."""
+    spec, a, stages = COMMANDS[command], dict(params), Stages()
+    results, artifacts, failure = spec.runner(a, stages)
+    report = Report(command, {k: v for k, v in a.items() if k not in _NOT_PARAMS},
+                    a.get("seed", 0), results, stages=stages)
+    for key, path, writer in artifacts:
+        if path:
+            _atomic_write(path, writer)
+            report.artifacts[key] = path
+    if spec.report_out and a.get("out"):
+        text = report.to_json() + "\n"
+        _atomic_write(a["out"], lambda tmp: _write_text(tmp, text))
+        report.artifacts["report_json"] = a["out"]
+    if failure:
+        raise CheckFailure(failure)
+    return report
+
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -595,121 +587,19 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version",
                     version=f"latslice {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("generate", help="build an example point set")
-    g.add_argument("--kind", required=True, choices=sorted(GENERATORS))
-    g.add_argument("--params", default="{}",
-                   help="generator parameters as a JSON object")
-    g.add_argument("--mode", default="materialize",
-                   choices=("materialize", "implicit"))
-    g.add_argument("--out", help="point file (or descriptor for implicit)")
-
-    v = sub.add_parser("validate", help="check 1-separation of a point file")
-    v.add_argument("--in", dest="infile", required=True)
-
-    d = sub.add_parser("dim", help="mass dimension profile")
-    d.add_argument("--in", dest="infile", required=True)
-    d.add_argument("--scales", help="dyadic:<max>, e.g. dyadic:1048576")
-    d.add_argument("--kind", default="first_quadrant",
-                   choices=("first_quadrant", "centered"))
-    d.add_argument("--method", default="ratio_max_tail",
-                   choices=("ratio_max_tail", "regression_tail"))
-    d.add_argument("--out", help="profile CSV path")
-
-    s = sub.add_parser("slice", help="slice by one tube or floor line")
-    s.add_argument("--in", dest="infile", required=True)
-    s.add_argument("--tube", help="U,V tube parameters (U=0 for horizontal)")
-    s.add_argument("--floor", help="U,V floor-line parameters")
-    s.add_argument("--x-max", type=float, default=math.inf,
-                   help="floor slices: ignore points with x beyond this")
-    s.add_argument("--out", help="output point/heights file")
-
-    sv = sub.add_parser("survey", help="floor-line slice-count survey")
-    sv.add_argument("--in", dest="infile", required=True)
-    sv.add_argument("--N", type=int, required=True,
-                    help="window side: survey restricted to [0,N]^2")
-    sv.add_argument("--M", type=float, help="parameter range (0,M]^2")
-    sv.add_argument("--grid", default="512x512", help="GUxGV cell grid")
-    sv.add_argument("--mc", type=int, help="Monte Carlo samples instead")
-    sv.add_argument("--seed", type=int, default=0)
-    sv.add_argument("--k", type=float, help="exception threshold factor")
-    sv.add_argument("--out", help="report JSON path")
-    sv.add_argument("--cells", help="per-cell CSV sidecar")
-
-    f = sub.add_parser("ff", help="finite-field incidence checks")
-    f.add_argument("--p", type=int, required=True, help="prime modulus")
-    f.add_argument("--set", default="full",
-                   help="point file, random:<density>:<seed>, or full")
-    f.add_argument("--verify", default="identity",
-                   help="comma list: identity, chebyshev[:k]")
-    f.add_argument("--out", help="report JSON path")
-
-    lv = sub.add_parser("levels", help="find dyadic annulus levels in a tube")
-    lv.add_argument("--in", dest="infile", required=True)
-    lv.add_argument("--u", type=float, required=True)
-    lv.add_argument("--alpha", type=float, default=0.0)
-    lv.add_argument("--psi", type=float, default=1.0)
-    lv.add_argument("--bound", type=int, default=1024)
-    lv.add_argument("--out", help="report JSON path")
-
-    r = sub.add_parser("repro", help="run reproducibility recipes")
-    r.add_argument("name", nargs="?", default="all",
-                   help="all, example2, ff, or criterion<1..10>")
-    r.add_argument("--p", type=int, help="prime for the ff recipe")
-    r.add_argument("--out", help="report JSON path")
+    for name, spec in COMMANDS.items():
+        cmd = sub.add_parser(name, help=spec.help)
+        for names, kwargs in spec.flags:
+            cmd.add_argument(*names, **kwargs)
     return ap
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    c = args.command
-    if c == "generate":
-        try:
-            params = json.loads(args.params)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"--params is not valid JSON: {exc}") from None
-        if not isinstance(params, dict):
-            raise ConfigError("--params must be a JSON object")
-        return RunConfig(c, {"kind": args.kind, "mode": args.mode,
-                             "params": params}, out=args.out)
-    if c == "validate":
-        return RunConfig(c, {"in": args.infile})
-    if c == "dim":
-        return RunConfig(c, {"in": args.infile, "scales": args.scales,
-                             "kind": args.kind, "method": args.method},
-                         out=args.out)
-    if c == "slice":
-        return RunConfig(c, {"in": args.infile, "tube": args.tube,
-                             "floor": args.floor, "x_max": args.x_max},
-                         out=args.out)
-    if c == "survey":
-        sidecars = {"cells": args.cells} if args.cells else {}
-        return RunConfig(c, {"in": args.infile, "N": args.N, "M": args.M,
-                             "grid": args.grid, "mc": args.mc, "k": args.k},
-                         seed=args.seed, out=args.out, sidecars=sidecars)
-    if c == "ff":
-        return RunConfig(c, {"p": args.p, "set": args.set,
-                             "verify": args.verify}, out=args.out)
-    if c == "levels":
-        return RunConfig(c, {"in": args.infile, "u": args.u,
-                             "alpha": args.alpha, "psi": args.psi,
-                             "bound": args.bound}, out=args.out)
-    if c == "repro":
-        params = {"name": args.name}
-        if args.p is not None:
-            params["p"] = args.p
-        return RunConfig(c, params, out=args.out)
-    raise ConfigError(f"unknown command {c!r}")
-
-
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    params = vars(_build_parser().parse_args(argv))
+    command = params.pop("command")
     try:
-        config = _config_from_args(args)
-        report = run(config)
-    except ConfigError as exc:
-        print(f"latslice: config error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
+        report = run(command, params)
+    except ValueError as exc:       # ConfigError and library parameter checks
         print(f"latslice: config error: {exc}", file=sys.stderr)
         return 2
     except CheckFailure as exc:
@@ -721,7 +611,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"latslice: i/o error: {exc}", file=sys.stderr)
         return 4
-    if config.command != "repro":
+    if command != "repro":
         print(report.to_json())
     return 0
 

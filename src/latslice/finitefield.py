@@ -27,7 +27,6 @@ __all__ = [
     "DoubleCountError",
     "FFTableRow",
     "FiniteFieldSet",
-    "LineFp",
     "ff_affine_intersection",
     "ff_chebyshev_fraction",
     "ff_double_count",
@@ -126,14 +125,6 @@ class FiniteFieldSet:
     def points(self) -> np.ndarray:
         xs, ys = np.nonzero(self.grid)
         return np.column_stack([xs, ys])
-
-
-@dataclass(frozen=True)
-class LineFp:
-    """Line y = u x + v over F_p (one point per x; no vertical lines)."""
-
-    u: int
-    v: int
 
 
 def ff_line_points(p: int, u: int, v: int) -> np.ndarray:

@@ -397,3 +397,29 @@ def test_dim_reports_counts_beyond_int64(tmp_path, capsys):
     assert rep["results"]["top_count"] == 9223372040076067104
     assert int(prof.read_text().strip().splitlines()[-1].split(",")[1]) \
         == 9223372040076067104
+
+
+def test_descriptor_without_kind_names_the_file(tmp_path, capsys):
+    desc = tmp_path / "nokind.json"
+    desc.write_text(json.dumps({"format": cli.IMPLICIT_FORMAT,
+                                "params": {"m_max": 8}}))
+    rc = cli.main(["dim", "--in", str(desc), "--scales", "dyadic:8"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert f"{desc}: implicit descriptor has no 'kind'" in captured.err
+
+
+def test_key_error_in_a_kernel_is_a_bug_not_a_config_error(tmp_path, capsys,
+                                                           monkeypatch):
+    pts = tmp_path / "p.txt"
+    run_json(["generate", "--kind", "unit_line",
+              "--params", '{"m": 1.0, "count": 5}', "--out", str(pts)], capsys)
+
+    def broken(ps):
+        raise KeyError("cell")
+
+    monkeypatch.setattr(cli, "validate_separation", broken)
+    with pytest.raises(KeyError):
+        cli.main(["validate", "--in", str(pts)])
+    assert "config error" not in capsys.readouterr().err
