@@ -23,6 +23,7 @@ import functools
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -272,6 +273,34 @@ def test_implicit_totals_match_materialized():
     for name, fam in MATERIALIZABLE.items():
         assert fam.rect_count(-math.inf, math.inf, -math.inf, math.inf) \
             == len(materialized(name))
+
+
+# ---------------------------------------------------------------------------
+# The box protocol shared by the four families
+# ---------------------------------------------------------------------------
+
+FAMILIES = {
+    "annuli": gen.ConeAnnuli(0.3, 0, 3),
+    "staircase": gen.ConeStaircase(0.5, 4),
+    "fixed_width": gen.ConeFixedWidth(0.5, 1),
+    "parabolic": gen.ParabolicStaircase(1000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+@pytest.mark.parametrize("size", [0.0, 2.5, 300.0, 70_000.0, 2.0 ** 40])
+def test_box_count_is_the_axis_rect_count(name, size):
+    fam = FAMILIES[name]
+    assert fam.box_count(BoxSpec("first_quadrant", size)) \
+        == fam.rect_count(0.0, size, 0.0, size)
+    assert fam.box_count(BoxSpec("centered", size)) \
+        == fam.rect_count(-size, size, -size, size)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_slanted_box_needs_a_materialized_set(name):
+    with pytest.raises(NotImplementedError, match="slanted"):
+        FAMILIES[name].box_count(BoxSpec("slanted", 10.0, u=1.0))
 
 
 # ---------------------------------------------------------------------------
