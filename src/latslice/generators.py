@@ -85,11 +85,27 @@ def gen_unit_line(m: float, count: int) -> PointSet:
 # Parabolic staircase: m points in the column at x = m^2
 # ---------------------------------------------------------------------------
 
+class _ImplicitSet:
+    """Base of the four implicit families: axis box counts from ``rect_count``."""
+
+    # rect_count and materialize stay on each family: bench/tracer.py wraps vars(cls)
+    def box_count(self, box: BoxSpec) -> int:
+        if box.kind == "first_quadrant":
+            return self.rect_count(0.0, box.size, 0.0, box.size)
+        if box.kind == "centered":
+            return self.rect_count(-box.size, box.size, -box.size, box.size)
+        raise NotImplementedError("slanted boxes need a materialized set")
+
+
 @dataclass(frozen=True)
-class ParabolicStaircase:
+class ParabolicStaircase(_ImplicitSet):
     """Implicit set {(m^2, n) : 1 <= m <= m_max, 0 <= n <= m-1}."""
 
     m_max: int
+
+    def __post_init__(self):
+        if self.m_max < 1:
+            raise ValueError("m_max must be >= 1")
 
     def contains(self, x, y) -> bool:
         xi, yi = _as_int(x), _as_int(y)
@@ -115,9 +131,6 @@ class ParabolicStaircase:
             total += (first + last - 2 * lo) * (last - first + 1) // 2
         return total
 
-    def box_count(self, box: BoxSpec) -> int:
-        return _axis_box_count(self, box)
-
     def size_estimate(self) -> float:
         return self.m_max * (self.m_max + 1) / 2.0
 
@@ -133,8 +146,6 @@ class ParabolicStaircase:
 
 
 def gen_parabolic_staircase(m_max: int, mode: str = "materialize"):
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
     return _in_mode(ParabolicStaircase(m_max), mode)
 
 
@@ -155,14 +166,6 @@ def _int_span(lo, hi) -> tuple[int, int] | None:
         return None
     a, b = math.ceil(lo), math.floor(hi)
     return (a, b) if a <= b else None
-
-
-def _axis_box_count(implicit, box: BoxSpec) -> int:
-    if box.kind == "first_quadrant":
-        return implicit.rect_count(0.0, box.size, 0.0, box.size)
-    if box.kind == "centered":
-        return implicit.rect_count(-box.size, box.size, -box.size, box.size)
-    raise NotImplementedError("slanted boxes need a materialized set")
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +328,10 @@ def zigzag_tube_counts(delta: float, n_levels: int,
 # range whose rows hold the consecutive integer x between a lower and an
 # upper bound of the form sign * floor((p*y + r) / q), cut out by exact
 # rational slopes, so implicit counts and materialized points agree bit for
-# bit.  One kernel serves all three families: membership, materialization,
-# size estimates and rectangle counts, the last in closed form (floor sums
-# over at most six pieces per band), so counts are exact Python ints at any
-# band and cost O(log) integer operations, not one step per row.
+# bit.  A family yields only its bands: ``_BandedSet`` derives membership and
+# size from them, ``_ImplicitSet`` box counts from ``rect_count``.  Counts are
+# closed form (floor sums over at most six pieces per band): exact Python ints
+# at any band, O(log) integer operations, not one step per row.
 
 class _Bound(NamedTuple):
     """Row bound y -> sign * floor((p*y + r) / q), p >= 0 and q >= 1, so it
@@ -463,28 +466,6 @@ def _bands_rect_count(bands, x0, x1, y0, y1) -> int:
     return total
 
 
-def _bands_contain(bands, x, y) -> bool:
-    xi, yi = _as_int(x), _as_int(y)
-    if xi is None or yi is None:
-        return False
-    for band in bands:
-        if yi < band.lo:
-            return False
-        if yi < band.hi:
-            return band.lower.at(yi) <= xi <= band.upper.at(yi)
-    return False
-
-
-def _bands_size_estimate(bands) -> float:
-    """The exact point total rounded to a float; inf past float range."""
-    total = 0
-    for band in bands:
-        total += _band_count(band, band.lo, band.hi - 1, -math.inf, math.inf)
-        if total.bit_length() > 1023:
-            return math.inf
-    return float(total)
-
-
 def _bands_materialize(family) -> PointSet:
     est = family.size_estimate()
     if est > MAX_MATERIALIZE_POINTS:
@@ -500,8 +481,32 @@ def _bands_materialize(family) -> PointSet:
     return PointSet(pts, _separated=True)
 
 
+class _BandedSet(_ImplicitSet):
+    """Base of the three cone families: membership and size from ``_bands()``."""
+
+    def contains(self, x, y) -> bool:
+        xi, yi = _as_int(x), _as_int(y)
+        if xi is None or yi is None:
+            return False
+        for band in self._bands():
+            if yi < band.lo:
+                return False
+            if yi < band.hi:
+                return band.lower.at(yi) <= xi <= band.upper.at(yi)
+        return False
+
+    def size_estimate(self) -> float:
+        """The exact point total rounded to a float; inf past float range."""
+        total = 0
+        for band in self._bands():
+            total += _band_count(band, band.lo, band.hi - 1, -math.inf, math.inf)
+            if total.bit_length() > 1023:
+                return math.inf
+        return float(total)
+
+
 @dataclass(frozen=True)
-class ConeAnnuli:
+class ConeAnnuli(_BandedSet):
     """Full cone annuli: band-k rows filled across |x| <= y tan(theta/2).
 
     Every band is a solid slab of the cone, so mass dimension along the full
@@ -527,17 +532,8 @@ class ConeAnnuli:
         for k in range(self.k_min, self.k_max + 1):
             yield _Band(*_band_rows(k), lower, upper)
 
-    def contains(self, x, y) -> bool:
-        return _bands_contain(self._bands(), x, y)
-
     def rect_count(self, x0, x1, y0, y1) -> int:
         return _bands_rect_count(self._bands(), x0, x1, y0, y1)
-
-    def box_count(self, box: BoxSpec) -> int:
-        return _axis_box_count(self, box)
-
-    def size_estimate(self) -> float:
-        return _bands_size_estimate(self._bands())
 
     def materialize(self) -> PointSet:
         return _bands_materialize(self)
@@ -549,7 +545,7 @@ def gen_cone_annuli(theta: float, k_min: int, k_max: int,
 
 
 @dataclass(frozen=True)
-class ConeStaircase:
+class ConeStaircase(_BandedSet):
     """Band-k rows filled over the slope interval [sigma_k, sigma_k + theta/2^(2^k)).
 
     The slope offsets sigma_k = theta * sum_(j<k) 2^-(2^j) stack the chunks
@@ -588,17 +584,8 @@ class ConeStaircase:
         for k in range(self.k_max + 1):
             yield _Band(*_band_rows(k), *_slope_span(*self.slope_interval(k)))
 
-    def contains(self, x, y) -> bool:
-        return _bands_contain(self._bands(), x, y)
-
     def rect_count(self, x0, x1, y0, y1) -> int:
         return _bands_rect_count(self._bands(), x0, x1, y0, y1)
-
-    def box_count(self, box: BoxSpec) -> int:
-        return _axis_box_count(self, box)
-
-    def size_estimate(self) -> float:
-        return _bands_size_estimate(self._bands())
 
     def materialize(self) -> PointSet:
         return _bands_materialize(self)
@@ -609,7 +596,7 @@ def gen_cone_staircase(theta: float, k_max: int, mode: str = "implicit"):
 
 
 @dataclass(frozen=True)
-class ConeFixedWidth:
+class ConeFixedWidth(_BandedSet):
     """Fixed slope width theta/2^(2^k0), walked across the cone level by level.
 
     Level j >= 1 sits at height h_j = 2^(2^(k0+j)) with vertical extent
@@ -647,22 +634,13 @@ class ConeFixedWidth:
             yield _Band(*self.level_rows(j),
                         *_slope_span((j - 1) * self._w, j * self._w))
 
-    def contains(self, x, y) -> bool:
-        return _bands_contain(self._bands(), x, y)
-
     def rect_count(self, x0, x1, y0, y1) -> int:
         return _bands_rect_count(self._bands(), x0, x1, y0, y1)
-
-    def box_count(self, box: BoxSpec) -> int:
-        return _axis_box_count(self, box)
 
     def level_count(self, j: int) -> int:
         """Exact point count of level j (a closed-form rectangle count)."""
         b_lo, b_hi = self.level_rows(j)
         return self.rect_count(-math.inf, math.inf, b_lo, b_hi - 1)
-
-    def size_estimate(self) -> float:
-        return _bands_size_estimate(self._bands())
 
     def materialize(self) -> PointSet:
         return _bands_materialize(self)

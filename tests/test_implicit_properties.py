@@ -303,6 +303,11 @@ def test_slanted_box_needs_a_materialized_set(name):
         FAMILIES[name].box_count(BoxSpec("slanted", 10.0, u=1.0))
 
 
+def test_parabolic_staircase_checks_m_max():
+    with pytest.raises(ValueError, match="m_max must be >= 1"):
+        gen.ParabolicStaircase(0)
+
+
 # ---------------------------------------------------------------------------
 # Band totals too large to sweep, pinned
 # ---------------------------------------------------------------------------
