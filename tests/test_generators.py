@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from latslice import generators as gen
@@ -178,7 +178,10 @@ def test_zigzag_tube_counts_deep_levels_stay_logarithmic():
 
 def mpmath_tube_counts(delta, n_levels, tube, dps=200):
     """Reference: the corners by Fraction products, the tube counts by
-    interval arithmetic at ``dps`` digits."""
+    interval arithmetic at ``dps`` digits, plus enough more that the edge
+    offsets v w and (v + 1) w stay apart however small |v| is."""
+    if tube.v:
+        dps += max(0, -math.floor(math.log10(abs(tube.v))))
     t = Fraction(math.tan(math.pi / 4 + delta))
     lattice = [1]
     for _ in range(n_levels):
@@ -234,6 +237,7 @@ def criterion_07_tubes():
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.floats(-4.0, -0.25, exclude_min=True, exclude_max=True),
        st.floats(-3.0, 3.0), st.integers(1, 400))
+@example(u=-1.0, v=-6.024856936800334e-302, depth=1)
 def test_zigzag_tube_counts_match_mpmath(u, v, depth):
     # mpmath rounds an exact tie either way, so skip rational edge widths
     frac = Fraction(u)
