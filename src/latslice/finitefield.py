@@ -187,7 +187,12 @@ def ff_double_count(B: FiniteFieldSet) -> int:
     counting machinery, not arithmetic tautology.  A mismatch raises
     ``DoubleCountError``, which ``python -O`` does not strip.
     """
-    total = int(ff_line_count_matrix(B).sum())
+    return _double_count(B, ff_line_count_matrix(B))
+
+
+def _double_count(B: FiniteFieldSet, counts: np.ndarray) -> int:
+    """``ff_double_count`` on B's line-count matrix, already built."""
+    total = int(counts.sum())
     expected = B.cardinality * B.p
     if total != expected:
         raise DoubleCountError(
@@ -216,7 +221,13 @@ def ff_chebyshev_fraction(B: FiniteFieldSet, k: float) -> ChebyshevReport:
         raise ValueError("Chebyshev fraction needs a nonempty set")
     if k <= 0:
         raise ValueError("k must be positive")
-    counts = ff_line_count_matrix(B)
+    return _chebyshev_fraction(B, k, ff_line_count_matrix(B))
+
+
+def _chebyshev_fraction(B: FiniteFieldSet, k: float,
+                        counts: np.ndarray) -> ChebyshevReport:
+    """``ff_chebyshev_fraction`` on B's line-count matrix, already built,
+    for a nonempty B and k > 0."""
     threshold = k * B.cardinality / B.p
     good = int(np.count_nonzero(counts <= threshold))
     return ChebyshevReport(

@@ -368,6 +368,18 @@ def test_ff_double_count_mismatch_gives_check_exit(capsys, monkeypatch):
     assert "double count" in capsys.readouterr().err
 
 
+def test_ff_builds_the_line_matrix_once_per_set(capsys, monkeypatch):
+    from latslice import finitefield as ff
+    real, built = ff.ff_line_count_matrix, []
+    monkeypatch.setattr(ff, "ff_line_count_matrix",
+                        lambda B: built.append(B.p) or real(B))
+    assert cli.main(["ff", "--p", "101", "--set", "random:0.2:1",
+                     "--verify", "identity,chebyshev"]) == 0
+    assert built == [101]
+    assert cli.main(["repro", "ff", "--p", "5"]) == 0
+    assert built[1:] == [5] * 100
+
+
 def test_tiny_tube_slope_gives_config_exit(tmp_path, capsys):
     pts = tmp_path / "p.txt"
     run_json(["generate", "--kind", "unit_line",
