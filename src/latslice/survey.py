@@ -157,7 +157,7 @@ def survey_floor_lines(ps: PointSet, config: SurveyConfig,
     if config.mode == "grid":
         us = (np.arange(config.grid_u) + 0.5) * (m / config.grid_u)
         v_centers = (np.arange(config.grid_v) + 0.5) * (m / config.grid_v)
-        cells = np.zeros((config.grid_u, config.grid_v), dtype=np.int64)
+        counts = np.zeros((config.grid_u, config.grid_v), dtype=np.int64)
         exact_v_means = np.zeros(config.grid_u)
         for i, u in enumerate(us):
             seg_lo, seg_hi = _merged_segments(b - u * a, new_row)
@@ -166,37 +166,28 @@ def survey_floor_lines(ps: PointSet, config: SurveyConfig,
             exact_v_means[i] = lengths.sum() / m
             lo_sorted = np.sort(seg_lo)
             hi_sorted = np.sort(seg_hi)
-            cells[i] = (np.searchsorted(lo_sorted, v_centers, side="right")
-                        - np.searchsorted(hi_sorted, v_centers, side="right"))
-        mean = float(cells.mean())
+            counts[i] = (np.searchsorted(lo_sorted, v_centers, side="right")
+                         - np.searchsorted(hi_sorted, v_centers, side="right"))
         mean_exact = float(exact_v_means.mean())
-        exception = float(np.mean(cells > threshold))
-        return SurveyReport(
-            config=config, point_count=n_pts, lattice_row_points=len(a),
-            mean=mean, bound=bound, k=k, threshold=threshold,
-            exception_fraction=exception, good_fraction=1.0 - exception,
-            mean_exact_v=mean_exact,
-            resolution_term=abs(mean - mean_exact),
-            counts=cells if store_counts else None)
-
-    rng = np.random.default_rng(config.seed)
-    us = rng.uniform(0.0, m, size=config.mc_samples)
-    vs = rng.uniform(0.0, m, size=config.mc_samples)
-    counts = np.zeros(config.mc_samples, dtype=np.int64)
-    for i in range(config.mc_samples):
-        starts = b - us[i] * a
-        hit = (starts <= vs[i]) & (vs[i] < starts + 1.0)
-        counts[i] = np.unique(b[hit]).size
-    mean = float(counts.mean())
-    std_err = float(counts.std(ddof=1) / math.sqrt(counts.size)) \
-        if counts.size > 1 else 0.0
+        extra = {"mean_exact_v": mean_exact,
+                 "resolution_term": abs(float(counts.mean()) - mean_exact)}
+    else:
+        rng = np.random.default_rng(config.seed)
+        us = rng.uniform(0.0, m, size=config.mc_samples)
+        vs = rng.uniform(0.0, m, size=config.mc_samples)
+        counts = np.zeros(config.mc_samples, dtype=np.int64)
+        for i in range(config.mc_samples):
+            starts = b - us[i] * a
+            hit = (starts <= vs[i]) & (vs[i] < starts + 1.0)
+            counts[i] = np.unique(b[hit]).size
+        extra = {"mc_std_error": float(counts.std(ddof=1) / math.sqrt(counts.size))
+                 if counts.size > 1 else 0.0}
     exception = float(np.mean(counts > threshold))
     return SurveyReport(
         config=config, point_count=n_pts, lattice_row_points=len(a),
-        mean=mean, bound=bound, k=k, threshold=threshold,
+        mean=float(counts.mean()), bound=bound, k=k, threshold=threshold,
         exception_fraction=exception, good_fraction=1.0 - exception,
-        mc_std_error=std_err,
-        counts=counts if store_counts else None)
+        counts=counts if store_counts else None, **extra)
 
 
 # ---------------------------------------------------------------------------
