@@ -1,4 +1,5 @@
 """Tests for the example-set generators, implicit and materialized."""
+import hashlib
 import math
 from fractions import Fraction
 
@@ -545,3 +546,49 @@ def test_random_dimension_1d_sorted_distinct():
     assert vals.dtype == np.int64
     again = gen.gen_random_dimension_1d(0.7, 2 ** 12, seed=11)
     assert np.array_equal(vals, again)
+
+
+def _digest(arr: np.ndarray) -> str:
+    """sha256 of an array's dtype, shape and C-order bytes."""
+    arr = np.ascontiguousarray(arr)
+    head = f"{arr.dtype}{arr.shape}".encode()
+    return hashlib.sha256(head + arr.tobytes()).hexdigest()
+
+
+# Digests of the generated arrays.  The sizes reach the branch of
+# _distinct_uniform that draws with replacement and removes duplicates (an
+# annulus of more than 2^20 lattice points keeping under a quarter of them),
+# so these pin the draws and the order that rng.choice picks from.
+RANDOM_DIMENSION_DIGESTS = [
+    (1.5, 4096, 1, 429788,
+     "a3df4ff1132da6a8ef3a6e42b7686595c568b43a5bd96265133c23ea0680172e"),
+    (1.5, 4096, 2, 429908,
+     "5f7c4b84186057416044868f77d87e75e23c013e92aa4af89b195bc0bbf98efd"),
+    (1.5, 4096, 3, 429709,
+     "e289ccc1a89f135081e8854b50c74e6bd51816045bdbb3a61d0c90c49d2ac980"),
+    (1.2, 2 ** 14, 1, 263866,
+     "f7be3bdf785dcb261dc4eacdaa8e90dbfeea03bb28bce31d6d770e1aa0afb0bb"),
+    (1.2, 2 ** 14, 2, 263792,
+     "ef22fe0dd67bc45f8e16b945ceee50574971644756c46b8dad162624d2505a08"),
+    (1.5, 2 ** 14, 1, 3441053,
+     "8eed0383a8712bcc3b691e529a662011de5ab1cdc120165d56330cad5e5ee722"),
+]
+
+
+@pytest.mark.parametrize("alpha,l_max,seed,size,digest", RANDOM_DIMENSION_DIGESTS)
+def test_random_dimension_points_are_pinned(alpha, l_max, seed, size, digest):
+    ps = gen.gen_random_dimension(alpha, l_max, seed)
+    assert len(ps) == size
+    assert _digest(ps.points) == digest
+
+
+@pytest.mark.parametrize("seed,size,digest", [
+    (1, 4985, "5027fe3b685232d9ff2e5a32d29184d50763fddc5f5d2baed370a41fd7497970"),
+    (2, 4939, "994c75ab87ab05088c77d42c211bdbda2eb74b08061ff044f1febb6ca9e72d3f"),
+])
+def test_random_dimension_1d_values_are_pinned(seed, size, digest):
+    # n_max = 2^22 at alpha 0.5: the top annulus of 2^21 integers keeps
+    # about 1450, so it removes duplicates from drawn values
+    vals = gen.gen_random_dimension_1d(0.5, 2 ** 22, seed)
+    assert len(vals) == size
+    assert _digest(vals) == digest
