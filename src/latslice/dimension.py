@@ -141,6 +141,8 @@ def mass_dim_profile(obj, scales=None, kind: str = "first_quadrant",
     ``kind`` picks the box family: boxes [0,l]^2, centered boxes [-l,l]^2
     (log denominator 2l), or slanted tube-aligned boxes for slope parameter
     ``u`` (materialized sets only).  Implicit sets need explicit ``scales``.
+    A PointSet is counted for the whole ladder from one pass over its box
+    keys (``_ladder_counts``); an implicit set box by box.
     """
     if scales is None:
         if not isinstance(obj, PointSet):
@@ -148,9 +150,26 @@ def mass_dim_profile(obj, scales=None, kind: str = "first_quadrant",
         scales = _default_scales(obj, kind)
     scales = np.asarray(scales, dtype=float)
     boxes = [BoxSpec(kind, float(s), u) for s in scales]
-    counts = [obj.box_count(b) for b in boxes]
+    if isinstance(obj, PointSet) and boxes:
+        counts = _ladder_counts(obj, boxes[0], scales)
+    else:
+        counts = [obj.box_count(b) for b in boxes]
     rs = np.array([b.ratio_scale() for b in boxes])
     return profile_from_counts(scales, counts, method, ratio_scales=rs)
+
+
+def _ladder_counts(ps: PointSet, box: BoxSpec, sizes: np.ndarray) -> np.ndarray:
+    """Points of ``ps`` in the box of ``box``'s kind and ``u`` at each of
+    ``sizes`` (any order, repeats allowed), equal to ``ps.box_count`` box by
+    box.  Each point's key is binned against the sorted sizes: it lands on
+    the first size >= the key and is counted at that size and every larger
+    one, so the key is computed once and never sorted."""
+    order = np.argsort(sizes, kind="stable")
+    sorted_sizes = sizes[order]
+    slot = np.searchsorted(sorted_sizes, box.key(ps.points[:, 0], ps.points[:, 1]))
+    counts = np.empty(len(sizes), dtype=np.int64)
+    counts[order] = np.cumsum(np.bincount(slot, minlength=len(sizes))[:len(sizes)])
+    return counts
 
 
 def counting_dim_profile(ps: PointSet, window_sizes=None,

@@ -677,11 +677,18 @@ def _distinct_uniform(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     if n <= max(4 * k, 1 << 20):
         return rng.permutation(n)[:k].astype(np.int64)
     draws = rng.integers(0, n, size=k + (k >> 4) + 32)
-    uniq = np.unique(draws)
+    uniq = _sorted_distinct(draws)
     while uniq.size < k:
         extra = rng.integers(0, n, size=k - uniq.size + 32)
-        uniq = np.unique(np.concatenate([uniq, extra]))
+        uniq = _sorted_distinct(np.concatenate([uniq, extra]))
     return rng.choice(uniq, size=k, replace=False)
+
+
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending: what np.unique returns, by a sort and
+    a neighbour comparison (np.unique of integers takes a slower hash path)."""
+    values = np.sort(values)
+    return values[np.append(True, values[1:] != values[:-1])]
 
 
 def gen_random_dimension(alpha: float, l_max: int, seed: int) -> PointSet:

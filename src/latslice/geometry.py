@@ -251,6 +251,40 @@ class BoxSpec:
         pp = tube.perp_coord(x, y)
         return (0.0 <= ax) & (ax <= s) & (np.abs(pp - 0.5) <= s / 2.0)
 
+    def key(self, x, y) -> np.ndarray:
+        """Sup-norm key of each point for this box's kind (and ``u``): the
+        point lies in the box of any size s exactly when its key is <= s,
+        so ``key(x, y) <= size`` equals ``contains(x, y)`` bit for bit.
+
+        The key is max(x, y) for first-quadrant boxes (+inf if x < 0 or
+        y < 0), max(|x|, |y|) for centered boxes, and max(axial,
+        2 |perp - 1/2|) for slanted boxes (+inf if axial < 0).  Negation,
+        ``abs`` and doubling are exact.  ``2|d| <= s`` also agrees with
+        ``contains``' ``|d| <= s/2``: s/2 is exact unless s is an odd
+        multiple of 2^-1074, and then both tests hold only for d = 0,
+        because a nonzero d = perp - 1/2 is at least 2^-54 in magnitude
+        (perp near 1/2 is a multiple of 2^-54, and Sterbenz's lemma makes
+        the subtraction exact there).
+        """
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        key = np.empty(np.broadcast_shapes(x.shape, y.shape))
+        if self.kind == "first_quadrant":
+            np.maximum(x, y, out=key)
+            key[(x < 0.0) | (y < 0.0)] = math.inf
+        elif self.kind == "centered":
+            np.abs(x, out=key)
+            np.maximum(key, np.abs(y), out=key)
+        else:
+            tube = Tube(self.u, 0.0)
+            ax = tube.axial_coord(x, y)
+            np.subtract(tube.perp_coord(x, y), 0.5, out=key)
+            np.abs(key, out=key)
+            key *= 2.0
+            np.maximum(key, ax, out=key)
+            key[ax < 0.0] = math.inf
+        return key
+
     def ratio_scale(self) -> float:
         """Denominator scale for log-count/log-scale ratios.
 
@@ -287,6 +321,12 @@ class PointSet:
     ``cell_arrays``, ``max_cell_population``, ``slice_tube``,
     ``slice_floor_line``) and kept, so a set that is only counted in boxes,
     validated or written never pays for it.
+
+    Box counts have their own cache, ``_box_keys``: for each axis box kind
+    (first-quadrant and centered) the points' ``BoxSpec.key`` values,
+    sorted, built by the first ``box_count`` of that kind and kept.  Each
+    costs 8 bytes per point and one sort; every count after it is one
+    ``searchsorted``.  Slanted keys depend on ``u`` and are not cached.
     """
 
     def __init__(self, points, *, _separated: bool = False):
@@ -302,6 +342,7 @@ class PointSet:
         self.points = arr
         self.separation_checked = bool(_separated)
         self._order = None
+        self._box_keys: dict[str, np.ndarray] = {}
 
     def _index(self) -> None:
         """Build the CSR index unless it is built already."""
@@ -371,8 +412,17 @@ class PointSet:
         return cx, cy, np.diff(self._cell_start)
 
     def box_count(self, box: BoxSpec) -> int:
-        return int(np.count_nonzero(box.contains(self.points[:, 0],
-                                                 self.points[:, 1])))
+        """Points in ``box``: a binary search in the sorted keys of its kind,
+        or, for slanted boxes, a count of the keys at most its size."""
+        if box.kind == "slanted":
+            key = box.key(self.points[:, 0], self.points[:, 1])
+            return int(np.count_nonzero(key <= box.size))
+        keys = self._box_keys.get(box.kind)
+        if keys is None:
+            keys = box.key(self.points[:, 0], self.points[:, 1])
+            keys.sort()
+            self._box_keys[box.kind] = keys
+        return int(np.searchsorted(keys, box.size, side="right"))
 
     def restrict(self, x0: float, x1: float, y0: float, y1: float) -> "PointSet":
         """Subset with x0 <= x <= x1 and y0 <= y <= y1."""

@@ -11,8 +11,17 @@ identity  mean slice count <= |E_N| / M + (sampling resolution),  and a
 Chebyshev bound making slices above  k |E_N| / M  rare.
 
 Within a height b the interval starts b - u a for u > 0 are ordered by
-descending a, independently of u, so one presort serves every sampled slope;
-per-slope work is a linear merge, not a sort.
+descending a, independently of u (rounding is monotone), so one presort by
+(b, -a) serves every sampled slope.  Grid mode merges each row's chained
+intervals in one linear pass per slope, then sorts the merged segments'
+starts and ends to count them at the v-grid centres.  Monte Carlo mode
+never scans the points per draw: a draw (u, v) hits row b exactly when the
+last point of the row with start <= v also has v < start + 1, and the
+points with start <= v are a leading run of the row.  Each run's end is
+found for every (draw, row) pair at once by one binary search at the
+approximate threshold a = (b - v) / u over packed (row, a) keys, then
+corrected against the exact float test at its neighbours, so the work per
+draw is the number of occupied rows, not of points.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ from .geometry import PointSet, Tube, slice_tube
 
 __all__ = [
     "SurveyConfig",
+    "SurveyPrecisionError",
     "SurveyReport",
     "exception_ray_scan",
     "survey_floor_lines",
@@ -110,6 +120,21 @@ class SurveyReport:
     counts: np.ndarray | None = None
 
 
+class SurveyPrecisionError(ArithmeticError):
+    """A Monte Carlo draw whose run of hits in a row was not located within
+    the fix-up bound: more than ``_FIXUP_STEPS`` points of the row lie
+    within rounding of the draw's threshold, which needs a slope u far
+    below the spacing of the coordinates."""
+
+
+# (draw, row) pairs searched at once, which bounds the temporaries of a
+# Monte Carlo survey by about as much as one scan of 2^15 points
+_MC_BLOCK_PAIRS = 1 << 15
+# neighbour steps that correct an approximate run end; one suffices unless
+# points of a row lie within a few ulps of the threshold
+_FIXUP_STEPS = 64
+
+
 def _row_sorted_starts(ps: PointSet, n_side: int):
     """Points of [0, n_side]^2 with integer y, ordered by (y, -x).
 
@@ -145,6 +170,72 @@ def _merged_segments(starts: np.ndarray, new_row: np.ndarray):
     return starts[first], starts[last] + 1.0
 
 
+def _mc_counts(a: np.ndarray, b: np.ndarray, new_row: np.ndarray,
+               us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Distinct heights b hit by the floor line of each draw (us[i], vs[i]),
+    for points (a, b) ordered as ``_row_sorted_starts`` returns them.
+
+    Point k hits when start_k <= v < start_k + 1 with start_k = b - u a_k,
+    the same float expressions as a scan.  Starts ascend within a row, so
+    the points with start <= v are a leading run, and the row is hit
+    exactly when v < start + 1 at the run's last point.  The run's end is
+    searched at a = (b - v) / u among keys packing (row rank, rank of -a),
+    for every (draw, row) pair of a block at once, then moved point by
+    point until the exact test holds at both neighbours.
+    """
+    counts = np.zeros(us.size, dtype=np.int64)
+    if a.size == 0:
+        return counts
+    row_lo = np.flatnonzero(new_row)
+    row_hi = np.append(row_lo[1:], a.size)
+    row_b = b[row_lo]
+    n_rows = row_lo.size
+    neg_a, a_rank = np.unique(-a, return_inverse=True)
+    stride = neg_a.size + 1
+    packed = (np.cumsum(new_row) - 1) * stride + a_rank
+    row_base = np.arange(n_rows) * stride
+    block = max(1, _MC_BLOCK_PAIRS // n_rows)
+    for d0 in range(0, us.size, block):
+        u = us[d0:d0 + block, None]
+        v = vs[d0:d0 + block, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (row_b - v) / u
+        rank = np.searchsorted(neg_a, -t, side="right")
+        end = np.searchsorted(packed, row_base + rank)
+        todo = np.flatnonzero(_fix_run_ends(end, row_lo, row_hi, row_b, u, v, a))
+        flat = end.reshape(-1)
+        for _ in range(_FIXUP_STEPS - 1):
+            if todo.size == 0:
+                break
+            i, r = np.divmod(todo, n_rows)
+            ends = flat[todo]
+            moved = _fix_run_ends(ends, row_lo[r], row_hi[r], row_b[r],
+                                  u[i, 0], v[i, 0], a)
+            flat[todo] = ends
+            todo = todo[moved]
+        if todo.size:
+            i, r = divmod(int(todo[0]), n_rows)
+            raise SurveyPrecisionError(
+                f"draw u={float(u[i, 0])!r}, v={float(v[i, 0])!r}: no run end "
+                f"within {_FIXUP_STEPS} points of its threshold in row "
+                f"b={float(row_b[r])!r}")
+        hit = (end > row_lo) & (v < (row_b - u * a[end - 1]) + 1.0)
+        counts[d0:d0 + block] = hit.sum(axis=1)
+    return counts
+
+
+def _fix_run_ends(end, lo, hi, row_b, u, v, a) -> np.ndarray:
+    """Move each approximate run end one point towards the exact one, in
+    place, and return where it moved.  The run of a row [lo, hi) ends at
+    ``end`` when start <= v holds at end - 1 (or end == lo) and fails at
+    end (or end == hi), with start = row_b - u a."""
+    back = (end > lo) & ~(row_b - u * a[end - 1] <= v)
+    ahead = (end < hi) & (row_b - u * a[np.minimum(end, a.size - 1)] <= v)
+    end += ahead
+    end -= back
+    return back | ahead
+
+
 def survey_floor_lines(ps: PointSet, config: SurveyConfig,
                        store_counts: bool = False) -> SurveyReport:
     """Survey floor-line slice counts of ``ps`` over (u, v) in (0, M]^2."""
@@ -175,11 +266,7 @@ def survey_floor_lines(ps: PointSet, config: SurveyConfig,
         rng = np.random.default_rng(config.seed)
         us = rng.uniform(0.0, m, size=config.mc_samples)
         vs = rng.uniform(0.0, m, size=config.mc_samples)
-        counts = np.zeros(config.mc_samples, dtype=np.int64)
-        for i in range(config.mc_samples):
-            starts = b - us[i] * a
-            hit = (starts <= vs[i]) & (vs[i] < starts + 1.0)
-            counts[i] = np.unique(b[hit]).size
+        counts = _mc_counts(a, b, new_row, us, vs)
         extra = {"mc_std_error": float(counts.std(ddof=1) / math.sqrt(counts.size))
                  if counts.size > 1 else 0.0}
     exception = float(np.mean(counts > threshold))

@@ -10,9 +10,11 @@ and closed edge conventions are exercised, not just the interiors.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from latslice.dimension import _ladder_counts, mass_dim_profile
 from latslice.geometry import (BoxSpec, FloorLine, PointSet, Tube, box_count,
                                slice_floor_line, slice_tube)
 
@@ -171,3 +173,85 @@ def test_box_count_matches_naive_scan(pts, kind, size, u):
         mask = (0.0 <= axial) & (axial <= size) & (np.abs(perp - 0.5) <= size / 2.0)
     box = BoxSpec(kind, size, u if kind == "slanted" else None)
     assert box_count(PointSet(pts), box) == int(np.count_nonzero(mask))
+
+
+ODD_SUBNORMALS = (5e-324, 3 * 5e-324)
+
+
+def centre_points(u: float) -> np.ndarray:
+    """Points on the axis y = u x of the slanted boxes, around the point at
+    perpendicular coordinate 1/2: their axial coordinate is exactly 0, and
+    for most u some of them have perpendicular coordinate exactly 1/2, so
+    they lie in the slanted box of every size, subnormal ones included."""
+    x0 = 0.5 * math.copysign(math.sqrt(1.0 + u * u), u) / (1.0 + u * u)
+    xs = x0 + np.arange(-16, 17) * np.spacing(x0)
+    return np.column_stack([xs, u * xs])
+
+
+@st.composite
+def ladder_cases(draw):
+    """A point set, a box kind with its u, and a list of sizes that may be
+    zero, subnormal, unsorted or repeated.  Points sit on the edges of the
+    drawn boxes, at negative coordinates and at -0.0."""
+    pts = draw(point_arrays())
+    kind = draw(st.sampled_from(("first_quadrant", "centered", "slanted")))
+    u = draw(slopes) if kind == "slanted" else None
+    coords = np.abs(pts).ravel().tolist()
+    size = st.one_of(small.map(abs), st.just(0.0), st.sampled_from(ODD_SUBNORMALS),
+                     st.floats(0.0, 4.0 * BIG),
+                     st.sampled_from(coords or [1.0]))
+    sizes = draw(st.lists(size, min_size=1, max_size=12))
+    sizes += draw(st.lists(st.sampled_from(sizes), max_size=3))   # repeats
+    edge = []
+    for s in sizes[:4]:
+        c = draw(small)
+        edge += [(s, c), (c, s), (-s, c), (c, -s), (s, s), (-s, -s),
+                 (s, -0.0), (-0.0, s), (np.nextafter(s, np.inf), c)]
+    edge += [(-0.0, -0.0), (0.0, -0.0), (-1.0, 0.5)]
+    pts = np.concatenate([pts, np.array(edge, dtype=float)])
+    if kind == "slanted":
+        pts = np.concatenate([pts, centre_points(u)])
+    return pts, kind, u, sizes
+
+
+def scan_counts(pts: np.ndarray, kind: str, u, sizes) -> list[int]:
+    return [int(np.count_nonzero(BoxSpec(kind, s, u).contains(pts[:, 0], pts[:, 1])))
+            for s in sizes]
+
+
+@SETTINGS
+@given(ladder_cases(), st.booleans())
+def test_box_count_and_ladder_match_contains_scan(case, ladder_first):
+    """``box_count`` (sorted cached keys, or a key scan for slanted boxes)
+    and the ladder (keys binned against the sizes) both equal a scan with
+    ``BoxSpec.contains``, whichever of them runs first on the set."""
+    pts, kind, u, sizes = case
+    want = scan_counts(pts, kind, u, sizes)
+    ps = PointSet(pts)
+    boxes = lambda: [ps.box_count(BoxSpec(kind, s, u)) for s in sizes]
+    ladder = lambda: _ladder_counts(ps, BoxSpec(kind, 0.0, u),
+                                    np.array(sizes)).tolist()
+    if ladder_first:
+        assert ladder() == want
+        assert boxes() == want
+    else:
+        assert boxes() == want
+        assert ladder() == want
+    scales = np.unique([s for s in sizes if s > 1.0])
+    if scales.size:
+        prof = mass_dim_profile(ps, scales=scales, kind=kind, u=u)
+        assert prof.counts.tolist() == scan_counts(pts, kind, u, scales)
+
+
+@pytest.mark.parametrize("u", [1.0, -1.0, 0.75, -0.37, 2.5])
+@pytest.mark.parametrize("size", ODD_SUBNORMALS)
+def test_slanted_box_of_odd_subnormal_size(u, size):
+    """At an odd subnormal size s, s/2 is rounded, and the box holds exactly
+    the points at axial 0 and perpendicular 1/2: the key's 2|d| <= s must
+    pick the same points as contains' |d| <= s/2."""
+    pts = np.concatenate([centre_points(u), [[0.0, 0.0], [-0.0, 1e-300]]])
+    box = BoxSpec("slanted", size, u)
+    want = scan_counts(pts, "slanted", u, [size])
+    assert want[0] >= 1
+    assert PointSet(pts).box_count(box) == want[0]
+    assert _ladder_counts(PointSet(pts), box, np.array([size])).tolist() == want
