@@ -263,8 +263,8 @@ class BoxSpec:
         ``contains``' ``|d| <= s/2``: s/2 is exact unless s is an odd
         multiple of 2^-1074, and then both tests hold only for d = 0,
         because a nonzero d = perp - 1/2 is at least 2^-54 in magnitude
-        (perp near 1/2 is a multiple of 2^-54, and Sterbenz's lemma makes
-        the subtraction exact there).
+        (for perp in [1/4, 1] the subtraction is exact by Sterbenz's lemma
+        and perp is a multiple of 2^-54; otherwise |d| > 1/4).
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)

@@ -138,8 +138,8 @@ _FIXUP_STEPS = 64
 def _row_sorted_starts(ps: PointSet, n_side: int):
     """Points of [0, n_side]^2 with integer y, ordered by (y, -x).
 
-    Returns (a, b, new_row) with interval starts b - u a ascending within
-    each row for every u > 0, plus the row-boundary mask.
+    Returns (points in the box, a, b, new_row) with interval starts b - u a
+    ascending within each row for every u > 0, plus the row-boundary mask.
     """
     box = ps.restrict(0.0, float(n_side), 0.0, float(n_side))
     pts = box.points
