@@ -150,8 +150,8 @@ def mass_dim_profile(obj, scales=None, kind: str = "first_quadrant",
         scales = _default_scales(obj, kind)
     scales = np.asarray(scales, dtype=float)
     boxes = [BoxSpec(kind, float(s), u) for s in scales]
-    if isinstance(obj, PointSet) and boxes:
-        counts = _ladder_counts(obj, boxes[0], scales)
+    if isinstance(obj, PointSet):
+        counts = _ladder_counts(obj, BoxSpec(kind, 0.0, u), scales)
     else:
         counts = [obj.box_count(b) for b in boxes]
     rs = np.array([b.ratio_scale() for b in boxes])

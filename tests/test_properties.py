@@ -228,15 +228,15 @@ def test_box_count_and_ladder_match_contains_scan(case, ladder_first):
     pts, kind, u, sizes = case
     want = scan_counts(pts, kind, u, sizes)
     ps = PointSet(pts)
-    boxes = lambda: [ps.box_count(BoxSpec(kind, s, u)) for s in sizes]
-    ladder = lambda: _ladder_counts(ps, BoxSpec(kind, 0.0, u),
-                                    np.array(sizes)).tolist()
-    if ladder_first:
-        assert ladder() == want
-        assert boxes() == want
-    else:
-        assert boxes() == want
-        assert ladder() == want
+
+    def boxes():
+        return [ps.box_count(BoxSpec(kind, s, u)) for s in sizes]
+
+    def ladder():
+        return _ladder_counts(ps, BoxSpec(kind, 0.0, u), np.array(sizes)).tolist()
+
+    for count in (ladder, boxes) if ladder_first else (boxes, ladder):
+        assert count() == want
     scales = np.unique([s for s in sizes if s > 1.0])
     if scales.size:
         prof = mass_dim_profile(ps, scales=scales, kind=kind, u=u)
