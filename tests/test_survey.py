@@ -269,3 +269,89 @@ def test_mc_fix_up_beyond_its_bound_raises_a_typed_error():
     ps = row_near_two_to_forty(300)
     with pytest.raises(sv.SurveyPrecisionError, match="no run end within"):
         kernel_counts(ps, 2 ** 41, [2.0 ** -21], [2.0 ** 40 - 2.0 ** -13])
+
+
+# ---------------------------------------------------------------------------
+# Grid mode against a per-cell scan and the per-slope merge loop
+# ---------------------------------------------------------------------------
+
+def grid_centres(cfg: sv.SurveyConfig):
+    """The sampled slopes and offsets documented for grid mode: the cell
+    centres of a grid_u x grid_v grid over (0, M]^2."""
+    m = cfg.m_range
+    return ((np.arange(cfg.grid_u) + 0.5) * (m / cfg.grid_u),
+            (np.arange(cfg.grid_v) + 0.5) * (m / cfg.grid_v))
+
+
+def loop_mean_exact_v(ps: PointSet, cfg: sv.SurveyConfig) -> float:
+    """Reference for ``mean_exact_v``: for every slope, form all row points'
+    starts, merge each row's chained unit intervals and sum the merged
+    lengths inside (0, M]."""
+    _, a, b, new_row = sv._row_sorted_starts(ps, cfg.n_side)
+    m = cfg.m_range
+    us, _ = grid_centres(cfg)
+    per_slope = np.zeros(us.size)
+    for i, u in enumerate(us):
+        starts = b - u * a
+        if starts.size == 0:
+            continue
+        new_seg = new_row.copy()
+        new_seg[1:] |= starts[1:] - starts[:-1] > 1.0
+        first = np.flatnonzero(new_seg)
+        last = np.append(first[1:], starts.size) - 1
+        seg_lo, seg_hi = starts[first], starts[last] + 1.0
+        lengths = np.clip(np.minimum(seg_hi, m) - np.maximum(seg_lo, 0.0), 0.0, None)
+        per_slope[i] = lengths.sum() / m
+    return float(per_slope.mean())
+
+
+@st.composite
+def grid_surveys(draw):
+    """A point set and a grid survey of it.  Dyadic cases keep x on a
+    quarter grid, M an integer and both grid sides powers of two, so every
+    start and merged length is exact; the others draw x, M and the grid
+    freely.  Points may lie off integer rows, on rows outside [0, N], at
+    negative x or beyond N, and crowd onto a few rows or spread out."""
+    dyadic = draw(st.booleans())
+    n_side = 16
+    rows = draw(st.lists(st.integers(-2, 19), min_size=1, max_size=6))
+    n = draw(st.integers(0, 70))
+    if dyadic:
+        xs = [q / 4.0 for q in draw(st.lists(st.integers(-8, 76), min_size=n, max_size=n))]
+        m = float(draw(st.integers(1, 40)))
+        grid_u, grid_v = (2 ** draw(st.integers(0, 5)) for _ in range(2))
+    else:
+        xs = draw(st.lists(st.floats(-2.0, 18.0, allow_nan=False), min_size=n, max_size=n))
+        m = draw(st.floats(1.0, 40.0))
+        grid_u, grid_v = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    ys = [float(draw(st.sampled_from(rows))) + draw(st.sampled_from([0.0, 0.0, 0.0, 0.5]))
+          for _ in range(n)]
+    cfg = sv.SurveyConfig(n_side=n_side, m_range=m, grid_u=grid_u, grid_v=grid_v,
+                          k_threshold=2.0)
+    return PointSet(np.column_stack([xs, ys]) if n else np.empty((0, 2))), cfg, dyadic
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(grid_surveys())
+def test_grid_survey_matches_scan_and_merge_loop(case):
+    ps, cfg, dyadic = case
+    rep = sv.survey_floor_lines(ps, cfg, store_counts=True)
+    us, vs = grid_centres(cfg)
+    scan = scan_counts(ps.points, cfg.n_side, np.repeat(us, vs.size), np.tile(vs, us.size))
+    assert np.array_equal(rep.counts, scan.reshape(us.size, vs.size))
+    ref = loop_mean_exact_v(ps, cfg)
+    if dyadic:
+        assert rep.mean_exact_v == ref
+    else:
+        assert rep.mean_exact_v == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_grid_survey_on_lattice_matches_scan_and_merge_loop():
+    lat = gen.gen_cartesian(np.arange(64), np.arange(64))
+    cfg = sv.SurveyConfig(n_side=64, m_range=64.0, grid_u=64, grid_v=128)
+    rep = sv.survey_floor_lines(lat, cfg, store_counts=True)
+    us, vs = grid_centres(cfg)
+    scan = scan_counts(lat.points, 64, np.repeat(us, vs.size), np.tile(vs, us.size))
+    assert np.array_equal(rep.counts, scan.reshape(us.size, vs.size))
+    assert rep.mean_exact_v == loop_mean_exact_v(lat, cfg)
