@@ -28,8 +28,8 @@ from .geometry import (BoxSpec, FloorLine, PointSet, SeparationReport, Tube,
                        box_count, read_points, slice_floor_line, slice_tube,
                        tube_contains, tube_edge_distance, validate_separation,
                        write_points)
-from .survey import (SurveyConfig, SurveyPrecisionError, SurveyReport,
-                     exception_ray_scan, survey_floor_lines, tube_dim_along)
+from .survey import (SurveyConfig, SurveyReport, exception_ray_scan,
+                     survey_floor_lines, tube_dim_along)
 
 __version__ = "0.1.0"
 
@@ -52,7 +52,7 @@ __all__ = [
     "annulus_profile", "LevelSearchConfig", "LevelProfile", "find_levels",
     # survey
     "SurveyConfig", "SurveyReport", "survey_floor_lines", "tube_dim_along",
-    "exception_ray_scan", "SurveyPrecisionError",
+    "exception_ray_scan",
     # finite field
     "FiniteFieldSet", "is_prime", "ff_line_points",
     "ff_slice_count", "ff_line_count_matrix", "ff_double_count",

@@ -44,7 +44,7 @@ from .finitefield import DoubleCountError, FiniteFieldSet
 from .geometry import (FloorLine, PointSet, Tube, read_points,
                        slice_floor_line, slice_tube, validate_separation,
                        write_points)
-from .survey import SurveyConfig, SurveyPrecisionError, survey_floor_lines
+from .survey import SurveyConfig, survey_floor_lines
 
 __all__ = ["COMMANDS", "Report", "run", "emit_profile_csv", "main"]
 
@@ -605,7 +605,7 @@ def main(argv=None) -> int:
     except CheckFailure as exc:
         print(f"latslice: check failed: {exc}", file=sys.stderr)
         return 3
-    except (AssertionError, DoubleCountError, SurveyPrecisionError) as exc:
+    except (AssertionError, DoubleCountError) as exc:
         print(f"latslice: internal check failed: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -12,16 +12,24 @@ Chebyshev bound making slices above  k |E_N| / M  rare.
 
 Within a height b the interval starts b - u a for u > 0 are ordered by
 descending a, independently of u (rounding is monotone), so one presort by
-(b, -a) serves every sampled slope.  Grid mode merges each row's chained
-intervals in one linear pass per slope, then sorts the merged segments'
-starts and ends to count them at the v-grid centres.  Monte Carlo mode
-never scans the points per draw: a draw (u, v) hits row b exactly when the
-last point of the row with start <= v also has v < start + 1, and the
-points with start <= v are a leading run of the row.  Each run's end is
-found for every (draw, row) pair at once by one binary search at the
-approximate threshold a = (b - v) / u over packed (row, a) keys, then
-corrected against the exact float test at its neighbours, so the work per
-draw is the number of occupied rows, not of points.
+(b, -a) serves every sampled slope, and for any threshold t the points of a
+row with start <= t are a leading run of it.  Both modes work on such runs,
+found for every (slope or draw, row) pair at once by one binary search at
+the approximate threshold a = (b - t) / u over packed (row, a) keys; the
+exact float test at the run end's neighbours confirms it, and any end it
+rejects is found by bisection over its row, so every run end is exact.
+
+Monte Carlo mode never scans the points per draw: a draw (u, v) hits row b
+exactly when the last point of its run with start <= v also has
+v < start + 1, so the work per draw is the number of occupied rows.  Grid
+mode keeps, for each slope and row, only the run of points with
+start + 1 > 0 and start <= M, the only ones an offset in (0, M] can hit:
+about (M + 1) / u points a row instead of all of them.  A kept point with
+start s covers the v-centres j with L(s) <= j < L(s + 1), where L(x) counts
+the centres below x.  Along a run both ends ascend, so the pieces
+[L(s_k), min(L(s_k + 1), L(s_(k+1)))) split the row's hit centres into
+disjoint parts, and each slope's counts are a difference array summed once,
+with no sort.  The exact v-integral merges the kept runs' chained intervals.
 """
 
 from __future__ import annotations
@@ -36,7 +44,6 @@ from .geometry import PointSet, Tube, slice_tube
 
 __all__ = [
     "SurveyConfig",
-    "SurveyPrecisionError",
     "SurveyReport",
     "exception_ray_scan",
     "survey_floor_lines",
@@ -120,19 +127,10 @@ class SurveyReport:
     counts: np.ndarray | None = None
 
 
-class SurveyPrecisionError(ArithmeticError):
-    """A Monte Carlo draw whose run of hits in a row was not located within
-    the fix-up bound: more than ``_FIXUP_STEPS`` points of the row lie
-    within rounding of the draw's threshold, which needs a slope u far
-    below the spacing of the coordinates."""
-
-
-# (draw, row) pairs searched at once, which bounds the temporaries of a
-# Monte Carlo survey by about as much as one scan of 2^15 points
-_MC_BLOCK_PAIRS = 1 << 15
-# neighbour steps that correct an approximate run end; one suffices unless
-# points of a row lie within a few ulps of the threshold
-_FIXUP_STEPS = 64
+# pairs of (slope or draw, row) searched at once, and row points expanded
+# at once in grid mode, which bounds a survey's temporaries by about as
+# much as one scan of 2^15 points
+_BLOCK = 1 << 15
 
 
 def _row_sorted_starts(ps: PointSet, n_side: int):
@@ -157,17 +155,71 @@ def _row_sorted_starts(ps: PointSet, n_side: int):
 def _merged_segments(starts: np.ndarray, new_row: np.ndarray):
     """Merge per-row unit intervals [s, s+1) whose starts chain with gap <= 1.
 
-    ``starts`` must ascend within each row.  Returns (seg_starts, seg_ends),
-    unsorted across rows.
+    ``starts`` must ascend within each row.  Returns (first, seg_starts,
+    seg_ends): the index of each segment's first interval and its bounds.
     """
     if starts.size == 0:
-        return starts, starts
+        return np.flatnonzero(new_row), starts, starts
     new_seg = new_row.copy()
     gaps = starts[1:] - starts[:-1]
     new_seg[1:] |= gaps > 1.0
     first = np.flatnonzero(new_seg)
     last = np.append(first[1:], starts.size) - 1
-    return starts[first], starts[last] + 1.0
+    return first, starts[first], starts[last] + 1.0
+
+
+class _RowRuns:
+    """Row points (a, b), ordered as ``_row_sorted_starts`` returns them,
+    keyed for run searches.
+
+    For a slope u and a threshold t, the points of a row whose start
+    b - u a is at most t form a leading run of the row, since starts
+    ascend within it.  Each run's end is searched at a = (b - t) / u among
+    keys packing (row rank, rank of -a), for every (pair, row) at once,
+    then checked against the exact float test at its two neighbours.  An
+    end that fails the check is found by bisection over its row under the
+    same test, so every end is exact whatever the rounding of (b - t) / u.
+    """
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, new_row: np.ndarray):
+        self.a = a
+        self.lo = np.flatnonzero(new_row)
+        self.hi = np.append(self.lo[1:], a.size)
+        self.row_b = b[self.lo]
+        self.neg_a, a_rank = np.unique(-a, return_inverse=True)
+        stride = self.neg_a.size + 1
+        self.packed = (np.cumsum(new_row) - 1) * stride + a_rank
+        self.base = np.arange(self.lo.size) * stride
+
+    def ends(self, u: np.ndarray, t) -> np.ndarray:
+        """Run ends for slopes ``u`` of shape (n, 1) and thresholds ``t``
+        of that shape or scalar: entry [i, r] is the first index of row r,
+        or the row's end, whose start row_b[r] - u[i] a exceeds t[i]."""
+        a, lo, hi, row_b = self.a, self.lo, self.hi, self.row_b
+        with np.errstate(divide="ignore", invalid="ignore"):
+            guess = (row_b - t) / u
+        rank = np.searchsorted(self.neg_a, -guess, side="right")
+        end = np.searchsorted(self.packed, self.base + rank)
+        late = (end > lo) & ~(row_b - u * a[end - 1] <= t)
+        early = (end < hi) & (row_b - u * a[np.minimum(end, a.size - 1)] <= t)
+        todo = np.flatnonzero(late | early)
+        if todo.size:
+            i, r = np.divmod(todo, lo.size)
+            end.flat[todo] = self._bisect(lo[r], hi[r], row_b[r], u[i, 0],
+                                          np.broadcast_to(t, u.shape)[i, 0])
+        return end
+
+    def _bisect(self, lo, hi, row_b, u, t) -> np.ndarray:
+        """First index in each [lo, hi) whose start row_b - u a exceeds t,
+        or hi; the arrays are one entry per search and ``lo`` is updated."""
+        open_ = np.flatnonzero(lo < hi)
+        while open_.size:
+            mid = (lo[open_] + hi[open_]) // 2
+            below = row_b[open_] - u[open_] * self.a[mid] <= t[open_]
+            lo[open_] = np.where(below, mid + 1, lo[open_])
+            hi[open_] = np.where(below, hi[open_], mid)
+            open_ = open_[lo[open_] < hi[open_]]
+        return lo
 
 
 def _mc_counts(a: np.ndarray, b: np.ndarray, new_row: np.ndarray,
@@ -176,64 +228,87 @@ def _mc_counts(a: np.ndarray, b: np.ndarray, new_row: np.ndarray,
     for points (a, b) ordered as ``_row_sorted_starts`` returns them.
 
     Point k hits when start_k <= v < start_k + 1 with start_k = b - u a_k,
-    the same float expressions as a scan.  Starts ascend within a row, so
-    the points with start <= v are a leading run, and the row is hit
-    exactly when v < start + 1 at the run's last point.  The run's end is
-    searched at a = (b - v) / u among keys packing (row rank, rank of -a),
-    for every (draw, row) pair of a block at once, then moved point by
-    point until the exact test holds at both neighbours.
+    the same float expressions as a scan.  The points with start <= v are
+    a leading run of the row, and the row is hit exactly when
+    v < start + 1 at the run's last point.
     """
     counts = np.zeros(us.size, dtype=np.int64)
     if a.size == 0:
         return counts
-    row_lo = np.flatnonzero(new_row)
-    row_hi = np.append(row_lo[1:], a.size)
-    row_b = b[row_lo]
-    n_rows = row_lo.size
-    neg_a, a_rank = np.unique(-a, return_inverse=True)
-    stride = neg_a.size + 1
-    packed = (np.cumsum(new_row) - 1) * stride + a_rank
-    row_base = np.arange(n_rows) * stride
-    block = max(1, _MC_BLOCK_PAIRS // n_rows)
+    runs = _RowRuns(a, b, new_row)
+    block = max(1, _BLOCK // runs.lo.size)
     for d0 in range(0, us.size, block):
         u = us[d0:d0 + block, None]
         v = vs[d0:d0 + block, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (row_b - v) / u
-        rank = np.searchsorted(neg_a, -t, side="right")
-        end = np.searchsorted(packed, row_base + rank)
-        todo = np.flatnonzero(_fix_run_ends(end, row_lo, row_hi, row_b, u, v, a))
-        flat = end.reshape(-1)
-        for _ in range(_FIXUP_STEPS - 1):
-            if todo.size == 0:
-                break
-            i, r = np.divmod(todo, n_rows)
-            ends = flat[todo]
-            moved = _fix_run_ends(ends, row_lo[r], row_hi[r], row_b[r],
-                                  u[i, 0], v[i, 0], a)
-            flat[todo] = ends
-            todo = todo[moved]
-        if todo.size:
-            i, r = divmod(int(todo[0]), n_rows)
-            raise SurveyPrecisionError(
-                f"draw u={float(u[i, 0])!r}, v={float(v[i, 0])!r}: no run end "
-                f"within {_FIXUP_STEPS} points of its threshold in row "
-                f"b={float(row_b[r])!r}")
-        hit = (end > row_lo) & (v < (row_b - u * a[end - 1]) + 1.0)
+        end = runs.ends(u, v)
+        hit = (end > runs.lo) & (v < (runs.row_b - u * a[end - 1]) + 1.0)
         counts[d0:d0 + block] = hit.sum(axis=1)
     return counts
 
 
-def _fix_run_ends(end, lo, hi, row_b, u, v, a) -> np.ndarray:
-    """Move each approximate run end one point towards the exact one, in
-    place, and return where it moved.  The run of a row [lo, hi) ends at
-    ``end`` when start <= v holds at end - 1 (or end == lo) and fails at
-    end (or end == hi), with start = row_b - u a."""
-    back = (end > lo) & ~(row_b - u * a[end - 1] <= v)
-    ahead = (end < hi) & (row_b - u * a[np.minimum(end, a.size - 1)] <= v)
-    end += ahead
-    end -= back
-    return back | ahead
+def _grid_counts(a: np.ndarray, b: np.ndarray, new_row: np.ndarray,
+                 us: np.ndarray, vs: np.ndarray, m: float):
+    """Slice counts at every grid centre (us[i], vs[j]), with vs ascending,
+    and each slope's exact v-integral over (0, m] divided by m, for points
+    (a, b) ordered as ``_row_sorted_starts`` returns them.
+
+    Only points with start + 1 > 0 and start <= m can be hit by an offset
+    in (0, m]; in each row they are the run [p0, p1) between two run
+    searches, about (m + 1) / u points.  Blocks of slopes are expanded to
+    their kept points, at most ``_BLOCK`` of them at a time unless one
+    slope alone keeps more.
+    """
+    counts = np.zeros((us.size, vs.size), dtype=np.int64)
+    exact = np.zeros(us.size)
+    if a.size == 0:
+        return counts, exact
+    runs = _RowRuns(a, b, new_row)
+    block = max(1, _BLOCK // runs.lo.size)
+    for s0 in range(0, us.size, block):
+        u = us[s0:s0 + block, None]
+        p0 = runs.ends(u, -1.0)
+        kept = runs.ends(u, m) - p0
+        done = np.cumsum(kept.sum(axis=1))
+        i0 = 0
+        while i0 < u.shape[0]:
+            below = done[i0 - 1] + _BLOCK if i0 else _BLOCK
+            i1 = max(i0 + 1, int(np.searchsorted(done, below, side="right")))
+            rows = slice(s0 + i0, s0 + i1)
+            counts[rows], exact[rows] = _grid_block(
+                a, b, u[i0:i1], p0[i0:i1], kept[i0:i1], vs, m)
+            i0 = i1
+    return counts, exact
+
+
+def _grid_block(a, b, u, p0, kept, vs, m):
+    """Grid counts and exact v-means for the slopes ``u`` (shape (n, 1))
+    whose kept runs are [p0, p0 + kept), one per (slope, row).
+
+    Kept point k covers the offsets vs[lo_k:hi_k] with lo_k = #{vs < s_k}
+    and hi_k = #{vs < s_k + 1}, its start s_k.  Both ends ascend along a
+    row's run, so the pieces [lo_k, min(hi_k, lo_(k+1))) split the row's
+    hit offsets into disjoint parts, and each slope's counts are one
+    difference array summed by ``cumsum``.
+    """
+    n = kept.ravel()
+    run_at = np.cumsum(n) - n
+    k = np.arange(n.sum()) + np.repeat(p0.ravel() - run_at, n)
+    slope = np.repeat(np.arange(u.shape[0]), kept.sum(axis=1))
+    starts = b[k] - u[slope, 0] * a[k]
+    new_run = np.zeros(k.size, dtype=bool)
+    new_run[run_at[n > 0]] = True
+    lo = np.searchsorted(vs, starts)
+    hi = np.searchsorted(vs, starts + 1.0)
+    last = np.append(new_run[1:], True)
+    piece_end = np.where(last, hi, np.minimum(hi, np.append(lo[1:], 0)))
+    width = vs.size + 1
+    steps = (np.bincount(slope * width + lo, minlength=u.shape[0] * width)
+             - np.bincount(slope * width + piece_end, minlength=u.shape[0] * width))
+    counts = np.cumsum(steps.reshape(-1, width), axis=1)[:, :-1]
+    first, seg_lo, seg_hi = _merged_segments(starts, new_run)
+    lengths = np.clip(np.minimum(seg_hi, m) - np.maximum(seg_lo, 0.0), 0.0, None)
+    return counts, np.bincount(slope[first], weights=lengths,
+                               minlength=u.shape[0]) / m
 
 
 def survey_floor_lines(ps: PointSet, config: SurveyConfig,
@@ -248,17 +323,7 @@ def survey_floor_lines(ps: PointSet, config: SurveyConfig,
     if config.mode == "grid":
         us = (np.arange(config.grid_u) + 0.5) * (m / config.grid_u)
         v_centers = (np.arange(config.grid_v) + 0.5) * (m / config.grid_v)
-        counts = np.zeros((config.grid_u, config.grid_v), dtype=np.int64)
-        exact_v_means = np.zeros(config.grid_u)
-        for i, u in enumerate(us):
-            seg_lo, seg_hi = _merged_segments(b - u * a, new_row)
-            lengths = np.clip(np.minimum(seg_hi, m) - np.maximum(seg_lo, 0.0),
-                              0.0, None)
-            exact_v_means[i] = lengths.sum() / m
-            lo_sorted = np.sort(seg_lo)
-            hi_sorted = np.sort(seg_hi)
-            counts[i] = (np.searchsorted(lo_sorted, v_centers, side="right")
-                         - np.searchsorted(hi_sorted, v_centers, side="right"))
+        counts, exact_v_means = _grid_counts(a, b, new_row, us, v_centers, m)
         mean_exact = float(exact_v_means.mean())
         extra = {"mean_exact_v": mean_exact,
                  "resolution_term": abs(float(counts.mean()) - mean_exact)}

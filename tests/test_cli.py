@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from latslice import cli
-from latslice.survey import SurveyPrecisionError
 
 
 def run_cli(argv, capsys):
@@ -140,21 +139,6 @@ def test_survey_mc_mode(tmp_path, capsys):
     rep = run_json(["survey", "--in", str(pts), "--N", "16", "--M", "8",
                     "--mc", "500", "--seed", "9"], capsys)
     assert rep["results"]["mc_std_error"] > 0.0
-
-
-def test_survey_precision_error_exits_3(tmp_path, capsys, monkeypatch):
-    pts = tmp_path / "p.txt"
-    run_json(["generate", "--kind", "unit_line",
-              "--params", '{"m": 1.0, "count": 30}', "--out", str(pts)], capsys)
-
-    def unsettled(ps, config, store_counts=False):
-        raise SurveyPrecisionError("no run end within 64 points")
-
-    monkeypatch.setattr(cli, "survey_floor_lines", unsettled)
-    code = cli.main(["survey", "--in", str(pts), "--N", "16", "--M", "8",
-                     "--mc", "500", "--seed", "9"])
-    assert code == 3
-    assert "internal check failed: no run end" in capsys.readouterr().err
 
 
 def test_ff_verify_passes(capsys):

@@ -264,11 +264,34 @@ def test_mc_fix_up_walks_to_the_exact_run_end(e):
                           scan_counts(ps.points, 2 ** 41, us, vs))
 
 
-def test_mc_fix_up_beyond_its_bound_raises_a_typed_error():
-    # at u = 2^-21 the exact run end is 127 points from the searched one
+@pytest.mark.parametrize("e", [21, 30])
+def test_mc_run_ends_far_from_the_search_are_exact(e):
+    # at u = 2^-21 the exact run end is 127 points from the searched one,
+    # at u = 2^-30 every start of the row rounds to 2^40
     ps = row_near_two_to_forty(300)
-    with pytest.raises(sv.SurveyPrecisionError, match="no run end within"):
-        kernel_counts(ps, 2 ** 41, [2.0 ** -21], [2.0 ** 40 - 2.0 ** -13])
+    us = [2.0 ** -e] * 3
+    vs = [2.0 ** 40 - 2.0 ** -13, 2.0 ** 40 - 2.0 ** -12, 2.0 ** 40]
+    assert np.array_equal(kernel_counts(ps, 2 ** 41, us, vs),
+                          scan_counts(ps.points, 2 ** 41, us, vs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.lists(st.tuples(st.integers(12, 26), st.integers(-64, 64)),
+                                   min_size=1, max_size=8))
+def test_run_ends_match_a_scan_of_each_row(step, pairs):
+    """Rows next to 2^40, where b - u a rounds in steps of 2^-13 or 2^-12,
+    with slopes 2^-26 to 2^-12 and thresholds between those steps: many
+    searched run ends land points away from the exact ones."""
+    a = np.arange(0.0, 400.0, step / 4.0)
+    pts = np.concatenate([np.column_stack([a, np.full(a.size, 2.0 ** 40 + d)])
+                          for d in (-1.0, 0.0, 1.0)])
+    _, a, b, new_row = sv._row_sorted_starts(PointSet(pts), 2 ** 41)
+    runs = sv._RowRuns(a, b, new_row)
+    u = np.array([2.0 ** -e for e, _ in pairs])[:, None]
+    t = np.array([2.0 ** 40 + j * 2.0 ** -16 for _, j in pairs])[:, None]
+    below = (b - u * a <= t).astype(np.int64)
+    expect = runs.lo + np.add.reduceat(below, runs.lo, axis=1)
+    assert np.array_equal(runs.ends(u, t), expect)
 
 
 # ---------------------------------------------------------------------------
@@ -355,3 +378,18 @@ def test_grid_survey_on_lattice_matches_scan_and_merge_loop():
     scan = scan_counts(lat.points, 64, np.repeat(us, vs.size), np.tile(vs, us.size))
     assert np.array_equal(rep.counts, scan.reshape(us.size, vs.size))
     assert rep.mean_exact_v == loop_mean_exact_v(lat, cfg)
+
+
+@pytest.mark.parametrize("budget", [1, 60, 900])
+def test_survey_blocks_do_not_change_the_result(budget, monkeypatch):
+    # budgets below one slope's kept points, below one slope's rows, and
+    # between: every split of slopes, draws and kept points gives the same
+    ps = gen.gen_random_dimension(1.2, 64, seed=5)
+    grid = sv.SurveyConfig(n_side=64, m_range=16.0, grid_u=40, grid_v=24)
+    mc = sv.SurveyConfig(n_side=64, m_range=16.0, mode="mc", mc_samples=300, seed=6)
+    whole = [sv.survey_floor_lines(ps, cfg, store_counts=True) for cfg in (grid, mc)]
+    monkeypatch.setattr(sv, "_BLOCK", budget)
+    split = [sv.survey_floor_lines(ps, cfg, store_counts=True) for cfg in (grid, mc)]
+    for w, s in zip(whole, split):
+        assert np.array_equal(w.counts, s.counts)
+    assert split[0].mean_exact_v == whole[0].mean_exact_v
