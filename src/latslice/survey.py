@@ -273,8 +273,8 @@ def _grid_counts(a: np.ndarray, b: np.ndarray, new_row: np.ndarray,
         while i0 < u.shape[0]:
             limit = done[i0 - 1] + _BLOCK if i0 else _BLOCK
             i1 = max(i0 + 1, int(np.searchsorted(done, limit, side="right")))
-            rows = slice(s0 + i0, s0 + i1)
-            counts[rows], exact[rows] = _grid_block(
+            part = slice(s0 + i0, s0 + i1)
+            counts[part], exact[part] = _grid_block(
                 a, b, u[i0:i1], p0[i0:i1], kept[i0:i1], vs, m)
             i0 = i1
     return counts, exact
