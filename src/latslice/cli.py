@@ -160,9 +160,8 @@ def emit_profile_csv(profile: DimensionProfile, path) -> None:
     if len(profile) == 0:
         raise ValueError("profile is empty; nothing to emit")
     lines = ["scale,count,ratio"]
-    ratios = dict(zip(profile.ratio_scales.tolist(), profile.ratios.tolist()))
-    for s, c in zip(profile.scales.tolist(), profile.counts.tolist()):
-        r = ratios.get(s, float("nan"))
+    for s, c, r in zip(profile.scales.tolist(), profile.counts.tolist(),
+                       profile.ratios.tolist()):
         lines.append(f"{s:.12g},{int(c)},{r:.12g}")
     _write_text(str(path), "\n".join(lines) + "\n")
 
@@ -268,7 +267,9 @@ def _parse_scales(spec: str) -> np.ndarray:
         try:
             top = float(spec.split(":", 1)[1])
         except ValueError:
-            raise ConfigError(f"bad --scales value {spec!r}") from None
+            top = math.nan
+        if not math.isfinite(top):
+            raise ConfigError(f"bad --scales value {spec!r}")
         return dyadic_scales(top)
     raise ConfigError(f"--scales must look like dyadic:<max>, got {spec!r}")
 

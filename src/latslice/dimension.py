@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .generators import MAX_MATERIALIZE_POINTS, MaterializeError
 from .geometry import BoxSpec, PointSet, Tube, slice_tube
 
 __all__ = [
@@ -330,9 +331,22 @@ def find_levels(ps: PointSet, u: float, config: LevelSearchConfig) -> LevelProfi
     constant in u away from coincidences, so nearby slopes yield identical
     profiles; an empty profile certifies that no scale shows the prescribed
     growth.
+
+    Every threshold is positive and the annulus (m/2, m] is empty once m is
+    at least twice the largest axial coordinate s_max, so only m up to
+    ceil(2 s_max) - 1 are scanned (none for an empty slice).  A scan still
+    longer than ``MAX_MATERIALIZE_POINTS`` raises ``MaterializeError``
+    before anything is allocated.
     """
     svals = _axial_sorted(ps, Tube(u, 0.0))
-    levels = np.arange(1, config.search_bound + 1, dtype=np.int64)
+    extent = 2.0 * float(np.max(svals, initial=0.0))
+    top = config.search_bound if extent > config.search_bound \
+        else math.ceil(extent) - 1
+    if top > MAX_MATERIALIZE_POINTS:
+        raise MaterializeError(
+            f"level search would scan {top} levels; the cap is "
+            f"{MAX_MATERIALIZE_POINTS} (lower search_bound)")
+    levels = np.arange(1, top + 1, dtype=np.int64)
     counts = _annulus_counts(svals, levels.astype(float))
     thr = config.threshold(levels)
     keep = counts > thr

@@ -77,7 +77,7 @@ def gen_unit_line(m: float, count: int) -> PointSet:
         s = (1.0 + pad) / r
         xs, ys = k * s, k * (m * s)
         if count == 1 or np.min(np.hypot(np.diff(xs), np.diff(ys))) >= 1.0:
-            return PointSet(np.column_stack([xs, ys]), _separated=True)
+            return PointSet(np.column_stack([xs, ys]))
         pad *= 2.0
 
 
@@ -142,7 +142,7 @@ class ParabolicStaircase(_ImplicitSet):
         cols = [np.column_stack([np.full(m, float(m * m)), np.arange(m, dtype=float)])
                 for m in range(1, self.m_max + 1)]
         pts = np.concatenate(cols) if cols else np.empty((0, 2))
-        return PointSet(pts, _separated=True)
+        return PointSet(pts)
 
 
 def gen_parabolic_staircase(m_max: int, mode: str = "materialize"):
@@ -260,7 +260,7 @@ def gen_zigzag(delta: float, n_levels: int) -> tuple[PointSet, ZigzagTrace]:
     trace = ZigzagTrace(delta, a, b, lam1, lam2,
                         corners=np.array(real), lattice_corners=lattice,
                         truncated=truncated)
-    return PointSet(np.concatenate(chunks), _separated=True), trace
+    return PointSet(np.concatenate(chunks)), trace
 
 
 def _floor_root(c: int, q: int) -> int:
@@ -293,7 +293,7 @@ def zigzag_tube_counts(delta: float, n_levels: int,
     exact tie, possible when q is a perfect square, as for u = -3/4) or
     within float rounding of one; elsewhere they agree.
     """
-    if tube.orientation != "standard" or tube.u >= 0:
+    if not -math.inf < tube.u < 0:
         raise ValueError("zigzag tubes have positive edge slope, which means u < 0")
     lattice, _ = _zigzag_lattice_corners(delta, n_levels)
     u, v = Fraction(float(tube.u)), Fraction(float(tube.v))
@@ -478,7 +478,7 @@ def _bands_materialize(family) -> PointSet:
             xs = np.arange(band.lower.at(y), band.upper.at(y) + 1, dtype=float)
             rows.append(np.column_stack([xs, np.full(xs.size, float(y))]))
     pts = np.concatenate(rows) if rows else np.empty((0, 2))
-    return PointSet(pts, _separated=True)
+    return PointSet(pts)
 
 
 class _BandedSet(_ImplicitSet):
@@ -665,7 +665,7 @@ def gen_cartesian(a_values, b_values) -> PointSet:
     if a.size * b.size > MAX_MATERIALIZE_POINTS:
         raise MaterializeError(f"product holds {a.size * b.size} points")
     pts = np.column_stack([np.repeat(a, b.size), np.tile(b, a.size)])
-    return PointSet(pts, _separated=bool(a.size and b.size))
+    return PointSet(pts)
 
 
 def _distinct_uniform(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
@@ -727,7 +727,7 @@ def gen_random_dimension(alpha: float, l_max: int, seed: int) -> PointSet:
         xs[~right] = top % (2 * h)
         ys[~right] = h + top // (2 * h)
         chunks.append(np.column_stack([xs, ys]).astype(float))
-    return PointSet(np.concatenate(chunks), _separated=True)
+    return PointSet(np.concatenate(chunks))
 
 
 def gen_random_dimension_1d(alpha: float, n_max: int, seed: int) -> np.ndarray:

@@ -19,8 +19,8 @@ Conventions used throughout the package:
   open along its lower edge and closed along its upper edge.  Its edges have
   slope ``-1/u``, its perpendicular width is exactly 1, and ``v`` is the
   displacement of the strip measured along the perpendicular direction in
-  width units.  ``orientation="horizontal"`` is the degenerate slope-0 strip
-  ``v < y <= v + 1``.
+  width units.  ``u = +-inf`` is the slope-0 strip ``v < y <= v + 1``, the
+  limit of the family, and ``Tube.horizontal(v)`` builds it.
 
 * A floor line is the broken line ``y = floor(u x + v)`` with ``u > 0``.
   Slicing a set by it collects the distinct integer heights realised by set
@@ -63,55 +63,45 @@ class Tube:
     """Width-1 strip, open below and closed above.
 
     ``u`` is the slope of the perpendicular direction, so the strip's edges
-    have slope ``-1/u``.  Any finite nonzero ``u`` whose ``1/u^2`` and ``u^2``
-    are finite floats (``|u|`` between about 7.5e-155 and 1.3e154) is
+    have slope ``-1/u``.  Any nonzero ``u`` whose ``1/u^2`` and ``u^2`` are
+    floats (``|u|`` from about 7.5e-155 up to about 1.3e154, or infinite) is
     accepted: tubes hugging a line of positive slope ``m`` correspond to
-    ``u = -1/m``.  For the horizontal orientation ``u`` is ignored and the
-    strip is ``v < y <= v+1``.
+    ``u = -1/m``, and ``u = +-inf`` is the horizontal strip ``v < y <= v+1``
+    (edge slope -1/u = -+0.0, width factor sqrt(1 + u^-2) = 1).
     """
 
     u: float
     v: float
-    orientation: str = "standard"
 
     def __post_init__(self) -> None:
-        if self.orientation not in ("standard", "horizontal"):
-            raise ValueError(f"unknown tube orientation {self.orientation!r}")
-        if self.orientation == "standard":
-            if not math.isfinite(self.u) or self.u == 0.0:
-                raise ValueError("standard tube requires finite nonzero u")
-            try:
-                self.edge_intercepts()
-            except OverflowError:
-                raise ValueError(f"tube slope u={self.u!r} is too close to 0: "
-                                 "its width factor 1/u^2 overflows") from None
-            _check_square(self.u, "tube")
+        if math.isnan(self.u) or self.u == 0.0:
+            raise ValueError("tube requires a nonzero, non-NaN u")
+        try:
+            self.edge_intercepts()
+        except OverflowError:
+            raise ValueError(f"tube slope u={self.u!r} is too close to 0: "
+                             "its width factor 1/u^2 overflows") from None
+        _check_square(self.u, "tube")
         if not math.isfinite(self.v):
             raise ValueError("tube displacement v must be finite")
 
     @classmethod
     def horizontal(cls, v: float) -> "Tube":
-        return cls(u=math.inf, v=v, orientation="horizontal")
+        return cls(u=math.inf, v=v)
 
     # -- edge geometry ------------------------------------------------------
 
     def edge_slope(self) -> float:
-        """Slope of the two edge lines (0 for horizontal orientation)."""
-        if self.orientation == "horizontal":
-            return 0.0
+        """Slope of the two edge lines (a signed zero for the horizontal tube)."""
         return -1.0 / self.u
 
     def edge_intercepts(self) -> tuple[float, float]:
         """(lower, upper) y-intercepts of the edge lines y = a x + b."""
-        if self.orientation == "horizontal":
-            return self.v, self.v + 1.0
         w = math.sqrt(1.0 + self.u ** -2)
         return self.v * w, (self.v + 1.0) * w
 
     def contains(self, x, y):
         """Strict-below / inclusive-above strip membership, vectorized."""
-        if self.orientation == "horizontal":
-            return (self.v < y) & (y <= self.v + 1.0)
         a = self.edge_slope()
         lo, up = self.edge_intercepts()
         base = a * np.asarray(x, dtype=float)
@@ -124,9 +114,9 @@ class Tube:
 
         The axial unit vector is (-u, 1)/sqrt(1+u^2): it points "up" the tube
         (positive y component), and axial >= 0 on or above the perpendicular
-        line through the origin.  For the horizontal orientation it is x.
+        line through the origin.  For the horizontal tube it is x.
         """
-        if self.orientation == "horizontal":
+        if math.isinf(self.u):
             return np.asarray(x, dtype=float) + 0.0
         r = math.sqrt(1.0 + self.u ** 2)
         return (np.asarray(y, dtype=float) - self.u * np.asarray(x, dtype=float)) / r
@@ -135,16 +125,17 @@ class Tube:
         """Displacement along the perpendicular, in the same units as v.
 
         A point lies in tube t_{u,v} iff v < perp_coord <= v + 1; this is the
-        strip inequality rewritten in width units.
+        strip inequality rewritten in width units.  For the horizontal tube
+        it is y.
         """
-        if self.orientation == "horizontal":
+        if math.isinf(self.u):
             return np.asarray(y, dtype=float) + 0.0
         r = math.copysign(math.sqrt(1.0 + self.u ** 2), self.u)
         return (np.asarray(x, dtype=float) + self.u * np.asarray(y, dtype=float)) / r
 
     def shifted(self, k: float) -> "Tube":
         """The tube displaced k width units along the perpendicular."""
-        return Tube(self.u, self.v + k, self.orientation)
+        return Tube(self.u, self.v + k)
 
 
 def _check_square(u: float, what: str) -> None:
@@ -329,7 +320,7 @@ class PointSet:
     ``searchsorted``.  Slanted keys depend on ``u`` and are not cached.
     """
 
-    def __init__(self, points, *, _separated: bool = False):
+    def __init__(self, points):
         arr = np.asarray(points, dtype=float)
         if arr.size == 0:
             arr = np.empty((0, 2), dtype=float)
@@ -340,7 +331,6 @@ class PointSet:
         arr = arr.copy()
         arr.setflags(write=False)
         self.points = arr
-        self.separation_checked = bool(_separated)
         self._order = None
         self._box_keys: dict[str, np.ndarray] = {}
 
@@ -432,8 +422,7 @@ class PointSet:
         return self._subset(mask)
 
     def _subset(self, mask_or_indices) -> "PointSet":
-        sub = self.points[mask_or_indices]
-        return PointSet(sub, _separated=self.separation_checked)
+        return PointSet(self.points[mask_or_indices])
 
 
 # ---------------------------------------------------------------------------
@@ -452,14 +441,12 @@ def validate_separation(ps: PointSet) -> SeparationReport:
 
     Uses a k-d tree nearest-neighbor query, which is exact for any point
     distribution (a fixed-radius neighbor-cell sweep is not: the closest pair
-    of a sparse set need not share adjacent unit cells).  Marks the set's
-    ``separation_checked`` flag on success.
+    of a sparse set need not share adjacent unit cells).
     """
     n = len(ps)
     if n == 0:
         raise ValueError("validate_separation requires a non-empty set")
     if n == 1:
-        ps.separation_checked = True
         return SeparationReport(math.inf, None, True)
     tree = cKDTree(ps.points)
     dist, nbr = tree.query(ps.points, k=2)
@@ -467,9 +454,7 @@ def validate_separation(ps: PointSet) -> SeparationReport:
     i = int(np.argmin(d))
     j = int(nbr[i, 1])
     mind = float(d[i])
-    valid = bool(mind >= 1.0)
-    ps.separation_checked = valid
-    return SeparationReport(mind, (min(i, j), max(i, j)), valid)
+    return SeparationReport(mind, (min(i, j), max(i, j)), bool(mind >= 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -55,17 +55,15 @@ __all__ = [
 class SurveyConfig:
     """Parameter rectangle and sampling plan for a floor-line survey.
 
-    Points come from [0, n_side]^2; slopes and offsets from (0, m_range].
-    ``m_range`` may instead be derived as n_side / alpha_ratio, the regime
-    where the mean bound is informative.  Grid mode samples cell centers of
-    a grid_u x grid_v grid and also integrates exactly over v; mc mode draws
+    Points come from [0, n_side]^2; slopes and offsets from (0, m_range],
+    and ``m_range`` must be given.  Grid mode samples cell centers of a
+    grid_u x grid_v grid and also integrates exactly over v; mc mode draws
     (u, v) uniformly.  The exception threshold is k_threshold * |E_N| /
     m_range with k_threshold = sqrt(ln m_range * ln n_side) by default.
     """
 
     n_side: int
     m_range: float | None = None
-    alpha_ratio: float | None = None
     mode: str = "grid"
     grid_u: int = 512
     grid_v: int = 512
@@ -77,10 +75,7 @@ class SurveyConfig:
         if self.n_side < 2:
             raise ValueError("n_side must be >= 2")
         if self.m_range is None:
-            if self.alpha_ratio is None or self.alpha_ratio <= 0:
-                raise ValueError("give m_range, or a positive alpha_ratio "
-                                 "to derive it as n_side / alpha_ratio")
-            object.__setattr__(self, "m_range", self.n_side / self.alpha_ratio)
+            raise ValueError("m_range is required")
         if not (math.isfinite(self.m_range) and self.m_range >= 1.0):
             raise ValueError("m_range must be finite and >= 1")
         if self.mode not in ("grid", "mc"):
@@ -350,10 +345,10 @@ def tube_dim_along(ps: PointSet, u: float | None, v: float,
                    scales=None, method: str = "ratio_max_tail") -> DimensionProfile:
     """Mass dimension profile of the slice of ``ps`` by one width-1 tube.
 
-    ``u`` is the tube's perpendicular slope (None for the horizontal tube
-    v < y <= v+1).  The profile counts the slice in first-quadrant boxes.
+    ``u`` is the tube's perpendicular slope (None or +-inf for the
+    horizontal tube v < y <= v+1).  The profile counts the slice in first-quadrant boxes.
     """
-    tube = Tube.horizontal(v) if u is None or not math.isfinite(u) else Tube(u, v)
+    tube = Tube(math.inf if u is None else u, v)
     return mass_dim_profile(slice_tube(ps, tube), scales=scales, method=method)
 
 

@@ -397,6 +397,65 @@ def test_steep_levels_slope_gives_config_exit(tmp_path, capsys):
     assert "too steep" in capsys.readouterr().err
 
 
+def _write_grid(path, side):
+    path.write_text("# x y\n" + "".join(
+        f"{x} {y}\n" for x in range(side) for y in range(side)))
+
+
+@pytest.mark.parametrize("kind", ["first_quadrant", "centered"])
+def test_dim_csv_rows_are_the_profile(tmp_path, capsys, kind):
+    # centered boxes take their ratios against 2l, not l: each row must
+    # still carry its own scale's ratio
+    from latslice import dyadic_scales, mass_dim_profile, read_points
+    pts, csv = tmp_path / "grid.txt", tmp_path / "prof.csv"
+    _write_grid(pts, 9)
+    run_json(["dim", "--in", str(pts), "--kind", kind, "--scales", "dyadic:16",
+              "--out", str(csv)], capsys)
+    prof = mass_dim_profile(read_points(str(pts)), scales=dyadic_scales(16.0),
+                            kind=kind)
+    rows = csv.read_text().splitlines()[1:]
+    assert len(rows) == len(prof)
+    for row, scale, count, ratio in zip(rows, prof.scales, prof.counts,
+                                        prof.ratios):
+        s, c, r = row.split(",")
+        assert (float(s), int(c)) == (scale, count)
+        assert float(r) == pytest.approx(ratio, rel=1e-11)
+
+
+@pytest.mark.parametrize("top", ["inf", "-inf", "1e400", "nan"])
+def test_non_finite_scales_top_gives_config_exit(tmp_path, capsys, top):
+    pts = tmp_path / "grid.txt"
+    _write_grid(pts, 3)
+    rc = cli.main(["dim", "--in", str(pts), "--scales", f"dyadic:{top}"])
+    assert rc == 2
+    assert f"bad --scales value 'dyadic:{top}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("u", ["inf", "-inf"])
+def test_slice_by_an_infinite_slope_is_the_horizontal_tube(tmp_path, capsys, u):
+    pts = tmp_path / "grid.txt"
+    _write_grid(pts, 6)
+    flat, inf = tmp_path / "flat.txt", tmp_path / "inf.txt"
+    run_json(["slice", "--in", str(pts), "--tube=0,2.5", "--out", str(flat)],
+             capsys)
+    rep = run_json(["slice", "--in", str(pts), f"--tube={u},2.5",
+                    "--out", str(inf)], capsys)
+    assert rep["results"]["count"] == 6
+    assert inf.read_text() == flat.read_text()
+
+
+def test_levels_along_the_horizontal_tube(tmp_path, capsys):
+    # a row of 200 points in 0 < y <= 1 and a decoy row above it
+    xs = np.arange(200)
+    pts = tmp_path / "rows.txt"
+    pts.write_text("".join(f"{x} 1\n{x} 1.5\n" for x in xs))
+    rep = run_json(["levels", "--in", str(pts), "--u", "inf", "--alpha", "0",
+                    "--psi", "1", "--bound", "1000"], capsys)
+    want = [m for m in range(1, 1001)
+            if np.count_nonzero((xs > m / 2) & (xs <= m)) > (m / 2) ** 0.5]
+    assert want and rep["results"]["levels"] == want
+
+
 def test_dim_reports_counts_beyond_int64(tmp_path, capsys):
     desc = tmp_path / "stair.json"
     run_json(["generate", "--kind", "cone_staircase", "--params",

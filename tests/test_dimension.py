@@ -278,6 +278,31 @@ def test_find_levels_locally_constant_in_u():
     assert np.array_equal(a.counts, b.counts)
 
 
+def test_find_levels_scans_only_levels_a_point_can_reach():
+    # annuli past twice the largest axial coordinate are empty, so a huge
+    # bound gives the same profile as one just past the slice's extent
+    row = np.column_stack([np.arange(2.0, 600.0), np.full(598, 0.5)])
+    ps = PointSet(np.concatenate([diag_line(600).points, row]))
+    for u in (-1.0, math.inf):
+        want = dim.find_levels(ps, u, dim.LevelSearchConfig(0.0, 1.0, 4096))
+        got = dim.find_levels(ps, u, dim.LevelSearchConfig(0.0, 1.0, 10 ** 12))
+        assert np.array_equal(got.levels, want.levels)
+        assert np.array_equal(got.counts, want.counts)
+        assert np.array_equal(got.thresholds, want.thresholds)
+        assert len(want) > 0
+    empty = dim.find_levels(PointSet([[5.0, 9.0]]), math.inf,
+                            dim.LevelSearchConfig(0.0, 1.0, 10 ** 12))
+    assert len(empty) == 0
+
+
+def test_find_levels_refuses_a_scan_past_the_cap_before_allocating():
+    far = PointSet([[1.0, 0.5], [1e12, 0.5]])
+    with pytest.raises(gen.MaterializeError, match="level search"):
+        dim.find_levels(far, math.inf, dim.LevelSearchConfig(0.0, 1.0, 10 ** 12))
+    near = dim.find_levels(far, math.inf, dim.LevelSearchConfig(0.0, 1.0, 1000))
+    assert near.levels.tolist() == [1]      # only (1/2, 1] holds a point
+
+
 def test_level_search_config_validation():
     with pytest.raises(ValueError):
         dim.LevelSearchConfig(alpha=-0.1, psi=1.0, search_bound=10)

@@ -87,7 +87,6 @@ def test_separation_subunit_gap_reports_pair():
     assert rep.min_distance == 0.5
     assert not rep.valid
     assert rep.closest_pair == (0, 1)
-    assert not ps.separation_checked
 
 
 def test_separation_empty_rejected_singleton_inf():
@@ -178,7 +177,7 @@ def test_steep_slopes_whose_square_overflows_are_rejected():
 
 def test_horizontal_tube():
     t = Tube.horizontal(2.0)
-    assert t.orientation == "horizontal"
+    assert Tube.horizontal(2.0) == Tube(math.inf, 2.0)
     assert tube_contains(t, (100.0, 3.0))
     assert not tube_contains(t, (100.0, 2.0))
     assert tube_contains(t, (0.0, 2.5))

@@ -71,8 +71,8 @@ def edge_points(tube: Tube, xs: np.ndarray, limit: float) -> np.ndarray:
 def tube_cases(draw):
     pts = draw(point_arrays())
     if draw(st.booleans()):
-        tube = Tube.horizontal(draw(st.one_of(
-            small, st.sampled_from(pts[:, 1].tolist() or [0.0]))))
+        v = draw(st.one_of(small, st.sampled_from(pts[:, 1].tolist() or [0.0])))
+        tube = draw(st.sampled_from([Tube.horizontal(v), Tube(-math.inf, v)]))
     else:
         u = draw(slopes)
         anchor = draw(st.sampled_from(pts.tolist() or [[0.0, 0.0]]))

@@ -92,13 +92,11 @@ def test_survey_config_validation():
     with pytest.raises(ValueError):
         sv.SurveyConfig(n_side=8, m_range=4.0, k_threshold=1.0)
     with pytest.raises(ValueError):
-        sv.SurveyConfig(n_side=8)           # no m_range, no alpha_ratio
+        sv.SurveyConfig(n_side=8)           # no m_range
     with pytest.raises(ValueError):
         sv.SurveyConfig(n_side=8, m_range=2.0)  # default k needs m_range > e
     with pytest.raises(ValueError):
         sv.SurveyConfig(n_side=8, m_range=4.0, mode="quasi")
-    cfg = sv.SurveyConfig(n_side=64, alpha_ratio=2.0)
-    assert cfg.m_range == 32.0
     cfg2 = sv.SurveyConfig(n_side=8, m_range=2.0, k_threshold=1.5)
     assert cfg2.k_threshold == 1.5
 
