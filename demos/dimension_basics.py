@@ -7,7 +7,7 @@ A tour of the basic estimators on sets whose dimension we know exactly.
 
 import numpy as np
 
-from latslice import (gen_cartesian, gen_parabolic_staircase,
+from latslice import (ParabolicStaircase, gen_cartesian,
                       gen_random_dimension, gen_unit_line,
                       counting_dim_profile, dim_1d_profile, dyadic_scales,
                       mass_dim_profile, validate_separation)
@@ -30,7 +30,7 @@ print("lattice estimate:", round(prof.estimate, 4))
 # The parabolic staircase puts k points in the column at x = k^2.  Boxes
 # of size N^2 then hold N(N+1)/2 points and the ratio has the closed form
 # log(N(N+1)/2) / log(N^2), just below 1.
-stair = gen_parabolic_staircase(1024, mode="implicit")
+stair = ParabolicStaircase(1024)
 prof = mass_dim_profile(stair, scales=[2.0 ** 20])
 print("staircase count at 2^20:", prof.counts[0])   # 1024*1025/2
 print("staircase ratio:", round(prof.ratios[0], 6))

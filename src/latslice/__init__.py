@@ -20,14 +20,12 @@ from .finitefield import (ChebyshevReport, DoubleCountError, FFTableRow,
                           ff_line_points, ff_slice_count, is_prime)
 from .generators import (ConeAnnuli, ConeFixedWidth, ConeStaircase,
                          MaterializeError, ParabolicStaircase, ZigzagTrace,
-                         gen_cartesian, gen_cone_annuli, gen_cone_fixed_width,
-                         gen_cone_staircase, gen_parabolic_staircase,
+                         gen_cartesian, gen_parabolic_staircase,
                          gen_random_dimension, gen_random_dimension_1d,
                          gen_unit_line, gen_zigzag, zigzag_tube_counts)
 from .geometry import (BoxSpec, FloorLine, PointSet, SeparationReport, Tube,
                        box_count, read_points, slice_floor_line, slice_tube,
-                       tube_contains, tube_edge_distance, validate_separation,
-                       write_points)
+                       tube_edge_distance, validate_separation, write_points)
 from .survey import (SurveyConfig, SurveyReport, exception_ray_scan,
                      survey_floor_lines, tube_dim_along)
 
@@ -37,14 +35,12 @@ __all__ = [
     "__version__",
     # geometry
     "PointSet", "Tube", "FloorLine", "BoxSpec", "SeparationReport",
-    "validate_separation", "box_count", "tube_contains",
-    "tube_edge_distance", "slice_tube", "slice_floor_line",
-    "read_points", "write_points",
+    "validate_separation", "box_count", "tube_edge_distance", "slice_tube",
+    "slice_floor_line", "read_points", "write_points",
     # generators
     "MaterializeError", "ParabolicStaircase", "ZigzagTrace", "ConeAnnuli",
     "ConeStaircase", "ConeFixedWidth", "gen_unit_line",
     "gen_parabolic_staircase", "gen_zigzag", "zigzag_tube_counts",
-    "gen_cone_annuli", "gen_cone_staircase", "gen_cone_fixed_width",
     "gen_cartesian", "gen_random_dimension", "gen_random_dimension_1d",
     # dimension
     "DimensionProfile", "dyadic_scales", "profile_from_counts",

@@ -24,7 +24,7 @@ from .geometry import BoxSpec, FloorLine, PointSet, Tube, slice_floor_line, \
     slice_tube, tube_edge_distance
 from .survey import SurveyConfig, survey_floor_lines, tube_dim_along
 
-__all__ = ["CriterionResult", "ALL_CRITERIA", "run_all", "run_criterion"]
+__all__ = ["CriterionResult", "ALL_CRITERIA", "run_criterion"]
 
 
 @dataclass
@@ -128,8 +128,8 @@ def criterion_04_tube_width() -> CriterionResult:
 
 def criterion_05_staircase_counts() -> CriterionResult:
     """Parabolic staircase: box [0, N^2]^2 holds N(N+1)/2 points, N <= 1024."""
-    stair = gen.gen_parabolic_staircase(1024, mode="materialize")
-    implicit = gen.gen_parabolic_staircase(1024, mode="implicit")
+    implicit = gen.ParabolicStaircase(1024)
+    stair = implicit.materialize()
     for n in range(1, 1025):
         box = BoxSpec("first_quadrant", float(n * n))
         want = n * (n + 1) // 2
@@ -146,14 +146,14 @@ def criterion_05_staircase_counts() -> CriterionResult:
 def criterion_06_staircase_dimensions() -> CriterionResult:
     """Staircase ratio at l = 2^20 matches the closed form to 1e-12; the
     horizontal slice at height 0 profiles to an estimate in [0.45, 0.55]."""
-    implicit = gen.gen_parabolic_staircase(1024, mode="implicit")
+    implicit = gen.ParabolicStaircase(1024)
     scales = 2.0 ** np.arange(1, 21)
     prof = mass_dim_profile(implicit, scales=scales)
     ratio = float(prof.ratios[-1])
     closed = math.log(1024 * 1025 // 2) / math.log(2 ** 20)
     ratio_ok = abs(ratio - closed) <= 1e-12
 
-    stair = gen.gen_parabolic_staircase(1024, mode="materialize")
+    stair = implicit.materialize()
     slice_prof = tube_dim_along(stair, None, -0.5, scales=scales)
     est = slice_prof.estimate
     return CriterionResult(6, "staircase dimension pair",
@@ -328,7 +328,3 @@ def run_criterion(number: int) -> CriterionResult:
     if not 1 <= number <= len(ALL_CRITERIA):
         raise ValueError(f"no criterion {number}")
     return ALL_CRITERIA[number - 1]()
-
-
-def run_all() -> list[CriterionResult]:
-    return [fn() for fn in ALL_CRITERIA]

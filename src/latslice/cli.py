@@ -173,35 +173,36 @@ def emit_profile_csv(profile: DimensionProfile, path) -> None:
 IMPLICIT_FORMAT = "latslice-implicit-set"
 
 GENERATORS = {
-    "unit_line": (gen.gen_unit_line, ("m", "count"), False),
-    "parabolic_staircase": (gen.gen_parabolic_staircase, ("m_max",), True),
-    "zigzag": (gen.gen_zigzag, ("delta", "n_levels"), False),
-    "cone_annuli": (gen.gen_cone_annuli, ("theta", "k_min", "k_max"), True),
-    "cone_staircase": (gen.gen_cone_staircase, ("theta", "k_max"), True),
-    "cone_fixed_width": (gen.gen_cone_fixed_width,
-                         ("theta", "k0", "n_levels"), True),
-    "cartesian": (gen.gen_cartesian, ("a_values", "b_values"), False),
-    "random_dimension": (gen.gen_random_dimension,
-                         ("alpha", "l_max", "seed"), False),
+    "unit_line": (gen.gen_unit_line, ("m", "count")),
+    "parabolic_staircase": (gen.ParabolicStaircase, ("m_max",)),
+    "zigzag": (gen.gen_zigzag, ("delta", "n_levels")),
+    "cone_annuli": (gen.ConeAnnuli, ("theta", "k_min", "k_max")),
+    "cone_staircase": (gen.ConeStaircase, ("theta", "k_max")),
+    "cone_fixed_width": (gen.ConeFixedWidth, ("theta", "k0", "n_levels")),
+    "cartesian": (gen.gen_cartesian, ("a_values", "b_values")),
+    "random_dimension": (gen.gen_random_dimension, ("alpha", "l_max", "seed")),
 }
 
 
 def _call_generator(kind: str, params: dict, mode: str):
+    """Build ``kind`` from ``params``: a kind whose table entry is an
+    implicit-set class (it has ``materialize``) gives the implicit set in
+    mode "implicit" and its points otherwise."""
     try:
-        fn, names, has_mode = GENERATORS[kind]
+        fn, names = GENERATORS[kind]
     except KeyError:
         raise ConfigError(f"unknown generator kind {kind!r}; "
                           f"choose from {sorted(GENERATORS)}") from None
     unknown = set(params) - set(names)
     if unknown:
         raise ConfigError(f"params not accepted by {kind}: {sorted(unknown)}")
-    kwargs = {k: params[k] for k in names if k in params}
-    if has_mode:
-        kwargs["mode"] = mode
-    elif mode == "implicit":
+    implicit = hasattr(fn, "materialize")
+    if mode == "implicit" and not implicit:
         raise ConfigError(f"kind {kind} has no implicit form")
+    kwargs = {k: params[k] for k in names if k in params}
     try:
-        return fn(**kwargs)
+        obj = fn(**kwargs)
+        return obj.materialize() if implicit and mode == "materialize" else obj
     except TypeError as exc:
         raise ConfigError(f"bad params for {kind}: {exc}") from None
 
@@ -244,7 +245,7 @@ def _run_generate(a: dict, stages: Stages):
                        truncated=trace.truncated,
                        levels=len(trace.lattice_corners) - 1,
                        top_corner=trace.lattice_corners[-1])
-    if mode == "materialize" or isinstance(obj, PointSet):
+    if isinstance(obj, PointSet):
         results["points"] = len(obj)
         return results, [("points_file", a["out"],
                           lambda tmp: write_points(obj, tmp))], None

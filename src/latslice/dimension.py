@@ -66,13 +66,11 @@ class DimensionProfile:
         return len(self.scales)
 
 
-def dyadic_scales(max_scale: float, min_scale: int = 2) -> np.ndarray:
-    """Powers of two from min_scale up to at least max_scale."""
-    if max_scale < min_scale:
-        return np.array([float(min_scale)])
-    top = math.ceil(math.log2(max_scale))
-    lo = int(math.log2(min_scale))
-    return 2.0 ** np.arange(lo, top + 1)
+def dyadic_scales(max_scale: float) -> np.ndarray:
+    """Powers of two from 2 up to at least max_scale."""
+    if max_scale < 2:
+        return np.array([2.0])
+    return 2.0 ** np.arange(1, math.ceil(math.log2(max_scale)) + 1)
 
 
 def _tail_start(ratio_scales: np.ndarray) -> int:
@@ -174,22 +172,19 @@ def _ladder_counts(ps: PointSet, box: BoxSpec, sizes: np.ndarray) -> np.ndarray:
 
 
 def counting_dim_profile(ps: PointSet, window_sizes=None,
-                         placement_strategy: str = "sliding",
                          method: str = "ratio_max_tail") -> DimensionProfile:
     """Counting dimension profile: max count over searched square windows.
 
-    Windows of side s are axis-aligned half-open squares on a regular grid:
-    stride s/2 for the "sliding" strategy (every unit cell of the set then
-    meets exactly four windows per size, so no better placement is missed by
-    more than the half-stride), stride s for "aligned" (a partition).  The
-    search is not exhaustive over all real placements, so the profile is a
-    lower bound on the counting dimension at each scale.  Sizes must be
-    even; the default ladder is dyadic up to the set's extent.
+    Windows of side s are axis-aligned half-open squares on a regular grid
+    of stride s/2, so every unit cell of the set meets exactly four windows
+    per size and no better placement is missed by more than the half-stride.
+    The search is not exhaustive over all real placements, so the profile is
+    a lower bound on the counting dimension at each scale.  Sizes must be
+    even integers from 2 up to below 2^63; the default ladder is dyadic up
+    to the set's extent.
     """
     if not isinstance(ps, PointSet):
         raise ValueError("counting profiles need a materialized PointSet")
-    if placement_strategy not in ("sliding", "aligned"):
-        raise ValueError(f"unknown placement strategy {placement_strategy!r}")
     if window_sizes is None:
         if ps.bbox is None:
             window_sizes = np.array([2.0])
@@ -197,6 +192,9 @@ def counting_dim_profile(ps: PointSet, window_sizes=None,
             x0, y0, x1, y1 = ps.bbox
             window_sizes = dyadic_scales(max(x1 - x0, y1 - y0, 2.0))
     sizes = np.asarray(window_sizes, dtype=float)
+    # checked before the int64 cast, which would wrap inf, nan and 2^63
+    if not np.all((sizes >= 2.0) & (sizes < 2.0 ** 63)):
+        raise ValueError("window sizes must be finite, at least 2 and below 2^63")
     if np.any(sizes != np.floor(sizes)) or np.any(sizes.astype(np.int64) % 2):
         raise ValueError("window sizes must be even integers")
     cx, cy, weight = ps.cell_arrays()
@@ -205,12 +203,10 @@ def counting_dim_profile(ps: PointSet, window_sizes=None,
         if cx.size == 0:
             counts.append(0)
             continue
-        h = s // 2 if placement_strategy == "sliding" else s
-        offsets = (0, -1) if placement_strategy == "sliding" else (0,)
-        qx, qy = cx // h, cy // h
-        wx = np.concatenate([qx + a for a in offsets for b in offsets])
-        wy = np.concatenate([qy + b for a in offsets for b in offsets])
-        w = np.tile(weight, len(offsets) ** 2)
+        qx, qy = cx // (s // 2), cy // (s // 2)
+        wx = np.concatenate([qx, qx, qx - 1, qx - 1])
+        wy = np.concatenate([qy, qy - 1, qy, qy - 1])
+        w = np.tile(weight, 4)
         # pack each window into one int64 key from coordinate ranks, which
         # stay below 4n however far apart the windows are
         _, rx = np.unique(wx, return_inverse=True)
@@ -268,24 +264,18 @@ def _annulus_counts(svals: np.ndarray, levels: np.ndarray) -> np.ndarray:
 
 
 def annulus_profile(ps: PointSet, u: float,
-                    height_levels=None) -> tuple[np.ndarray, np.ndarray]:
+                    height_levels) -> tuple[np.ndarray, np.ndarray]:
     """Counts of points of the tube through the origin at slope parameter u
     whose axial coordinate lies in (m/2, m], per level m.
 
     The annuli are the gaps between nested tube-aligned boxes of sizes m
     and m/2 sitting inside t_{u,0}, so together with a base count they
-    telescope to slanted box counts.  Defaults to every integer level up to
-    the axial extent of the slice.
+    telescope to slanted box counts.
     """
     svals = _axial_sorted(ps, Tube(u, 0.0))
-    levels = height_levels
-    if levels is None:
-        top = int(math.floor(svals[-1])) if svals.size else 1
-        levels = np.arange(1, min(top, 1_000_000) + 1, dtype=np.int64)
-    else:
-        levels = np.asarray(levels, dtype=np.int64)
-        if np.any(levels < 1):
-            raise ValueError("levels must be positive integers")
+    levels = np.asarray(height_levels, dtype=np.int64)
+    if np.any(levels < 1):
+        raise ValueError("levels must be positive integers")
     return levels, _annulus_counts(svals, levels.astype(float))
 
 

@@ -260,20 +260,19 @@ class FFTableRow:
     markov_bound: float
 
 
-def ff_exception_limit_table(set_rule, primes, k_rule=None) -> list[FFTableRow]:
+def ff_exception_limit_table(set_rule, primes) -> list[FFTableRow]:
     """Good-line fractions across growing primes.
 
-    ``set_rule(p)`` supplies the set per prime; ``k_rule(p)`` the threshold
-    factor (default ln p).  With k growing, the Markov floor 1 - 1/k climbs
-    toward 1, which is the finite-field exception-set limit displayed at
-    desk scale.
+    ``set_rule(p)`` supplies the set per prime; the threshold factor is
+    k = ln p.  With k growing, the Markov floor 1 - 1/k climbs toward 1,
+    which is the finite-field exception-set limit displayed at desk scale.
     """
     rows = []
     for p in primes:
         B = set_rule(p)
         if B.p != p:
             raise ValueError(f"set_rule returned a set over p={B.p}, wanted {p}")
-        k = float(k_rule(p)) if k_rule is not None else math.log(p)
+        k = math.log(p)
         rep = ff_chebyshev_fraction(B, k)
         dim = math.log(B.cardinality) / math.log(p) if B.cardinality else 0.0
         rows.append(FFTableRow(p=p, cardinality=B.cardinality, dim=dim, k=k,

@@ -1,14 +1,16 @@
 """Constructions of 1-separated planar sets with prescribed dimension pairs.
 
-Materialized generators return :class:`~latslice.geometry.PointSet`.  The
-cone-based families blow up doubly exponentially, so they also come in an
-implicit flavor: an object carrying an exact membership predicate and exact
-closed-form rectangle counts (floor sums over each band, never a sweep over
-rows), usable by the dimension profilers without ever enumerating points.
-Counts are Python ints, exact at any band however far they pass 2^64.
-Implicit and materialized modes agree exactly wherever both are defined; all
-generators are deterministic functions of their parameters (plus an explicit
-seed for the random family).
+The ``gen_*`` functions return :class:`~latslice.geometry.PointSet`.  The
+staircase and the cone-based families (which blow up doubly exponentially)
+are also classes, ``ParabolicStaircase``, ``ConeAnnuli``, ``ConeStaircase``
+and ``ConeFixedWidth``: an instance is the implicit set, carrying an exact
+membership predicate and exact closed-form rectangle counts (floor sums over
+each band, never a sweep over rows), usable by the dimension profilers
+without ever enumerating points, and its ``materialize()`` returns the
+points.  Counts are Python ints, exact at any band however far they pass
+2^64.  The implicit set and its points agree exactly wherever both are
+defined; all generators are deterministic functions of their parameters
+(plus an explicit seed for the random family).
 
 Angular conventions for the cone families: the cone axis is vertical and
 "angle" is measured as horizontal slope offset x/y (exact to first order for
@@ -34,9 +36,6 @@ __all__ = [
     "ParabolicStaircase",
     "ZigzagTrace",
     "gen_cartesian",
-    "gen_cone_annuli",
-    "gen_cone_fixed_width",
-    "gen_cone_staircase",
     "gen_parabolic_staircase",
     "gen_random_dimension",
     "gen_random_dimension_1d",
@@ -145,17 +144,8 @@ class ParabolicStaircase(_ImplicitSet):
         return PointSet(pts)
 
 
-def gen_parabolic_staircase(m_max: int, mode: str = "materialize"):
-    return _in_mode(ParabolicStaircase(m_max), mode)
-
-
-def _in_mode(family, mode: str):
-    """The implicit family itself, or its materialized point set."""
-    if mode == "implicit":
-        return family
-    if mode == "materialize":
-        return family.materialize()
-    raise ValueError(f"unknown mode {mode!r}")
+def gen_parabolic_staircase(m_max: int) -> PointSet:
+    return ParabolicStaircase(m_max).materialize()
 
 
 def _int_span(lo, hi) -> tuple[int, int] | None:
@@ -539,11 +529,6 @@ class ConeAnnuli(_BandedSet):
         return _bands_materialize(self)
 
 
-def gen_cone_annuli(theta: float, k_min: int, k_max: int,
-                    mode: str = "implicit"):
-    return _in_mode(ConeAnnuli(theta, k_min, k_max), mode)
-
-
 @dataclass(frozen=True)
 class ConeStaircase(_BandedSet):
     """Band-k rows filled over the slope interval [sigma_k, sigma_k + theta/2^(2^k)).
@@ -589,10 +574,6 @@ class ConeStaircase(_BandedSet):
 
     def materialize(self) -> PointSet:
         return _bands_materialize(self)
-
-
-def gen_cone_staircase(theta: float, k_max: int, mode: str = "implicit"):
-    return _in_mode(ConeStaircase(theta, k_max), mode)
 
 
 @dataclass(frozen=True)
@@ -644,11 +625,6 @@ class ConeFixedWidth(_BandedSet):
 
     def materialize(self) -> PointSet:
         return _bands_materialize(self)
-
-
-def gen_cone_fixed_width(theta: float, k0: int, n_levels: int | None = None,
-                         mode: str = "implicit"):
-    return _in_mode(ConeFixedWidth(theta, k0, n_levels), mode)
 
 
 # ---------------------------------------------------------------------------

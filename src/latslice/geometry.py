@@ -47,7 +47,6 @@ __all__ = [
     "read_points",
     "slice_floor_line",
     "slice_tube",
-    "tube_contains",
     "tube_edge_distance",
     "validate_separation",
     "write_points",
@@ -133,10 +132,6 @@ class Tube:
         r = math.copysign(math.sqrt(1.0 + self.u ** 2), self.u)
         return (np.asarray(x, dtype=float) + self.u * np.asarray(y, dtype=float)) / r
 
-    def shifted(self, k: float) -> "Tube":
-        """The tube displaced k width units along the perpendicular."""
-        return Tube(self.u, self.v + k)
-
 
 def _check_square(u: float, what: str) -> None:
     """Reject a slope whose square overflows: the aligned coordinates and
@@ -146,11 +141,6 @@ def _check_square(u: float, what: str) -> None:
     except OverflowError:
         raise ValueError(f"{what} slope u={u!r} is too steep: u^2 overflows "
                          "(|u| must stay below about 1.3e154)") from None
-
-
-def tube_contains(tube: Tube, point) -> bool:
-    x, y = point
-    return bool(tube.contains(float(x), float(y)))
 
 
 def tube_edge_distance(tube: Tube) -> float:
@@ -309,9 +299,9 @@ class PointSet:
     Slicing computes a row interval for every occupied column at once and
     finds the matching cells with one ``searchsorted`` on packed keys.  The
     index is built on the first call that needs it (``contains``,
-    ``cell_arrays``, ``max_cell_population``, ``slice_tube``,
-    ``slice_floor_line``) and kept, so a set that is only counted in boxes,
-    validated or written never pays for it.
+    ``cell_arrays``, ``slice_tube``, ``slice_floor_line``) and kept, so a
+    set that is only counted in boxes, validated or written never pays for
+    it.
 
     Box counts have their own cache, ``_box_keys``: for each axis box kind
     (first-quadrant and centered) the points' ``BoxSpec.key`` values,
@@ -389,10 +379,6 @@ class PointSet:
             return False
         pts = self.points[self._points_in_rows([col], [cy], [cy])]
         return bool(np.any((pts[:, 0] == x) & (pts[:, 1] == y)))
-
-    def max_cell_population(self) -> int:
-        self._index()
-        return int(np.diff(self._cell_start).max(initial=0))
 
     def cell_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Occupied unit cells and their populations, sorted by cell."""

@@ -257,6 +257,30 @@ def test_implicit_descriptor_flow(tmp_path, capsys):
     assert dim["results"]["top_count"] == 524800
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("parabolic_staircase", {"m_max": 64}),
+    ("cone_annuli", {"theta": 0.3, "k_min": 0, "k_max": 2}),
+    ("cone_staircase", {"theta": 0.5, "k_max": 3}),
+    ("cone_fixed_width", {"theta": 0.5, "k0": 1, "n_levels": 2}),
+])
+@pytest.mark.parametrize("box", ["first_quadrant", "centered"])
+def test_implicit_descriptor_counts_match_its_point_file(kind, params, box,
+                                                          tmp_path, capsys):
+    # a kind has an implicit form when its generator is an implicit-set
+    # class; its descriptor and its materialized points count alike
+    profiles = []
+    for mode, name in (("implicit", "set.json"), ("materialize", "set.txt")):
+        path = tmp_path / name
+        run_json(["generate", "--kind", kind, "--params", json.dumps(params),
+                  "--mode", mode, "--out", str(path)], capsys)
+        csv = tmp_path / f"{mode}.csv"
+        run_json(["dim", "--in", str(path), "--scales", "dyadic:131072",
+                  "--kind", box, "--out", str(csv)], capsys)
+        profiles.append(csv.read_text())
+    assert profiles[0] == profiles[1]
+    assert int(profiles[0].splitlines()[-1].split(",")[1]) > 0
+
+
 def test_repro_example2(capsys):
     rc, out = run_cli(["repro", "example2"], capsys)
     assert rc == 0

@@ -40,7 +40,7 @@ def test_mass_x_axis_is_one_dimensional():
 
 
 def test_mass_staircase_closed_form_at_top_scale():
-    stair = gen.gen_parabolic_staircase(1024, mode="implicit")
+    stair = gen.ParabolicStaircase(1024)
     prof = dim.mass_dim_profile(stair, scales=[2.0 ** 20])
     want = math.log(1024 * 1025 // 2) / math.log(2.0 ** 20)
     assert prof.ratios[-1] == pytest.approx(want, abs=1e-12)
@@ -107,7 +107,7 @@ def test_counting_is_translation_robust_where_mass_degrades():
 def test_counting_window_on_cone_band_is_solid():
     # bands taller than the window contain fully filled squares, so the
     # max-placement search reports side^2 there
-    ps = gen.gen_cone_annuli(0.2, 0, 2, mode="materialize")
+    ps = gen.ConeAnnuli(0.2, 0, 2).materialize()
     prof = dim.counting_dim_profile(ps, window_sizes=[4.0])
     assert prof.counts[0] == 16
 
@@ -133,17 +133,22 @@ def test_counting_rejects_odd_windows_and_bad_strategy():
     ps = gen.gen_cartesian([0, 1], [0, 1])
     with pytest.raises(ValueError):
         dim.counting_dim_profile(ps, window_sizes=[3.0])
-    with pytest.raises(ValueError):
-        dim.counting_dim_profile(ps, placement_strategy="everywhere")
 
 
-def test_counting_sliding_at_least_aligned():
-    ps = gen.gen_random_dimension(1.3, 512, seed=8)
-    sizes = [8.0, 32.0, 128.0]
-    slid = dim.counting_dim_profile(ps, window_sizes=sizes)
-    alig = dim.counting_dim_profile(ps, window_sizes=sizes,
-                                    placement_strategy="aligned")
-    assert np.all(slid.counts >= alig.counts)
+@pytest.mark.parametrize("top", [math.inf, -math.inf, math.nan, 2.0 ** 63,
+                                 2.0 ** 64, 0.0, -2.0])
+def test_counting_rejects_window_sizes_out_of_range(top):
+    # the int64 cast wraps inf, nan and 2^63 to -2^63, a window side that
+    # counts without error, so these sizes must be refused before it
+    ps = gen.gen_cartesian(range(8), range(8))
+    with pytest.raises(ValueError, match="2\\^63"):
+        dim.counting_dim_profile(ps, window_sizes=[2.0, top])
+
+
+def test_counting_window_of_side_2_62_holds_the_whole_set():
+    ps = gen.gen_cartesian(range(8), range(8))
+    prof = dim.counting_dim_profile(ps, window_sizes=[2.0, 2.0 ** 62])
+    assert prof.counts.tolist() == [4, 64]
 
 
 def test_mass_at_most_counting_at_same_scales():

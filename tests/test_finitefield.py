@@ -311,15 +311,6 @@ def test_exception_limit_table_growing_primes():
     assert ks == sorted(ks)
 
 
-def test_exception_limit_table_custom_k_rule():
-    rows = ff.ff_exception_limit_table(
-        lambda p: ff.FiniteFieldSet.full(p), (5, 7), k_rule=lambda p: 2.0)
-    for r in rows:
-        assert r.k == 2.0
-        assert r.good_fraction == 1.0
-        assert r.dim == 2.0
-
-
 # ---------------------------------------------------------------------------
 # Dimension inequality
 # ---------------------------------------------------------------------------

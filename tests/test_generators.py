@@ -61,7 +61,7 @@ def test_staircase_triangular_count():
 
 
 def test_staircase_implicit_matches_materialized():
-    implicit = gen.gen_parabolic_staircase(64, mode="implicit")
+    implicit = gen.ParabolicStaircase(64)
     ps = gen.gen_parabolic_staircase(64)
     rng = np.random.default_rng(9)
     for _ in range(50):
@@ -73,7 +73,7 @@ def test_staircase_implicit_matches_materialized():
 
 
 def test_staircase_membership():
-    implicit = gen.gen_parabolic_staircase(8, mode="implicit")
+    implicit = gen.ParabolicStaircase(8)
     assert implicit.contains(4, 1)
     assert not implicit.contains(4, 2)      # column x=4 has rows 0..1
     assert not implicit.contains(5, 0)      # not a perfect square
@@ -355,7 +355,7 @@ def test_cone_annuli_rejects_non_integer_queries():
 
 
 def test_cone_annuli_separated():
-    ps = gen.gen_cone_annuli(0.4, 0, 2, mode="materialize")
+    ps = gen.ConeAnnuli(0.4, 0, 2).materialize()
     assert validate_separation(ps).valid
 
 

@@ -6,8 +6,8 @@ import pytest
 
 from latslice.geometry import (BoxSpec, FloorLine, PointSet, Tube, box_count,
                                read_points, slice_floor_line, slice_tube,
-                               tube_contains, tube_edge_distance,
-                               validate_separation, write_points)
+                               tube_edge_distance, validate_separation,
+                               write_points)
 
 
 def naive_min_distance(pts: np.ndarray) -> float:
@@ -65,12 +65,6 @@ def test_cell_index_assigns_each_point_once():
     assert np.all(seen == 1)
 
 
-def test_max_cell_population_bound_for_separated_lattice():
-    xs, ys = np.meshgrid(np.arange(10), np.arange(10))
-    ps = PointSet(np.column_stack([xs.ravel(), ys.ravel()]))
-    assert ps.max_cell_population() == 1
-
-
 # ---------------------------------------------------------------------------
 # Separation
 # ---------------------------------------------------------------------------
@@ -120,9 +114,9 @@ def test_separation_permutation_invariant():
 
 def test_tube_contains_reference_points():
     t = Tube(1.0, 0.0)
-    assert tube_contains(t, (0.0, 1.0))      # 0 < 1 <= sqrt(2)
-    assert not tube_contains(t, (0.0, 0.0))  # lower edge open
-    assert tube_contains(t, (0.0, math.sqrt(2.0)))  # upper edge closed
+    assert t.contains(0.0, 1.0)      # 0 < 1 <= sqrt(2)
+    assert not t.contains(0.0, 0.0)  # lower edge open
+    assert t.contains(0.0, math.sqrt(2.0))  # upper edge closed
 
 
 def test_tube_edge_points_exact():
@@ -133,10 +127,10 @@ def test_tube_edge_points_exact():
     for x in (-3.0, 0.0, 7.5):
         y_up = -(1.0 / u) * x + (v + 1.0) * w
         y_lo = -(1.0 / u) * x + v * w
-        assert tube_contains(t, (x, y_up))
-        assert not tube_contains(t, (x, y_lo))
-        assert not tube_contains(t, (x, y_lo - 1e-6))
-        assert tube_contains(t, (x, y_lo + 1e-6))
+        assert t.contains(x, y_up)
+        assert not t.contains(x, y_lo)
+        assert not t.contains(x, y_lo - 1e-6)
+        assert t.contains(x, y_lo + 1e-6)
 
 
 def test_tube_width_samples():
@@ -178,9 +172,9 @@ def test_steep_slopes_whose_square_overflows_are_rejected():
 def test_horizontal_tube():
     t = Tube.horizontal(2.0)
     assert Tube.horizontal(2.0) == Tube(math.inf, 2.0)
-    assert tube_contains(t, (100.0, 3.0))
-    assert not tube_contains(t, (100.0, 2.0))
-    assert tube_contains(t, (0.0, 2.5))
+    assert t.contains(100.0, 3.0)
+    assert not t.contains(100.0, 2.0)
+    assert t.contains(0.0, 2.5)
     assert tube_edge_distance(t) == 1.0
 
 
@@ -191,7 +185,7 @@ def test_tube_offsets_tile_the_plane():
         pts = rng.uniform(-10, 10, size=(50, 2))
         for x, y in pts:
             hits = [k for k in range(-40, 41)
-                    if tube_contains(Tube(u, float(k)), (x, y))]
+                    if Tube(u, float(k)).contains(x, y)]
             assert len(hits) == 1
 
 
@@ -201,15 +195,9 @@ def test_tube_coordinates_roundtrip():
     s = t.axial_coord(x, y)
     tau = t.perp_coord(x, y)
     # perpendicular coordinate decides membership in the v-shifted tube
-    assert tube_contains(Tube(-0.7, math.floor(tau)), (x, y)) \
+    assert Tube(-0.7, math.floor(tau)).contains(x, y) \
         == (math.floor(tau) < tau)
     assert math.hypot(s, tau) == pytest.approx(math.hypot(x, y))
-
-
-def test_tube_shifted():
-    t = Tube(1.5, 0.25)
-    assert t.shifted(2.0).v == 2.25
-    assert t.shifted(2.0).u == t.u
 
 
 # ---------------------------------------------------------------------------

@@ -154,7 +154,6 @@ def test_cell_arrays_match_naive_histogram(pts):
     assert np.array_equal(cx, cells[:, 0])
     assert np.array_equal(cy, cells[:, 1])
     assert np.array_equal(pop, counts)
-    assert ps.max_cell_population() == (int(counts.max()) if counts.size else 0)
 
 
 @SETTINGS
