@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .generators import MAX_MATERIALIZE_POINTS, MaterializeError
+
 __all__ = [
     "ChebyshevReport",
     "DoubleCountError",
@@ -154,8 +156,16 @@ def ff_line_count_matrix(B: FiniteFieldSet) -> np.ndarray:
     drops by s * block.  In unsigned arithmetic a key whose residue fell
     below 0 wraps past every valid key, so the smaller of (key - s * block)
     and (key + (p - s) * block) is the stepped key.
+
+    A prime whose matrix would hold more than ``MAX_MATERIALIZE_POINTS``
+    entries (p > 4463) raises ``MaterializeError`` before anything is
+    allocated.
     """
     p = B.p
+    if p * p > MAX_MATERIALIZE_POINTS:
+        raise MaterializeError(
+            f"the line matrix for p={p} holds {p * p} counts, more than "
+            f"{MAX_MATERIALIZE_POINTS}")
     xs, ys = np.nonzero(B.grid)
     block = max(1, min(p, _BLOCK_KEYS // p))
     lane = np.arange(block)[:, None]

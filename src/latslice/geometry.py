@@ -33,9 +33,9 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 __all__ = [
     "BoxSpec",
@@ -417,30 +417,266 @@ class PointSet:
 
 @dataclass(frozen=True)
 class SeparationReport:
+    """What ``validate_separation`` found.
+
+    ``valid`` is exact: it is True exactly when every two points lie at a
+    real distance of at least 1.  ``min_distance`` is a float, the least
+    ``sqrt(dx*dx + dy*dy)`` over all pairs evaluated in float64 (``inf`` for
+    a single point, and also when every such sum overflows), and
+    ``closest_pair`` is the smallest (i, j), i < j, at that distance (None
+    for a single point).
+    """
+
     min_distance: float
     closest_pair: tuple[int, int] | None
     valid: bool
 
 
-def validate_separation(ps: PointSet) -> SeparationReport:
-    """Exact minimum pairwise distance and the 1-separation verdict.
+# The sieve's random choices change how many rounds it takes, never its
+# answer, so one fixed seed keeps every run of it the same.
+_SIEVE_SEED = 1976
+# A float distance f = fl(sqrt(fl(dx*dx) + fl(dy*dy))), fl(dx) = fl(x_j - x_i),
+# rounds four times on each path (difference, square, sum, square root) by
+# a relative 2^-53 at most, and the square root halves the error of its
+# argument, so near 1 it lies within 4 * 2^-53 of the real distance.  Pairs
+# with f within 2^-40 of 1 are the only ones whose side of 1 the floats
+# cannot tell.
+_BAND = 2.0 ** -40
+# f == 0 only when dx*dx and dy*dy both round to 0, so |dx|, |dy| < 2^-537;
+# any other f is at least 2^-537.
+_ZERO_REACH = 2.0 ** -537
+# A finite f is below 2^512, as its square does not overflow; a pair whose
+# f is inf is at least 2^512 * (1 - 2^-52) apart.
+_FAR_REACH = 2.0 ** 512
+_PAIR_CHUNK = 1 << 15
 
-    Uses a k-d tree nearest-neighbor query, which is exact for any point
-    distribution (a fixed-radius neighbor-cell sweep is not: the closest pair
-    of a sparse set need not share adjacent unit cells).
+
+def validate_separation(ps: PointSet) -> SeparationReport:
+    """Minimum pairwise distance, closest pair and the exact 1-separation
+    verdict (see ``SeparationReport`` for what is exact and what is a
+    float).
+
+    A randomized sieve (Khuller and Matias 1995, "A simple randomized sieve
+    algorithm for the closest-pair problem", after Rabin 1976) finds a
+    float distance d at or above the least one such that a grid of mesh
+    about d holds O(1) points a cell; the pairs in neighbouring cells of
+    that grid then include every pair at float distance d or less.  When d
+    is near 1 the grid also reaches every pair whose float distance is
+    within rounding of 1, and those pairs are decided exactly.  The
+    expected time is O(n log n), however the points are spaced.
     """
     n = len(ps)
     if n == 0:
         raise ValueError("validate_separation requires a non-empty set")
     if n == 1:
         return SeparationReport(math.inf, None, True)
-    tree = cKDTree(ps.points)
-    dist, nbr = tree.query(ps.points, k=2)
-    d = dist[:, 1]
-    i = int(np.argmin(d))
-    j = int(nbr[i, 1])
-    mind = float(d[i])
-    return SeparationReport(mind, (min(i, j), max(i, j)), bool(mind >= 1.0))
+    pts = ps.points
+    d = _sieve(pts)
+    if d == 0.0:
+        # repeated points would crowd one cell: keep the first of each, and
+        # its first two indices as the pair that stands for the repeats
+        rep, twins = _distinct(pts)
+        i, j, f = _near_pairs(pts[rep], _ZERO_REACH)
+        i = np.concatenate([rep[i], twins[:, 0]])
+        j = np.concatenate([rep[j], twins[:, 1]])
+        f = np.concatenate([f, np.zeros(len(twins))])
+    else:
+        reach = max(d, 1.0 + _BAND) if d >= 1.0 - _BAND else d
+        i, j, f = _near_pairs(pts, min(reach, _FAR_REACH))
+    if f.size == 0:
+        # every pair is at float distance inf, so (0, 1) is the first of them
+        return SeparationReport(math.inf, (0, 1), True)
+    least = f.min()
+    at = f == least
+    lo, hi = np.minimum(i[at], j[at]), np.maximum(i[at], j[at])
+    first = lo.min()
+    pair = (int(first), int(hi[lo == first].min()))
+    return SeparationReport(float(least), pair, _separated(pts, i, j, f))
+
+
+def _sieve(pts: np.ndarray) -> float:
+    """The last nearest-neighbour distance of the closest-pair sieve.
+
+    Each round takes a random point p of the remaining set S and d, its
+    float distance to the nearest other point of S; then lays a grid whose
+    mesh is the largest power of two at most d/3 and drops every point
+    alone in its 3x3 block of cells.  p is always dropped, as a point of
+    its block would be less than 2 sqrt(2) d/3 < d from it, so S shrinks
+    every round.  A point dropped is more than the mesh from every other
+    point of S, and each round's d is below the last, so when S is empty
+    the least float distance over all pairs lies between d/6 and d for the
+    last d.  Returns 0 as soon as a round finds a point at float distance 0
+    from p.
+    """
+    rng = np.random.default_rng(_SIEVE_SEED)
+    live = np.arange(len(pts))
+    d = math.inf
+    while live.size:
+        at = int(rng.integers(live.size))
+        delta = pts[live] - pts[live[at]]
+        with np.errstate(over="ignore"):
+            f = np.sqrt(delta[:, 0] * delta[:, 0] + delta[:, 1] * delta[:, 1])
+        f[at] = math.inf
+        d = float(f.min())
+        if d == 0.0:
+            return 0.0
+        mesh = math.ldexp(1.0, math.frexp(min(d, _FAR_REACH) / 3.0)[1] - 1)
+        alone = _alone(*_cell_keys(pts[live], mesh))
+        if not alone[at]:
+            raise ArithmeticError("closest-pair sieve failed to drop its "
+                                  "sampled point: the cell keys are wrong")
+        live = live[~alone]
+    return d
+
+
+def _cell_keys(pts: np.ndarray, mesh: float) -> tuple[np.ndarray, int]:
+    """Packed cell key ``column code * stride + row code`` of each point on
+    a grid of power-of-two ``mesh``, and the stride.
+
+    Two columns (rows) 0, 1 or 2 apart get codes as far apart, and any
+    others codes at least 3 apart.  The stride exceeds every row code by 3,
+    so the cells within 2 columns and 2 rows of a cell are its key plus
+    ``dx * stride + dy`` for |dx|, |dy| <= 2, and none of those keys names
+    a cell of another column.  Codes are renumbered by rank when the packed
+    keys would not fit in int64.
+    """
+    cx, cy = _axis_codes(pts[:, 0], mesh), _axis_codes(pts[:, 1], mesh)
+    if (int(cx.max()) + 1) * (int(cy.max()) + 3) >= 2 ** 62:
+        cx, cy = _rank_codes(cx), _rank_codes(cy)
+    stride = int(cy.max()) + 3
+    return cx * stride + cy, stride
+
+
+def _axis_codes(x: np.ndarray, mesh: float) -> np.ndarray:
+    """Column codes of ``x`` on a grid of power-of-two ``mesh``, from 0.
+
+    Multiplying by 1/mesh, a power of two, is exact short of overflow and
+    underflow, so floor(x / mesh) is the exact column wherever it is below
+    2^54 in magnitude; a negative x whose quotient underflows to -0 is in
+    column -1.  The code is the column less the least one.  A coordinate
+    at 2^54 meshes or beyond is at least 2 meshes from every other one,
+    farther than any pair the callers look for, so each such value gets a
+    code of its own, 3 apart from all the others.
+    """
+    with np.errstate(over="ignore"):
+        col = np.floor(x * (1.0 / mesh))
+    col[(col == 0.0) & (x < 0.0)] = -1.0
+    near = np.abs(col) < 2.0 ** 54
+    codes = np.where(near, col, 0.0).astype(np.int64)
+    if near.all():
+        return codes - codes.min()
+    if near.any():
+        codes[near] -= codes[near].min()
+    top = codes[near].max(initial=0)
+    codes[~near] = top + 3 + 3 * np.unique(x[~near], return_inverse=True)[1]
+    return codes
+
+
+def _rank_codes(codes: np.ndarray) -> np.ndarray:
+    """Codes below 3n that keep every gap of 1 or 2 and cut wider ones to
+    3: the distinct codes in order."""
+    values, inverse = np.unique(codes, return_inverse=True)
+    step = np.minimum(np.diff(values), 3)
+    return np.concatenate([[0], np.cumsum(step)])[inverse]
+
+
+def _alone(keys: np.ndarray, stride: int) -> np.ndarray:
+    """Whether each point is the only one in the 3x3 block of cells around
+    its own cell.
+
+    The cells of a column come in key order, so the cells just above and
+    below a cell are its neighbours in the sorted list of cells, and its
+    three neighbours in the next column form one run of that list, found by
+    one pair of searches; marking each such run marks the neighbours in the
+    column before as well.
+    """
+    cells, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    lo = np.searchsorted(cells, cells + (stride - 1), side="left")
+    hi = np.searchsorted(cells, cells + (stride + 1), side="right")
+    m = len(cells)
+    runs = np.bincount(lo, minlength=m + 1) - np.bincount(hi, minlength=m + 1)
+    before = np.cumsum(runs)
+    busy = (counts > 1) | (hi > lo) | (before[:m] > 0)
+    above = cells[1:] == cells[:-1] + 1
+    busy[:-1] |= above
+    busy[1:] |= above
+    return ~busy[inverse]
+
+
+def _near_pairs(pts: np.ndarray, reach: float):
+    """Every pair (i, j), i != j, at float distance ``reach`` or less, with
+    its distance f, as three arrays.
+
+    A pair at float distance f <= reach is at most v = reach * (1 + 2^-50)
+    + 2^-537 apart along each axis (the last term covers squares that
+    underflow), so on a grid whose mesh is the largest power of two at most
+    v, its two cells are at most 2 columns and 2 rows apart.  With the
+    points sorted by cell key, each is paired with three runs: the points
+    after it up to the end of the cell two above its own, and the 5 cells
+    of each of the next two columns from two below to two above its row.
+    (A 3x3 block of cells twice as wide holds about 1.4 times as many
+    pairs.)  The pairs are built a few thousand points at a time, so memory
+    stays bounded.
+    """
+    mesh = math.ldexp(1.0, math.frexp(reach * (1.0 + 2.0 ** -50) + _ZERO_REACH)[1] - 1)
+    keys, stride = _cell_keys(pts, mesh)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    xs, ys = pts[order, 0], pts[order, 1]
+    found = []
+    for start in range(0, len(keys), _PAIR_CHUNK):
+        a = np.arange(start, min(start + _PAIR_CHUNK, len(keys)))
+        k = keys[a]
+        lo = np.concatenate([a + 1] + [np.searchsorted(keys, k + (c * stride - 2))
+                                       for c in (1, 2)])
+        hi = np.concatenate([np.searchsorted(keys, k + (c * stride + 2), side="right")
+                             for c in (0, 1, 2)])
+        length = hi - lo
+        skip = np.repeat(lo - (np.cumsum(length) - length), length)
+        second = np.arange(len(skip)) + skip
+        dx = xs[second] - np.repeat(np.tile(xs[a], 3), length)
+        dy = ys[second] - np.repeat(np.tile(ys[a], 3), length)
+        with np.errstate(over="ignore"):
+            f = np.sqrt(dx * dx + dy * dy)
+        keep = np.flatnonzero(f <= reach)
+        first = np.repeat(np.tile(a, 3), length)[keep]
+        found.append((order[first], order[second[keep]], f[keep]))
+    return tuple(np.concatenate(part) for part in zip(*found))
+
+
+def _distinct(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first index of each distinct point, and for each point that
+    repeats, its first two indices."""
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    ordered = pts[order]
+    repeat = np.concatenate([[False], np.all(ordered[1:] == ordered[:-1], axis=1)])
+    twin = np.flatnonzero(~repeat[:-1] & repeat[1:])
+    return order[~repeat], np.column_stack([order[twin], order[twin + 1]])
+
+
+def _separated(pts: np.ndarray, i: np.ndarray, j: np.ndarray, f: np.ndarray) -> bool:
+    """Whether every pair (i[k], j[k]) is at a real distance of at least 1,
+    given their float distances ``f`` and that every pair at float distance
+    1 + _BAND or less is among them.
+
+    Outside the band the float distance decides.  Inside it, a pair whose
+    four coordinates are integers has exact differences of at most 1, so
+    its squared distance is exact in floats; any other pair compares
+    dx^2 + dy^2 with 1 in rationals.
+    """
+    if np.any(f < 1.0 - _BAND):
+        return False
+    band = f <= 1.0 + _BAND
+    i, j = i[band], j[band]
+    whole = np.all(pts == np.trunc(pts), axis=1)
+    both = whole[i] & whole[j]
+    d = pts[j[both]] - pts[i[both]]
+    if np.any(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] < 1.0):
+        return False
+    rest = zip(pts[i[~both]].tolist(), pts[j[~both]].tolist())
+    return all((Fraction(xb) - Fraction(xa)) ** 2
+               + (Fraction(yb) - Fraction(ya)) ** 2 >= 1
+               for (xa, ya), (xb, yb) in rest)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from latslice import cli
+from latslice.generators import MAX_MATERIALIZE_POINTS
 
 
 def run_cli(argv, capsys):
@@ -189,6 +190,15 @@ def test_ff_set_missing_file_gives_io_exit(tmp_path, capsys):
     rc = cli.main(["ff", "--p", "7", "--set", str(tmp_path / "none.txt")])
     assert rc == 4
     assert "cannot read --set file" in capsys.readouterr().err
+
+
+def test_ff_refuses_a_line_matrix_beyond_the_materialize_cap(capsys):
+    # 4463 is the largest prime whose p x p matrix fits under the cap
+    assert 4463 ** 2 <= MAX_MATERIALIZE_POINTS < 4481 ** 2
+    rc = cli.main(["ff", "--p", "4481", "--set", "full", "--verify", "identity"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "line matrix for p=4481" in captured.err
 
 
 def _stable(report_text):
