@@ -67,10 +67,20 @@ class DimensionProfile:
 
 
 def dyadic_scales(max_scale: float) -> np.ndarray:
-    """Powers of two from 2 up to at least max_scale."""
+    """Powers of two from 2 up to the least one at least max_scale.
+
+    The top is read off the binary exponent, so it is exact next to a power
+    of two; a max_scale past 2^1023, the largest float power of two, is
+    refused rather than topped with inf.
+    """
     if max_scale < 2:
         return np.array([2.0])
-    return 2.0 ** np.arange(1, math.ceil(math.log2(max_scale)) + 1)
+    mantissa, exponent = math.frexp(max_scale)
+    top = exponent - 1 if mantissa == 0.5 else exponent
+    if not math.isfinite(max_scale) or top > 1023:
+        raise ValueError(f"max_scale={max_scale!r} needs a power of two past "
+                         "2^1023, the largest float one")
+    return 2.0 ** np.arange(1, top + 1)
 
 
 def _tail_start(ratio_scales: np.ndarray) -> int:
@@ -176,44 +186,154 @@ def counting_dim_profile(ps: PointSet, window_sizes=None,
     """Counting dimension profile: max count over searched square windows.
 
     Windows of side s are axis-aligned half-open squares on a regular grid
-    of stride s/2, so every unit cell of the set meets exactly four windows
-    per size and no better placement is missed by more than the half-stride.
-    The search is not exhaustive over all real placements, so the profile is
-    a lower bound on the counting dimension at each scale.  Sizes must be
-    even integers from 2 up to below 2^63; the default ladder is dyadic up
-    to the set's extent.
+    of stride h = s/2, so every unit cell of the set meets exactly four
+    windows per size and no better placement is missed by more than the
+    half-stride.  The search is not exhaustive over all real placements, so
+    the profile is a lower bound on the counting dimension at each scale.
+    Sizes must be strictly increasing even integers from 2 up to below
+    2^63; the default ladder is dyadic up to the set's extent, and a set
+    spanning more than 2^62 needs ``window_sizes`` given.
+
+    The sizes are counted in increasing order without a sort per size
+    (``_window_maxima``).  A block is a cell of the stride-h grid.  Its
+    column and row come from the occupied columns and rows of the cell
+    index by floor division, which is monotone, so the distinct block
+    columns are the starts of runs in a sorted array and a ``cumsum`` over
+    the run starts ranks them (rank runs).  When the previous h divides the
+    next, the next size's blocks are built from the previous size's merged
+    blocks by the same division (the chain); otherwise they restart from
+    the cells.  On a dyadic ladder only the first division touches every
+    cell, and the blocks thin out as the windows grow.  Each block adds its weight to the four windows that hold it,
+    keyed by window-corner codes in a grid of 2 x 2 codes per pair of
+    block ranks.  The keys are summed by one weighted ``bincount`` when
+    that grid has no more entries than there are keys, and by one sort
+    otherwise, so the memory stays O(n) for n occupied cells however far
+    apart they lie.
     """
     if not isinstance(ps, PointSet):
         raise ValueError("counting profiles need a materialized PointSet")
     if window_sizes is None:
-        if ps.bbox is None:
-            window_sizes = np.array([2.0])
-        else:
-            x0, y0, x1, y1 = ps.bbox
-            window_sizes = dyadic_scales(max(x1 - x0, y1 - y0, 2.0))
+        window_sizes = _default_windows(ps)
     sizes = np.asarray(window_sizes, dtype=float)
+    if sizes.ndim != 1 or sizes.size == 0:
+        raise ValueError("window sizes must be a nonempty 1-d array")
     # checked before the int64 cast, which would wrap inf, nan and 2^63
     if not np.all((sizes >= 2.0) & (sizes < 2.0 ** 63)):
         raise ValueError("window sizes must be finite, at least 2 and below 2^63")
     if np.any(sizes != np.floor(sizes)) or np.any(sizes.astype(np.int64) % 2):
         raise ValueError("window sizes must be even integers")
-    cx, cy, weight = ps.cell_arrays()
-    counts = []
-    for s in sizes.astype(np.int64):
-        if cx.size == 0:
-            counts.append(0)
-            continue
-        qx, qy = cx // (s // 2), cy // (s // 2)
-        wx = np.concatenate([qx, qx, qx - 1, qx - 1])
-        wy = np.concatenate([qy, qy - 1, qy, qy - 1])
-        w = np.tile(weight, 4)
-        # pack each window into one int64 key from coordinate ranks, which
-        # stay below 4n however far apart the windows are
-        _, rx = np.unique(wx, return_inverse=True)
-        ys, ry = np.unique(wy, return_inverse=True)
-        _, inv = np.unique(rx * len(ys) + ry, return_inverse=True)
-        counts.append(int(np.bincount(inv, weights=w).max()))
+    if np.any(np.diff(sizes) <= 0):
+        raise ValueError("window sizes must be strictly increasing")
+    counts = _window_maxima(ps, [int(s) // 2 for s in sizes.astype(np.int64)])
     return profile_from_counts(sizes, counts, method)
+
+
+def _default_windows(ps: PointSet) -> np.ndarray:
+    if ps.bbox is None:
+        return np.array([2.0])
+    x0, y0, x1, y1 = ps.bbox
+    extent = max(x1 - x0, y1 - y0, 2.0)
+    if extent > 2.0 ** 62:
+        raise ValueError(f"the set spans {extent:g}, more than the largest "
+                         "window of side 2^62; window_sizes must be given")
+    return dyadic_scales(extent)
+
+
+def _window_maxima(ps: PointSet, halves: list[int]) -> list[int]:
+    """Largest point count of a window of side 2h on the grid of stride h,
+    for each h of the increasing ``halves``.
+
+    Blocks are held as (columns, rows, column ranks, row ranks, weights):
+    the sorted distinct block columns and rows as int64, and per block its
+    ranks in them and its point count.  The cells are the blocks of h = 1,
+    in that form from ``PointSet.cell_ranks``.
+    """
+    if len(ps) == 0:
+        return [0] * len(halves)
+    cells = ps.cell_ranks()
+    blocks, h0 = cells, 1
+    out = []
+    for i, h in enumerate(halves):
+        if h % h0:
+            blocks, h0 = cells, 1
+        cols, rows, rx, ry, w = blocks
+        if h > h0:
+            cols, rx = _rank_runs(cols // (h // h0), rx)
+            rows, ry = _rank_runs(rows // (h // h0), ry)
+        # after a division several blocks may share a column and row; the
+        # next size in the chain needs them merged
+        merge = h > h0 and i + 1 < len(halves) and halves[i + 1] % h == 0
+        best, merged = _count_windows(cols, rows, rx, ry, w, merge)
+        blocks, h0 = merged or (cols, rows, rx, ry, w), h
+        out.append(best)
+    return out
+
+
+def _rank_runs(values: np.ndarray, ranks: np.ndarray):
+    """Distinct values of the sorted ``values`` and the new rank of each of
+    the old ``ranks``: a cumsum over the starts of runs, with no sort."""
+    start = np.empty(len(values), dtype=bool)
+    start[0] = True
+    np.not_equal(values[1:], values[:-1], out=start[1:])
+    return values[start], (np.cumsum(start) - 1)[ranks]
+
+
+def _corner_codes(values: np.ndarray, ranks: np.ndarray):
+    """Codes of c and of c - 1 for each block coordinate c = values[ranks].
+
+    c of rank r gets 2r + 1, and c - 1 gets 2r, or the code of the previous
+    value when that value is c - 1: an order-keeping injection into
+    [0, 2 * len(values)).  The only c - 1 computed is of a value above the
+    least one, so nothing wraps at -2^63.
+    """
+    upper = 2 * ranks + 1
+    return upper, upper - 1 - np.r_[False, values[:-1] == values[1:] - 1][ranks]
+
+
+def _count_windows(cols, rows, rx, ry, w, merge: bool):
+    """Largest window sum over the blocks, and, if ``merge``, the blocks
+    with equal column and row summed into one (else None).
+
+    A window is named by its corner block coordinate, which is a block's
+    own coordinate c or c - 1 on each axis (``_corner_codes``).  Merged
+    blocks get keys past the window grid, so one count sums both.
+    """
+    nx, ny = len(cols), len(rows)
+    x1, x0 = _corner_codes(cols, rx)
+    y1, y0 = _corner_codes(rows, ry)
+    grid = 4 * nx * ny
+    parts = [x * (2 * ny) + y for x in (x1, x0) for y in (y1, y0)]
+    if merge:
+        parts.append(grid + rx * ny + ry)
+    keys = np.concatenate(parts)
+    weights = np.tile(w, len(parts))
+    span = grid + nx * ny if merge else grid
+    if span <= len(keys):
+        sums = np.bincount(keys, weights=weights, minlength=span)
+        keys = np.flatnonzero(sums)
+        sums = sums[keys].astype(np.int64)
+    else:
+        bits = int(w.max()).bit_length()
+        if span << bits <= 2 ** 63:
+            # a plain sort with each weight in the low bits of its key is
+            # several times faster than an argsort
+            keys <<= bits
+            keys |= weights
+            keys.sort()
+            weights = keys & ((1 << bits) - 1)
+            keys >>= bits
+        else:
+            order = np.argsort(keys)
+            keys, weights = keys[order], weights[order]
+        last = np.append(np.flatnonzero(keys[1:] != keys[:-1]), len(keys) - 1)
+        sums = np.diff(np.cumsum(weights, out=weights)[last], prepend=0)
+        keys = keys[last]
+    split = int(np.searchsorted(keys, grid))
+    best = int(sums[:split].max())
+    if not merge:
+        return best, None
+    keys = keys[split:] - grid
+    return best, (cols, rows, keys // ny, keys % ny, sums[split:])
 
 
 def dim_1d_profile(values, scales=None,

@@ -108,7 +108,14 @@ class FiniteFieldSet:
         if not (0.0 <= density <= 1.0):
             raise ValueError("density must lie in [0, 1]")
         rng = np.random.default_rng(seed)
-        return cls(p, rng.random((p, p)) < density)
+        # the same draws as rng.random((p, p)) < density, a block of about
+        # 2^16 values at a time, so no p x p float array is ever held
+        grid = np.empty((p, p), dtype=bool)
+        step = max(1, 2 ** 16 // p)
+        for i in range(0, p, step):
+            rows = grid[i:i + step]
+            np.less(rng.random(rows.shape), density, out=rows)
+        return cls(p, grid)
 
     @classmethod
     def full(cls, p: int) -> "FiniteFieldSet":

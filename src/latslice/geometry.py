@@ -299,9 +299,9 @@ class PointSet:
     Slicing computes a row interval for every occupied column at once and
     finds the matching cells with one ``searchsorted`` on packed keys.  The
     index is built on the first call that needs it (``contains``,
-    ``cell_arrays``, ``slice_tube``, ``slice_floor_line``) and kept, so a
-    set that is only counted in boxes, validated or written never pays for
-    it.
+    ``cell_arrays``, ``cell_ranks``, ``slice_tube``, ``slice_floor_line``)
+    and kept, so a set that is only counted in boxes, validated or written
+    never pays for it.
 
     Box counts have their own cache, ``_box_keys``: for each axis box kind
     (first-quadrant and centered) the points' ``BoxSpec.key`` values,
@@ -382,10 +382,18 @@ class PointSet:
 
     def cell_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Occupied unit cells and their populations, sorted by cell."""
+        cols, rows, col_rank, row_rank, population = self.cell_ranks()
+        return cols[col_rank], rows[row_rank], population
+
+    def cell_ranks(self) -> tuple[np.ndarray, ...]:
+        """Occupied unit cells by rank, sorted by cell: the distinct
+        occupied columns and rows as ascending int64 arrays, each cell's
+        rank among those columns and among those rows, and its population.
+        Raises ``OverflowError`` for cells beyond the int64 range."""
         self._index()
-        cx = _as_int64(self._col_x[self._cell_key // self._stride])
-        cy = _as_int64(self._row_y[self._cell_key % self._stride])
-        return cx, cy, np.diff(self._cell_start)
+        return (_as_int64(self._col_x), _as_int64(self._row_y),
+                self._cell_key // self._stride, self._cell_key % self._stride,
+                np.diff(self._cell_start))
 
     def box_count(self, box: BoxSpec) -> int:
         """Points in ``box``: a binary search in the sorted keys of its kind,

@@ -465,6 +465,19 @@ def test_non_finite_scales_top_gives_config_exit(tmp_path, capsys, top):
     assert f"bad --scales value 'dyadic:{top}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scales", [[], ["--scales", "dyadic:1e308"]])
+def test_dim_on_a_set_of_huge_extent_gives_config_exit(tmp_path, capsys,
+                                                       recwarn, scales):
+    # the default ladder's top used to overflow to inf with a RuntimeWarning
+    # and then fail on a box size the user never gave
+    pts = tmp_path / "far.txt"
+    pts.write_text("0 0\n1e308 1e308\n")
+    rc = cli.main(["dim", "--in", str(pts)] + scales)
+    assert rc == 2
+    assert "max_scale=1e+308" in capsys.readouterr().err
+    assert len(recwarn) == 0
+
+
 @pytest.mark.parametrize("u", ["inf", "-inf"])
 def test_slice_by_an_infinite_slope_is_the_horizontal_tube(tmp_path, capsys, u):
     pts = tmp_path / "grid.txt"

@@ -129,7 +129,7 @@ def test_cone_band_anchored_windows_approach_three_halves():
     assert ratios[-1] == pytest.approx(1.3553, abs=1e-3)
 
 
-def test_counting_rejects_odd_windows_and_bad_strategy():
+def test_counting_rejects_odd_windows():
     ps = gen.gen_cartesian([0, 1], [0, 1])
     with pytest.raises(ValueError):
         dim.counting_dim_profile(ps, window_sizes=[3.0])
@@ -351,3 +351,27 @@ def test_dyadic_scales():
     # covers max_scale from above: 63 still yields 64
     assert dim.dyadic_scales(63.0).tolist() == [2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
     assert dim.dyadic_scales(1.0).tolist() == [2.0]
+
+
+def test_dyadic_scales_top_is_exact_next_to_a_power_of_two():
+    # log2 rounds 2^40 + 2^-12 down to 40, which would top the ladder below
+    # max_scale
+    assert dim.dyadic_scales(2.0 ** 40 + 2.0 ** -12)[-1] == 2.0 ** 41
+    assert dim.dyadic_scales(2.0 ** 40)[-1] == 2.0 ** 40
+    top = dim.dyadic_scales(2.0 ** 1023)
+    assert len(top) == 1023 and top[-1] == 2.0 ** 1023
+
+
+@pytest.mark.parametrize("max_scale", [1e308, 2.0 ** 1023 * 1.5, math.inf, math.nan])
+def test_dyadic_scales_refuses_a_top_past_2_1023(max_scale, recwarn):
+    with pytest.raises(ValueError, match="max_scale"):
+        dim.dyadic_scales(max_scale)
+    assert len(recwarn) == 0
+
+
+def test_default_ladders_on_a_set_of_huge_extent():
+    ps = PointSet([[0.0, 0.0], [1e308, 1e308]])
+    with pytest.raises(ValueError, match="max_scale=1e\\+308"):
+        dim.mass_dim_profile(ps)
+    with pytest.raises(ValueError, match="window_sizes must be given"):
+        dim.counting_dim_profile(ps)

@@ -1,5 +1,6 @@
 """Tests for exact line counting over prime fields."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +74,29 @@ def test_random_is_seeded():
     c = ff.FiniteFieldSet.random(13, density=0.4, seed=4)
     assert as_set(a.points()) == as_set(b.points())
     assert as_set(a.points()) != as_set(c.points())
+
+
+@pytest.mark.parametrize("p, densities", [(2, (0.0, 0.5, 1.0)),
+                                           (31, (0.0, 0.01, 0.5, 1.0)),
+                                           (101, (0.01, 0.5)), (211, (0.01, 0.5)),
+                                           (4481, (0.01,))])
+def test_random_draws_the_same_grid_as_one_p_by_p_draw(p, densities):
+    for density in densities:
+        grid = ff.FiniteFieldSet.random(p, density, seed=1).grid
+        expected = np.random.default_rng(1).random((p, p)) < density
+        assert np.array_equal(grid, expected)
+
+
+def test_random_holds_no_p_by_p_float_array():
+    # one p x p float64 draw alone is 8 p^2 bytes
+    p = 4481
+    tracemalloc.start()
+    try:
+        ff.FiniteFieldSet.random(p, 0.01, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * p * p
 
 
 def test_full_and_product():
