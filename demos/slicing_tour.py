@@ -10,8 +10,8 @@ import math
 
 import numpy as np
 
-from latslice import (FloorLine, Tube, gen_parabolic_staircase, gen_zigzag,
-                      annulus_profile, find_levels, gen_cartesian,
+from latslice import (FloorLine, PointSet, Tube, gen_parabolic_staircase,
+                      gen_zigzag, annulus_profile, find_levels, gen_cartesian,
                       slice_floor_line, slice_tube, tube_dim_along,
                       zigzag_tube_counts, LevelSearchConfig)
 
@@ -34,9 +34,10 @@ enc = line.enclosing_tube()
 print("enclosing tube u,v:", round(enc.u, 4), round(enc.v, 4))
 
 # The staircase slice along its bottom row is the set of perfect squares:
-# a half-dimensional slice of a one-dimensional set.
+# a half-dimensional slice of a one-dimensional set.  The horizontal tube
+# -1/2 < y <= 1/2 is the tube with slope parameter u = inf.
 stair = gen_parabolic_staircase(256)
-prof = tube_dim_along(stair, None, -0.5, 2.0 ** np.arange(1, 17))
+prof = tube_dim_along(stair, math.inf, -0.5, 2.0 ** np.arange(1, 17))
 print("staircase floor-row slice estimate:", prof.estimate)
 
 # The zigzag set runs between y = x and y = tan(pi/4 + delta) x, switching
@@ -58,7 +59,6 @@ print("corner c_60 has", len(str(lattice[-1])), "digits;",
 # Annulus profiles count slice points with axial coordinate in (m/2, m].
 # On a unit-spaced line in the tube they are as even as possible: about
 # m/2 per level.
-from latslice.geometry import PointSet
 base = np.arange(600)[:, None] * np.array([1.0, 1.0]) / math.sqrt(2.0)
 shifted = PointSet(base + 0.5 * np.array([-1.0, 1.0]) / math.sqrt(2.0))
 levels, counts = annulus_profile(shifted, -1.0, height_levels=[4, 16, 64, 256])

@@ -154,7 +154,7 @@ def criterion_06_staircase_dimensions() -> CriterionResult:
     ratio_ok = abs(ratio - closed) <= 1e-12
 
     stair = implicit.materialize()
-    slice_prof = tube_dim_along(stair, None, -0.5, scales=scales)
+    slice_prof = tube_dim_along(stair, math.inf, -0.5, scales=scales)
     est = slice_prof.estimate
     return CriterionResult(6, "staircase dimension pair",
                            ratio_ok and 0.45 <= est <= 0.55,

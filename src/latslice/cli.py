@@ -414,7 +414,7 @@ def _run_ff(a: dict, stages: Stages):
                 else math.log(prime)
             if B.cardinality == 0:
                 raise ConfigError("chebyshev check needs a nonempty set")
-            if k <= 0:
+            if not k > 0:           # nan fails too
                 raise ConfigError("k must be positive")
             rep = finitefield._chebyshev_fraction(B, k, counts())
             ok = rep.good_fraction >= rep.markov_bound

@@ -14,6 +14,9 @@ Two estimate methods:
   stand-in for the limsup that upper counting quantities are defined by.
 * ``regression_tail``: least-squares slope of log count against log scale
   over the tail, a smoother read when counts are polynomially regular.
+
+``mass_dim_profile`` and ``profile_from_counts`` take either; the window,
+1-d and tube-slice profiles use the default.
 """
 
 from __future__ import annotations
@@ -181,8 +184,7 @@ def _ladder_counts(ps: PointSet, box: BoxSpec, sizes: np.ndarray) -> np.ndarray:
     return counts
 
 
-def counting_dim_profile(ps: PointSet, window_sizes=None,
-                         method: str = "ratio_max_tail") -> DimensionProfile:
+def counting_dim_profile(ps: PointSet, window_sizes=None) -> DimensionProfile:
     """Counting dimension profile: max count over searched square windows.
 
     Windows of side s are axis-aligned half-open squares on a regular grid
@@ -225,7 +227,7 @@ def counting_dim_profile(ps: PointSet, window_sizes=None,
     if np.any(np.diff(sizes) <= 0):
         raise ValueError("window sizes must be strictly increasing")
     counts = _window_maxima(ps, [int(s) // 2 for s in sizes.astype(np.int64)])
-    return profile_from_counts(sizes, counts, method)
+    return profile_from_counts(sizes, counts)
 
 
 def _default_windows(ps: PointSet) -> np.ndarray:
@@ -336,8 +338,7 @@ def _count_windows(cols, rows, rx, ry, w, merge: bool):
     return best, (cols, rows, keys // ny, keys % ny, sums[split:])
 
 
-def dim_1d_profile(values, scales=None,
-                   method: str = "ratio_max_tail") -> DimensionProfile:
+def dim_1d_profile(values, scales=None) -> DimensionProfile:
     """Dimension profile of a set of positive integers via counts in [1, N]."""
     vals = np.unique(np.asarray(values, dtype=np.int64))
     if vals.size and vals[0] < 1:
@@ -346,24 +347,15 @@ def dim_1d_profile(values, scales=None,
         scales = dyadic_scales(float(vals[-1]) if vals.size else 2.0)
     scales = np.asarray(scales, dtype=float)
     counts = np.searchsorted(vals, scales, side="right")
-    return profile_from_counts(scales, counts, method)
+    return profile_from_counts(scales, counts)
 
 
-def ff_dim(fset, p: int | None = None) -> float:
-    """log |B| / log p, the dimension of a subset of the finite plane.
-
-    Accepts a finite-field set object (carrying .cardinality and .p) or a
-    plain size with explicit p.  Empty sets report 0.
-    """
-    if p is None:
-        size, p = fset.cardinality, fset.p
-    else:
-        size = int(fset)
-    if p < 2:
-        raise ValueError("p must be >= 2")
-    if size <= 0:
+def ff_dim(fset) -> float:
+    """log |B| / log p, the dimension of a finite-field set B (anything
+    carrying ``.cardinality`` and a prime ``.p``).  Empty sets report 0."""
+    if fset.cardinality <= 0:
         return 0.0
-    return math.log(size) / math.log(p)
+    return math.log(fset.cardinality) / math.log(fset.p)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +400,8 @@ class LevelSearchConfig:
     search_bound: int
 
     def __post_init__(self):
-        if self.alpha < 0 or self.psi <= 0:
+        # negated, so that nan (false under every comparison) fails
+        if not (self.alpha >= 0 and self.psi > 0):
             raise ValueError("need alpha >= 0 and psi > 0")
         if self.search_bound < 1:
             raise ValueError("search_bound must be >= 1")

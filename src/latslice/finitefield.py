@@ -71,15 +71,11 @@ def _check_prime(p: int) -> int:
 class FiniteFieldSet:
     """Subset of F_p^2 held as a dense p x p boolean grid (grid[x, y])."""
 
-    def __init__(self, p: int, grid=None):
+    def __init__(self, p: int, grid):
         self.p = _check_prime(p)
-        if grid is None:
-            grid = np.zeros((self.p, self.p), dtype=bool)
-        else:
-            grid = np.asarray(grid, dtype=bool)
-            if grid.shape != (self.p, self.p):
-                raise ValueError(f"grid must be {self.p} x {self.p}")
-            grid = grid.copy()
+        grid = np.array(grid, dtype=bool)
+        if grid.shape != (self.p, self.p):
+            raise ValueError(f"grid must be {self.p} x {self.p}")
         grid.setflags(write=False)
         self.grid = grid
         self.cardinality = int(grid.sum())
@@ -236,7 +232,7 @@ def ff_chebyshev_fraction(B: FiniteFieldSet, k: float) -> ChebyshevReport:
     """
     if B.cardinality < 1:
         raise ValueError("Chebyshev fraction needs a nonempty set")
-    if k <= 0:
+    if not k > 0:                   # nan fails too
         raise ValueError("k must be positive")
     return _chebyshev_fraction(B, k, ff_line_count_matrix(B))
 

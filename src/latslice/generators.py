@@ -184,10 +184,6 @@ class ZigzagTrace:
     lattice_corners: list[int] = field(repr=False)
     truncated: bool = False
 
-    def corner_ratios(self) -> np.ndarray:
-        c = np.array(self.lattice_corners, dtype=float)
-        return c[1:] / c[:-1]
-
 
 def _zigzag_coeffs(delta: float) -> tuple[float, float, float, float, float]:
     if not (0.0 < delta < math.pi / 4):
@@ -507,7 +503,7 @@ class ConeAnnuli(_BandedSet):
     theta: float
     k_min: int
     k_max: int
-    half: Fraction = field(repr=False, default=None)
+    half: Fraction = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (0.0 < self.theta < math.pi / 2):
@@ -536,13 +532,14 @@ class ConeStaircase(_BandedSet):
     The slope offsets sigma_k = theta * sum_(j<k) 2^-(2^j) stack the chunks
     side by side, so chunk k sees an x-extent of about theta * 2^(2^k) per
     row: wide enough to keep counting dimension 3/2 on band-width windows,
-    while the total opening stays below theta.
+    while the total opening, the end theta * sum_(k<=k_max) 2^-(2^k) of the
+    last slope interval, stays below 0.82 theta.
     """
 
     theta: float
     k_max: int
-    _w: tuple = field(repr=False, default=None)
-    _sigma: tuple = field(repr=False, default=None)
+    _w: tuple = field(init=False, repr=False)
+    _sigma: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (0.0 < self.theta < 1.0):
@@ -560,10 +557,6 @@ class ConeStaircase(_BandedSet):
 
     def slope_interval(self, k: int) -> tuple[Fraction, Fraction]:
         return self._sigma[k], self._sigma[k] + self._w[k]
-
-    def total_slope(self) -> float:
-        """Angular opening actually used: theta * sum 2^-(2^k) ~ 0.816 theta."""
-        return float(sum(self._w))
 
     def _bands(self):
         for k in range(self.k_max + 1):
@@ -588,7 +581,7 @@ class ConeFixedWidth(_BandedSet):
     theta: float
     k0: int
     n_levels: int | None = None
-    _w: Fraction = field(repr=False, default=None)
+    _w: Fraction = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (0.0 < self.theta < 1.0):

@@ -408,13 +408,6 @@ class PointSet:
             self._box_keys[box.kind] = keys
         return int(np.searchsorted(keys, box.size, side="right"))
 
-    def restrict(self, x0: float, x1: float, y0: float, y1: float) -> "PointSet":
-        """Subset with x0 <= x <= x1 and y0 <= y <= y1."""
-        pts = self.points
-        mask = (pts[:, 0] >= x0) & (pts[:, 0] <= x1) \
-            & (pts[:, 1] >= y0) & (pts[:, 1] <= y1)
-        return self._subset(mask)
-
     def _subset(self, mask_or_indices) -> "PointSet":
         return PointSet(self.points[mask_or_indices])
 

@@ -86,7 +86,8 @@ class SurveyConfig:
             raise ValueError("mc_samples must be >= 1")
         if self.k_threshold is None and self.m_range <= math.e:
             raise ValueError("default k_threshold needs m_range > e")
-        if self.k_threshold is not None and self.k_threshold <= 1.0:
+        # negated, so that nan (false under every comparison) fails
+        if self.k_threshold is not None and not self.k_threshold > 1.0:
             raise ValueError("k_threshold must exceed 1")
 
     def threshold_factor(self) -> float:
@@ -131,11 +132,12 @@ _BLOCK = 1 << 15
 def _row_sorted_starts(ps: PointSet, n_side: int):
     """Points of [0, n_side]^2 with integer y, ordered by (y, -x).
 
-    Returns (points in the box, a, b, new_row) with interval starts b - u a
+    Returns (number of points in the box, a, b, new_row) with interval starts b - u a
     ascending within each row for every u > 0, plus the row-boundary mask.
     """
-    box = ps.restrict(0.0, float(n_side), 0.0, float(n_side))
-    pts = box.points
+    pts = ps.points
+    pts = pts[(pts[:, 0] >= 0.0) & (pts[:, 0] <= n_side)
+              & (pts[:, 1] >= 0.0) & (pts[:, 1] <= n_side)]
     on_rows = pts[:, 1] == np.floor(pts[:, 1])
     a = pts[on_rows, 0]
     b = pts[on_rows, 1]
@@ -144,7 +146,7 @@ def _row_sorted_starts(ps: PointSet, n_side: int):
     new_row = np.ones(len(a), dtype=bool)
     if len(a) > 1:
         new_row[1:] = b[1:] != b[:-1]
-    return len(box), a, b, new_row
+    return len(pts), a, b, new_row
 
 
 def _merged_segments(starts: np.ndarray, new_row: np.ndarray):
@@ -341,20 +343,19 @@ def survey_floor_lines(ps: PointSet, config: SurveyConfig,
 # Directional dimension scans
 # ---------------------------------------------------------------------------
 
-def tube_dim_along(ps: PointSet, u: float | None, v: float,
-                   scales=None, method: str = "ratio_max_tail") -> DimensionProfile:
-    """Mass dimension profile of the slice of ``ps`` by one width-1 tube.
+def tube_dim_along(ps: PointSet, u: float, v: float,
+                   scales=None) -> DimensionProfile:
+    """Mass dimension profile of the slice of ``ps`` by the width-1 tube
+    ``Tube(u, v)``, counted in first-quadrant boxes.
 
-    ``u`` is the tube's perpendicular slope (None or +-inf for the
-    horizontal tube v < y <= v+1).  The profile counts the slice in first-quadrant boxes.
+    ``u`` is the tube's perpendicular slope; ``u = +-inf`` is the horizontal
+    tube v < y <= v+1.
     """
-    tube = Tube(math.inf if u is None else u, v)
-    return mass_dim_profile(slice_tube(ps, tube), scales=scales, method=method)
+    return mass_dim_profile(slice_tube(ps, Tube(u, v)), scales=scales)
 
 
 def exception_ray_scan(ps: PointSet, v0: float, u_interval, u_samples: int,
-                       threshold_dim: float, scales=None,
-                       method: str = "ratio_max_tail") -> float:
+                       threshold_dim: float, scales=None) -> float:
     """Fraction of sampled tube directions whose slice dimension estimate
     exceeds ``threshold_dim``, at fixed perpendicular offset v0.
 
@@ -372,6 +373,6 @@ def exception_ray_scan(ps: PointSet, v0: float, u_interval, u_samples: int,
     us = u_lo + (np.arange(u_samples) + 0.5) * ((u_hi - u_lo) / u_samples)
     if np.any(us == 0.0):
         raise ValueError("slope sample hit u = 0; shift the range")
-    ests = np.array([tube_dim_along(ps, float(u), v0, scales=scales,
-                                    method=method).estimate for u in us])
+    ests = np.array([tube_dim_along(ps, float(u), v0, scales=scales).estimate
+                     for u in us])
     return float(np.mean(ests > threshold_dim))

@@ -431,6 +431,27 @@ def test_steep_levels_slope_gives_config_exit(tmp_path, capsys):
     assert "too steep" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["survey", "--N", "8", "--M", "4", "--grid", "8x8", "--k", "nan"],
+     "k_threshold must exceed 1"),
+    (["levels", "--u", "-1", "--alpha", "nan"], "need alpha >= 0 and psi > 0"),
+    (["levels", "--u", "-1", "--psi", "nan"], "need alpha >= 0 and psi > 0"),
+    (["ff", "--p", "7", "--verify", "chebyshev:nan"], "k must be positive"),
+], ids=["survey-k", "levels-alpha", "levels-psi", "ff-chebyshev-k"])
+def test_nan_parameter_gives_config_exit(tmp_path, capsys, argv, message):
+    # every comparison with nan is false, so a check written as a
+    # comparison that must hold is the one that refuses it
+    if argv[0] != "ff":
+        pts = tmp_path / "grid.txt"
+        _write_grid(pts, 4)
+        argv = argv + ["--in", str(pts)]
+    out = tmp_path / "report.json"
+    rc = cli.main(argv + ["--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _write_grid(path, side):
     path.write_text("# x y\n" + "".join(
         f"{x} {y}\n" for x in range(side) for y in range(side)))

@@ -313,6 +313,9 @@ def test_level_search_config_validation():
         dim.LevelSearchConfig(alpha=-0.1, psi=1.0, search_bound=10)
     with pytest.raises(ValueError):
         dim.LevelSearchConfig(alpha=0.0, psi=0.0, search_bound=10)
+    for alpha, psi in [(math.nan, 1.0), (0.0, math.nan)]:
+        with pytest.raises(ValueError, match="need alpha >= 0 and psi > 0"):
+            dim.LevelSearchConfig(alpha=alpha, psi=psi, search_bound=10)
 
 
 # ---------------------------------------------------------------------------

@@ -160,7 +160,7 @@ def ff_sets(draw):
     kind = draw(st.sampled_from(SET_KINDS))
     coord = st.integers(0, p - 1)
     if kind == "empty":
-        return ff.FiniteFieldSet(p)
+        return ff.FiniteFieldSet.from_points(p, [])
     if kind == "full":
         return ff.FiniteFieldSet.full(p)
     if kind == "point":
@@ -281,6 +281,8 @@ def test_chebyshev_validation():
     b = ff.FiniteFieldSet.full(5)
     with pytest.raises(ValueError):
         ff.ff_chebyshev_fraction(b, 0.0)
+    with pytest.raises(ValueError, match="k must be positive"):
+        ff.ff_chebyshev_fraction(b, math.nan)
     with pytest.raises(ValueError):
         ff.ff_chebyshev_fraction(ff.FiniteFieldSet.from_points(5, []), 2.0)
     # k = 1 is legal but carries a vacuous bound

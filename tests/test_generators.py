@@ -120,8 +120,8 @@ def test_zigzag_lambda_degenerates_to_one():
 
 def test_zigzag_corner_ratio_converges():
     _, trace = gen.gen_zigzag(0.2, 30)
-    ratios = trace.corner_ratios()
-    assert abs(ratios[-1] / trace.lambda1 - 1.0) <= 0.01
+    c = trace.lattice_corners
+    assert abs(c[-1] / c[-2] / trace.lambda1 - 1.0) <= 0.01
 
 
 def test_zigzag_points_between_cone_lines():
@@ -365,9 +365,25 @@ def test_cone_annuli_separated():
 
 def test_cone_staircase_total_slope_below_theta():
     cs = gen.ConeStaircase(0.5, 3)
-    assert cs.total_slope() < 0.5
-    assert cs.total_slope() == pytest.approx(
-        0.5 * sum(2.0 ** -(2 ** k) for k in range(4)))
+    # the slope intervals tile [0, total) side by side
+    ends = [cs.slope_interval(k) for k in range(4)]
+    assert ends[0][0] == 0
+    assert all(ends[k][1] == ends[k + 1][0] for k in range(3))
+    total = float(ends[-1][1])
+    assert total < 0.5
+    assert total == pytest.approx(0.5 * sum(2.0 ** -(2 ** k) for k in range(4)))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: gen.ConeAnnuli(0.3, 0, 2, half=Fraction(1)),
+    lambda: gen.ConeStaircase(0.5, 2, _w=(1,)),
+    lambda: gen.ConeStaircase(0.5, 2, _sigma=(0,)),
+    lambda: gen.ConeFixedWidth(0.5, 1, 2, _w=Fraction(1)),
+], ids=["annuli-half", "staircase-w", "staircase-sigma", "fixed-width-w"])
+def test_cone_constructors_refuse_derived_fields(build):
+    # these fields are derived from the others, so no caller may set them
+    with pytest.raises(TypeError):
+        build()
 
 
 def test_cone_staircase_slope_intervals_stack():

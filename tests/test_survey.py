@@ -76,12 +76,23 @@ def test_mc_mode_is_seeded():
 
 
 def test_survey_restricts_to_n_side_box():
-    # points beyond the box or off integer rows are not surveyed
-    pts = PointSet(np.array([[2.0, 3.0], [100.0, 3.0], [2.0, 3.5]]))
     cfg = sv.SurveyConfig(n_side=8, m_range=4.0, grid_u=16, grid_v=16)
-    rep = sv.survey_floor_lines(pts, cfg)
-    assert rep.point_count == 2             # inside the box
-    assert rep.lattice_row_points == 1      # on an integer row
+    cases = [
+        # points beyond the box or off integer rows are not surveyed
+        ([[2.0, 3.0], [100.0, 3.0], [2.0, 3.5]], 2, 1),
+        # the box [0, N]^2 is closed: its four edges and corners count
+        ([[0.0, 3.0], [8.0, 3.0], [2.0, 0.0], [2.0, 8.0], [0.0, 0.0],
+          [8.0, 8.0]], 6, 6),
+        ([[0.0, 2.5], [8.0, 2.5]], 2, 0),
+        # just past each edge does not
+        ([[-1e-9, 3.0], [8.0 + 1e-9, 3.0], [2.0, -1e-9], [2.0, 8.0 + 1e-9]],
+         0, 0),
+        ([[-1.0, 3.0], [9.0, 3.0], [2.0, -1.0], [2.0, 9.0], [0.0, 3.0]], 1, 1),
+    ]
+    for points, inside, on_rows in cases:
+        rep = sv.survey_floor_lines(PointSet(np.array(points)), cfg)
+        assert (rep.point_count, rep.lattice_row_points) == (inside, on_rows), \
+            points
 
 
 def test_survey_config_validation():
@@ -91,6 +102,8 @@ def test_survey_config_validation():
         sv.SurveyConfig(n_side=8, m_range=0.5)
     with pytest.raises(ValueError):
         sv.SurveyConfig(n_side=8, m_range=4.0, k_threshold=1.0)
+    with pytest.raises(ValueError, match="k_threshold must exceed 1"):
+        sv.SurveyConfig(n_side=8, m_range=4.0, k_threshold=math.nan)
     with pytest.raises(ValueError):
         sv.SurveyConfig(n_side=8)           # no m_range
     with pytest.raises(ValueError):
@@ -103,7 +116,9 @@ def test_survey_config_validation():
 
 def test_tube_dim_along_horizontal_floor_row():
     stair = gen.gen_parabolic_staircase(256)
-    prof = sv.tube_dim_along(stair, None, -0.5, 2.0 ** np.arange(1, 17))
+    prof = sv.tube_dim_along(stair, math.inf, -0.5, 2.0 ** np.arange(1, 17))
+    assert prof.estimate == pytest.approx(0.5, abs=1e-12)
+    prof = sv.tube_dim_along(stair, -math.inf, -0.5, 2.0 ** np.arange(1, 17))
     assert prof.estimate == pytest.approx(0.5, abs=1e-12)
 
 
