@@ -51,7 +51,7 @@ rows = ff_exception_limit_table(
     (11, 31, 101, 211, 401))
 print("p    |B|    dim     k      good    bound")
 for r in rows:
-    print(f"{r.p:<5d}{r.cardinality:<7d}{r.dim:<8.4f}{r.k:<7.3f}"
+    print(f"{r.p:<5d}{r.cardinality:<7d}{ff_dim(r):<8.4f}{r.k:<7.3f}"
           f"{r.good_fraction:<8.4f}{r.markov_bound:.4f}")
 
 print("dim of full grid:", ff_dim(FiniteFieldSet.full(7)))

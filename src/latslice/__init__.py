@@ -13,8 +13,8 @@ from .dimension import (DimensionProfile, LevelProfile, LevelSearchConfig,
                         annulus_profile, counting_dim_profile,
                         dim_1d_profile, dyadic_scales, ff_dim, find_levels,
                         mass_dim_profile, profile_from_counts)
-from .finitefield import (ChebyshevReport, DoubleCountError, FFTableRow,
-                          FiniteFieldSet, ff_affine_intersection,
+from .finitefield import (ChebyshevReport, DoubleCountError, FiniteFieldSet,
+                          ff_affine_intersection,
                           ff_chebyshev_fraction, ff_double_count,
                           ff_exception_limit_table, ff_line_count_matrix,
                           ff_line_points, ff_slice_count, is_prime)
@@ -54,5 +54,5 @@ __all__ = [
     "ff_slice_count", "ff_line_count_matrix", "ff_double_count",
     "DoubleCountError",
     "ChebyshevReport", "ff_chebyshev_fraction", "ff_affine_intersection",
-    "FFTableRow", "ff_exception_limit_table",
+    "ff_exception_limit_table",
 ]

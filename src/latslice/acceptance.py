@@ -24,7 +24,8 @@ from .geometry import BoxSpec, FloorLine, PointSet, Tube, slice_floor_line, \
     slice_tube, tube_edge_distance
 from .survey import SurveyConfig, survey_floor_lines, tube_dim_along
 
-__all__ = ["CriterionResult", "ALL_CRITERIA", "run_criterion"]
+__all__ = ["CriterionResult", "ALL_CRITERIA", "run_criterion",
+           "run_ff_battery"]
 
 
 @dataclass
@@ -43,10 +44,27 @@ FF_BATTERY_PRIMES = (3, 5, 7, 11, 13, 17, 31)
 
 
 def _ff_battery(p: int):
-    """100 seeded random subsets of F_p^2, densities sweeping (0, 1]."""
+    """100 seeded random subsets of F_p^2, densities sweeping (0, 1], each
+    with its Chebyshev report at k = ln p (None for an empty set, which gets
+    the identity check alone); a failed identity raises DoubleCountError."""
+    k = math.log(p)
     for i in range(100):
-        yield FiniteFieldSet.random(p, density=(i + 1) / 100.0,
-                                    seed=100_000 * p + i)
+        B = FiniteFieldSet.random(p, density=(i + 1) / 100.0,
+                                  seed=100_000 * p + i)
+        if B.cardinality:
+            yield B, ff_chebyshev_fraction(B, k)
+        else:
+            ff_double_count(B)
+            yield B, None
+
+
+def run_ff_battery(p: int) -> CriterionResult:
+    """The battery over one prime p: each set's identity (a failure raises
+    ``DoubleCountError``) and Markov bound at k = ln p."""
+    failures = sum(rep is not None and rep.good_fraction < rep.markov_bound
+                   for _, rep in _ff_battery(p))
+    return CriterionResult(0, f"ff battery p={p}", failures == 0,
+                           {"sets": 100, "failures": failures})
 
 
 def criterion_01_double_count() -> CriterionResult:
@@ -54,13 +72,11 @@ def criterion_01_double_count() -> CriterionResult:
     t0 = time.perf_counter()
     checked = 0
     for p in FF_BATTERY_PRIMES:
-        for B in _ff_battery(p):
-            try:
-                ff_double_count(B)          # raises on any mismatch
-            except DoubleCountError as exc:
-                return CriterionResult(1, "ff double count", False,
-                                       {"p": p, "error": str(exc)})
-            checked += 1
+        try:
+            checked += sum(1 for _ in _ff_battery(p))
+        except DoubleCountError as exc:
+            return CriterionResult(1, "ff double count", False,
+                                   {"p": p, "error": str(exc)})
     elapsed = time.perf_counter() - t0
     return CriterionResult(1, "ff double count", elapsed < 30.0,
                            {"sets": checked, "elapsed_s": round(elapsed, 3)})
@@ -71,18 +87,16 @@ def criterion_02_chebyshev() -> CriterionResult:
     worst = math.inf
     evaluated = skipped = 0
     for p in FF_BATTERY_PRIMES:
-        k = math.log(p)
-        for B in _ff_battery(p):
-            if B.cardinality == 0:
+        for _, rep in _ff_battery(p):
+            if rep is None:
                 skipped += 1
                 continue
-            rep = ff_chebyshev_fraction(B, k)
-            margin = rep.good_fraction - (1.0 - 1.0 / k)
+            margin = rep.good_fraction - rep.markov_bound
             worst = min(worst, margin)
             if margin < 0:
                 return CriterionResult(2, "ff chebyshev fraction", False,
                                        {"p": p, "good": rep.good_fraction,
-                                        "bound": 1.0 - 1.0 / k})
+                                        "bound": rep.markov_bound})
             evaluated += 1
     return CriterionResult(2, "ff chebyshev fraction", True,
                            {"sets": evaluated, "empty_skipped": skipped,

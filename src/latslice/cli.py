@@ -36,8 +36,7 @@ import numpy as np
 
 from . import __version__, finitefield
 from . import generators as gen
-from .acceptance import (ALL_CRITERIA, CriterionResult, _ff_battery,
-                         run_criterion)
+from .acceptance import ALL_CRITERIA, run_criterion, run_ff_battery
 from .dimension import (DimensionProfile, LevelSearchConfig, dyadic_scales,
                         find_levels, mass_dim_profile)
 from .finitefield import DoubleCountError, FiniteFieldSet
@@ -401,14 +400,18 @@ def _run_ff(a: dict, stages: Stages):
     prime = a["p"]
     B = _parse_ff_set(a["set"], prime)
     results: dict = {"p": prime, "cardinality": B.cardinality}
-    counts = functools.cache(lambda: finitefield.ff_line_count_matrix(B))
+    checks = [c for c in a["verify"].split(",") if c]
+    # a Chebyshev check verifies the identity on the matrix it reads, so the
+    # identity check builds a matrix of its own only when none runs
+    identity_alone = not any(c.startswith("chebyshev") for c in checks)
     failures = []
-    for check in [c for c in a["verify"].split(",") if c]:
+    for check in checks:
         if check == "identity":
-            # a mismatch raises DoubleCountError: an internal error, exit 3
-            total = finitefield._double_count(B, counts())
+            if identity_alone:  # a mismatch raises DoubleCountError: exit 3
+                finitefield.ff_double_count(B)
+            total = B.cardinality * prime
             results["identity"] = {"total": total, "ok": True,
-                                   "expected": B.cardinality * prime}
+                                   "expected": total}
         elif check.startswith("chebyshev"):
             k = float(check.split(":", 1)[1]) if ":" in check \
                 else math.log(prime)
@@ -416,7 +419,7 @@ def _run_ff(a: dict, stages: Stages):
                 raise ConfigError("chebyshev check needs a nonempty set")
             if not k > 0:           # nan fails too
                 raise ConfigError("k must be positive")
-            rep = finitefield._chebyshev_fraction(B, k, counts())
+            rep = finitefield.ff_chebyshev_fraction(B, k)
             ok = rep.good_fraction >= rep.markov_bound
             results["chebyshev"] = {"k": k, "good_fraction": rep.good_fraction,
                                     "bound": rep.markov_bound, "ok": ok}
@@ -453,17 +456,9 @@ def _run_repro(a: dict, stages: Stages):
         extra = {"ratio": pair.get("ratio"),
                  "slice_estimate": pair.get("slice_estimate")}
     elif name == "ff":
-        prime, failures = a.get("p", 13), 0
-        for B in _ff_battery(prime):
-            k = math.log(prime)
-            counts = finitefield.ff_line_count_matrix(B)
-            finitefield._double_count(B, counts)    # raises on a mismatch
-            if B.cardinality and finitefield._chebyshev_fraction(
-                    B, k, counts).good_fraction < 1.0 - 1.0 / k:
-                failures += 1
-        results = [CriterionResult(0, f"ff battery p={prime}", failures == 0,
-                                   {"sets": 100, "failures": failures})]
-        extra = {"p": prime, "failures": failures}
+        prime = a.get("p", 13)
+        results = [run_ff_battery(prime)]
+        extra = {"p": prime, "failures": results[0].details["failures"]}
     else:
         try:
             number = int(name.removeprefix("criterion"))

@@ -340,8 +340,10 @@ def _count_windows(cols, rows, rx, ry, w, merge: bool):
 
 def dim_1d_profile(values, scales=None) -> DimensionProfile:
     """Dimension profile of a set of positive integers via counts in [1, N]."""
-    vals = np.unique(np.asarray(values, dtype=np.int64))
-    if vals.size and vals[0] < 1:
+    raw = np.unique(np.asarray(values))
+    with np.errstate(invalid="ignore"):     # nan and inf cast to garbage
+        vals = raw.astype(np.int64)
+    if np.any((vals != raw) | (vals < 1)):  # 1.5, nan, inf and 0 all fail
         raise ValueError("values must be positive integers")
     if scales is None:
         scales = dyadic_scales(float(vals[-1]) if vals.size else 2.0)

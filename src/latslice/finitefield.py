@@ -27,7 +27,6 @@ from .generators import MAX_MATERIALIZE_POINTS, MaterializeError
 __all__ = [
     "ChebyshevReport",
     "DoubleCountError",
-    "FFTableRow",
     "FiniteFieldSet",
     "ff_affine_intersection",
     "ff_chebyshev_fraction",
@@ -192,25 +191,28 @@ class DoubleCountError(ArithmeticError):
     """The line sums disagree with |B| * p: the counting code is wrong."""
 
 
-def ff_double_count(B: FiniteFieldSet) -> int:
-    """Sum of slice counts over all p^2 lines, checked equal to |B| * p.
+def _checked_matrix(B: FiniteFieldSet) -> np.ndarray:
+    """B's line-count matrix, its sum checked equal to |B| * p.
 
     The sum and the cardinality come from independent code paths (per-slope
     residue histograms vs the grid population), so the check guards the
     counting machinery, not arithmetic tautology.  A mismatch raises
     ``DoubleCountError``, which ``python -O`` does not strip.
     """
-    return _double_count(B, ff_line_count_matrix(B))
-
-
-def _double_count(B: FiniteFieldSet, counts: np.ndarray) -> int:
-    """``ff_double_count`` on B's line-count matrix, already built."""
+    counts = ff_line_count_matrix(B)
     total = int(counts.sum())
     expected = B.cardinality * B.p
     if total != expected:
         raise DoubleCountError(
             f"double count {total} != |B|*p = {expected} for p={B.p}")
-    return total
+    return counts
+
+
+def ff_double_count(B: FiniteFieldSet) -> int:
+    """Sum of slice counts over all p^2 lines, checked equal to |B| * p
+    (a mismatch raises ``DoubleCountError``)."""
+    _checked_matrix(B)
+    return B.cardinality * B.p
 
 
 @dataclass(frozen=True)
@@ -228,21 +230,16 @@ def ff_chebyshev_fraction(B: FiniteFieldSet, k: float) -> ChebyshevReport:
 
     Exceeding lines carry more than k/p of the per-slope total |B| each, so
     fewer than p/k slopes' worth can exceed: good_fraction > 1 - 1/k always
-    (strictly, for nonempty B), reported as markov_bound.
+    (strictly, for nonempty B), reported as markov_bound.  The fraction is
+    read off a matrix that passed the double-count identity, so a mismatch
+    raises ``DoubleCountError`` here as in ``ff_double_count``.
     """
     if B.cardinality < 1:
         raise ValueError("Chebyshev fraction needs a nonempty set")
     if not k > 0:                   # nan fails too
         raise ValueError("k must be positive")
-    return _chebyshev_fraction(B, k, ff_line_count_matrix(B))
-
-
-def _chebyshev_fraction(B: FiniteFieldSet, k: float,
-                        counts: np.ndarray) -> ChebyshevReport:
-    """``ff_chebyshev_fraction`` on B's line-count matrix, already built,
-    for a nonempty B and k > 0."""
     threshold = k * B.cardinality / B.p
-    good = int(np.count_nonzero(counts <= threshold))
+    good = int(np.count_nonzero(_checked_matrix(B) <= threshold))
     return ChebyshevReport(
         p=B.p, cardinality=B.cardinality, k=float(k), threshold=threshold,
         good_fraction=good / (B.p * B.p), markov_bound=1.0 - 1.0 / k)
@@ -263,32 +260,18 @@ def ff_affine_intersection(p: int, A, B, u: int, v: int) -> int:
     return int(np.intersect1d(a, image, assume_unique=True).size)
 
 
-@dataclass(frozen=True)
-class FFTableRow:
-    p: int
-    cardinality: int
-    dim: float
-    k: float
-    good_fraction: float
-    markov_bound: float
+def ff_exception_limit_table(set_rule, primes) -> list[ChebyshevReport]:
+    """Chebyshev reports across growing primes, one row per prime.
 
-
-def ff_exception_limit_table(set_rule, primes) -> list[FFTableRow]:
-    """Good-line fractions across growing primes.
-
-    ``set_rule(p)`` supplies the set per prime; the threshold factor is
-    k = ln p.  With k growing, the Markov floor 1 - 1/k climbs toward 1,
+    ``set_rule(p)`` supplies a nonempty set per prime; the threshold factor
+    is k = ln p.  With k growing, the Markov floor 1 - 1/k climbs toward 1,
     which is the finite-field exception-set limit displayed at desk scale.
+    A row's dimension is ``dimension.ff_dim(row)``.
     """
     rows = []
     for p in primes:
         B = set_rule(p)
         if B.p != p:
             raise ValueError(f"set_rule returned a set over p={B.p}, wanted {p}")
-        k = math.log(p)
-        rep = ff_chebyshev_fraction(B, k)
-        dim = math.log(B.cardinality) / math.log(p) if B.cardinality else 0.0
-        rows.append(FFTableRow(p=p, cardinality=B.cardinality, dim=dim, k=k,
-                               good_fraction=rep.good_fraction,
-                               markov_bound=rep.markov_bound))
+        rows.append(ff_chebyshev_fraction(B, math.log(p)))
     return rows

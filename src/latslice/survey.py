@@ -360,16 +360,19 @@ def exception_ray_scan(ps: PointSet, v0: float, u_interval, u_samples: int,
     exceeds ``threshold_dim``, at fixed perpendicular offset v0.
 
     Samples midpoints of u_samples equal subintervals of u_interval
-    (zero is rejected: tubes need u != 0).  A finite-scale diagnostic, not a
+    (zero is rejected: tubes need u != 0; so are non-finite ends and
+    thresholds).  A finite-scale diagnostic, not a
     limit statement: the estimates inherit all the bias of the underlying
     profiles, so thresholds should be read against the profile depth
     actually available.  Raising the threshold never raises the fraction.
     """
     if u_samples < 1:
         raise ValueError("u_samples must be >= 1")
+    if not math.isfinite(threshold_dim):
+        raise ValueError("threshold_dim must be finite")
     u_lo, u_hi = (float(u_interval[0]), float(u_interval[1]))
-    if not u_lo < u_hi:
-        raise ValueError("u_interval must be nondegenerate (lo, hi)")
+    if not (u_lo < u_hi and math.isfinite(u_hi - u_lo)):
+        raise ValueError("u_interval must be a finite nondegenerate (lo, hi)")
     us = u_lo + (np.arange(u_samples) + 0.5) * ((u_hi - u_lo) / u_samples)
     if np.any(us == 0.0):
         raise ValueError("slope sample hit u = 0; shift the range")

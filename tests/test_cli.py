@@ -393,13 +393,20 @@ def test_emit_profile_csv_rejects_empty(tmp_path):
     assert not (tmp_path / "e.csv").exists()
 
 
-def test_ff_double_count_mismatch_gives_check_exit(capsys, monkeypatch):
+def test_ff_double_count_mismatch_gives_check_exit(tmp_path, capsys,
+                                                   monkeypatch):
+    # a Chebyshev check reads a matrix that passed the identity, so a
+    # mismatch stops it as it stops the identity check: exit 3, no report
     from latslice import finitefield as ff
     real = ff.ff_line_count_matrix
     monkeypatch.setattr(ff, "ff_line_count_matrix", lambda B: real(B) * 2)
-    rc = cli.main(["ff", "--p", "5", "--set", "full", "--verify", "identity"])
-    assert rc == 3
-    assert "double count" in capsys.readouterr().err
+    out = tmp_path / "report.json"
+    for verify in ("identity", "chebyshev", "chebyshev:2,identity"):
+        rc = cli.main(["ff", "--p", "5", "--set", "full", "--verify", verify,
+                       "--out", str(out)])
+        assert rc == 3, verify
+        assert "double count" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_ff_builds_the_line_matrix_once_per_set(capsys, monkeypatch):
@@ -407,11 +414,14 @@ def test_ff_builds_the_line_matrix_once_per_set(capsys, monkeypatch):
     real, built = ff.ff_line_count_matrix, []
     monkeypatch.setattr(ff, "ff_line_count_matrix",
                         lambda B: built.append(B.p) or real(B))
-    assert cli.main(["ff", "--p", "101", "--set", "random:0.2:1",
-                     "--verify", "identity,chebyshev"]) == 0
-    assert built == [101]
+    for verify in ("identity,chebyshev", "chebyshev", "identity"):
+        built.clear()
+        assert cli.main(["ff", "--p", "101", "--set", "random:0.2:1",
+                         "--verify", verify]) == 0
+        assert built == [101], verify
+    built.clear()
     assert cli.main(["repro", "ff", "--p", "5"]) == 0
-    assert built[1:] == [5] * 100
+    assert built == [5] * 100
 
 
 def test_tiny_tube_slope_gives_config_exit(tmp_path, capsys):

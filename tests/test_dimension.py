@@ -192,6 +192,14 @@ def test_dim_1d_rejects_nonpositive():
         dim.dim_1d_profile([0, 1, 4])
 
 
+@pytest.mark.parametrize("values", [[1.5, 2.7, 3.9], [1, 4, math.nan],
+                                    [2, math.inf], [2.0 ** 63]])
+def test_dim_1d_rejects_non_integers(values):
+    # a cast to int64 would count [1.5, 2.7, 3.9] as the set {1, 2, 3}
+    with pytest.raises(ValueError, match="positive integers"):
+        dim.dim_1d_profile(values)
+
+
 # ---------------------------------------------------------------------------
 # Finite-field dimension
 # ---------------------------------------------------------------------------

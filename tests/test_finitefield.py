@@ -220,8 +220,9 @@ def test_double_count_exact_across_densities():
             assert ff.ff_double_count(b) == b.cardinality * p
 
 
-def test_double_count_mismatch_raises_typed_error(monkeypatch):
-    # the identity check must survive python -O, so it cannot be an assert
+@pytest.fixture
+def off_by_one_matrix(monkeypatch):
+    """``ff_line_count_matrix`` with one count too many."""
     real = ff.ff_line_count_matrix
 
     def off_by_one(B):
@@ -230,10 +231,21 @@ def test_double_count_mismatch_raises_typed_error(monkeypatch):
         return mat
 
     monkeypatch.setattr(ff, "ff_line_count_matrix", off_by_one)
+
+
+def test_double_count_mismatch_raises_typed_error(off_by_one_matrix):
+    # the identity check must survive python -O, so it cannot be an assert
     b = ff.FiniteFieldSet.random(7, density=0.5, seed=1)
     with pytest.raises(ff.DoubleCountError, match="double count"):
         ff.ff_double_count(b)
     assert not issubclass(ff.DoubleCountError, (AssertionError, ValueError))
+
+
+def test_chebyshev_fraction_checks_the_identity(off_by_one_matrix):
+    # every Chebyshev report is read off a matrix that passed the identity
+    b = ff.FiniteFieldSet.random(7, density=0.5, seed=1)
+    with pytest.raises(ff.DoubleCountError, match="double count"):
+        ff.ff_chebyshev_fraction(b, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +343,7 @@ def test_exception_limit_table_growing_primes():
         assert r.k == pytest.approx(math.log(r.p))
         assert r.markov_bound == pytest.approx(1.0 - 1.0 / r.k)
         assert r.good_fraction > r.markov_bound
-        assert 0.0 <= r.dim <= 2.0
+        assert 0.0 <= dim.ff_dim(r) <= 2.0
     # larger p gives a stronger guarantee
     ks = [r.k for r in rows]
     assert ks == sorted(ks)

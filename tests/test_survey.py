@@ -144,6 +144,19 @@ def test_exception_ray_scan_rejects_zero_slope_sample():
         sv.exception_ray_scan(full, 0.3, (-1.0, 1.0), 5, 0.5)
 
 
+@pytest.mark.parametrize("u_interval, threshold", [
+    ((-2.0, -0.5), math.nan), ((-2.0, -0.5), math.inf),
+    ((-2.0, math.inf), 0.5), ((-math.inf, -0.5), 0.5),
+    ((-1e308, 1e308), 0.5),
+], ids=["nan-threshold", "inf-threshold", "inf-hi", "inf-lo", "overflow"])
+def test_exception_ray_scan_refuses_non_finite_input(u_interval, threshold):
+    # a nan threshold would read 0.0, and an infinite end would sample only
+    # u = inf, the horizontal tube
+    full = gen.gen_cartesian(np.arange(33), np.arange(33))
+    with pytest.raises(ValueError, match="finite"):
+        sv.exception_ray_scan(full, 0.3, u_interval, 4, threshold)
+
+
 def test_exception_ray_scan_empty_set():
     empty = PointSet(np.empty((0, 2)))
     assert sv.exception_ray_scan(empty, 0.3, (-2.0, -1.0), 4, 0.1) == 0.0
