@@ -21,8 +21,8 @@ from .finitefield import (ChebyshevReport, DoubleCountError, FiniteFieldSet,
 from .generators import (ConeAnnuli, ConeFixedWidth, ConeStaircase,
                          MaterializeError, ParabolicStaircase, ZigzagTrace,
                          gen_cartesian, gen_parabolic_staircase,
-                         gen_random_dimension, gen_random_dimension_1d,
-                         gen_unit_line, gen_zigzag, zigzag_tube_counts)
+                         gen_random_dimension, gen_unit_line, gen_zigzag,
+                         zigzag_tube_counts)
 from .geometry import (BoxSpec, FloorLine, PointSet, SeparationReport, Tube,
                        box_count, read_points, slice_floor_line, slice_tube,
                        tube_edge_distance, validate_separation, write_points)
@@ -41,7 +41,7 @@ __all__ = [
     "MaterializeError", "ParabolicStaircase", "ZigzagTrace", "ConeAnnuli",
     "ConeStaircase", "ConeFixedWidth", "gen_unit_line",
     "gen_parabolic_staircase", "gen_zigzag", "zigzag_tube_counts",
-    "gen_cartesian", "gen_random_dimension", "gen_random_dimension_1d",
+    "gen_cartesian", "gen_random_dimension",
     # dimension
     "DimensionProfile", "dyadic_scales", "profile_from_counts",
     "mass_dim_profile", "counting_dim_profile", "dim_1d_profile", "ff_dim",

@@ -2,14 +2,19 @@
 
 Each subcommand is one entry of ``COMMANDS``: its help text, its runner,
 whether its ``--out`` names the report JSON (survey, ff, levels, repro) or
-an artifact (generate, dim, slice), and its argparse flags.  ``main`` parses
-the flags and passes their values to ``run(command, params)``.
+an artifact (generate, dim, slice), what its ``--in`` reads (nothing, a
+point file, or a point file or implicit descriptor), and its other argparse
+flags.  ``main`` parses the flags and passes their values to
+``run(command, params)``.
 
-A runner computes; it writes no files.  It returns its results block, the
-artifacts to write as ``(key, path, writer)`` triples, and the message of a
-failed check (or None).  ``run()`` is the only code that writes files: each
-artifact through ``_atomic_write``, then the ``--out`` report, and only then
-does it raise ``CheckFailure`` for a failed check.  The report's ``params``
+``run()`` is the only code that reads the ``--in`` set and the only code
+that writes files.  It loads the set (timed, and refused if the command
+needs a point file and gets a descriptor) and passes it to the runner.  A
+runner computes on its flag values and that set; it reads and writes no
+files.  It returns its results block, the artifacts to write as
+``(key, path, writer)`` triples, and the message of a failed check (or
+None).  ``run()`` writes each artifact through ``_atomic_write``, then the
+``--out`` report, and only then raises ``CheckFailure`` for a failed check.  The report's ``params``
 block holds the flag values other than ``out``, ``seed`` and ``cells``, so
 identical flags give identical ``params`` and ``results`` blocks; only the
 provenance (timestamp and stage timings) differs between runs.
@@ -22,6 +27,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -61,44 +67,21 @@ class CheckFailure(AssertionError):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class Stages:
-    """Where a run's time went, reported as ``provenance.stages``.
-
-    ``load_s`` is the time spent loading the input set (point file or
-    implicit descriptor) and ``points_loaded`` the number of points read
-    from a point file; both are None when there is no such input.
-    ``run_s`` is the time from the start of the run to the writing of the
-    report, so it covers the whole command up to that point.
-    """
-
-    start: float = field(default_factory=time.perf_counter)
-    load_s: float | None = None
-    points_loaded: int | None = None
-
-    def load(self, path: str, command: str):
-        """``load_set(path)``, timed; scanning commands refuse descriptors."""
-        t0 = time.perf_counter()
-        obj = load_set(path)
-        self.load_s = time.perf_counter() - t0
-        if isinstance(obj, PointSet):
-            self.points_loaded = len(obj)
-        elif command in ("validate", "slice", "survey", "levels"):
-            raise ConfigError(f"{command} needs a materialized point file")
-        return obj
-
-    def as_dict(self) -> dict:
-        return {"load_s": self.load_s, "points_loaded": self.points_loaded,
-                "run_s": time.perf_counter() - self.start}
-
-
-@dataclass
 class Report:
+    """A run's report.  Its ``provenance.stages`` say where the time went:
+    ``load_s`` is the time spent loading the ``--in`` set (point file or
+    implicit descriptor) and ``points_loaded`` the number of points read
+    from a point file, both None when there is no such input; ``run_s`` is
+    the time from ``start`` to the serializing of the report."""
+
     command: str
     params: dict
     seed: int
     results: dict
     artifacts: dict = field(default_factory=dict)
-    stages: Stages = field(default_factory=Stages)
+    start: float = field(default_factory=time.perf_counter)
+    load_s: float | None = None
+    points_loaded: int | None = None
 
     def to_json(self) -> str:
         payload = {
@@ -111,7 +94,9 @@ class Report:
                 "tool": "latslice",
                 "version": __version__,
                 "timestamp": datetime.now(timezone.utc).isoformat(),
-                "stages": self.stages.as_dict(),
+                "stages": {"load_s": self.load_s,
+                           "points_loaded": self.points_loaded,
+                           "run_s": time.perf_counter() - self.start},
             },
         }
         return json.dumps(payload, indent=2, sort_keys=True)
@@ -225,10 +210,10 @@ def load_set(path: str):
 
 
 # ---------------------------------------------------------------------------
-# Runners: (flag values, Stages) -> (results, artifacts, failure)
+# Runners: (flag values, loaded --in set) -> (results, artifacts, failure)
 # ---------------------------------------------------------------------------
 
-def _run_generate(a: dict, stages: Stages):
+def _run_generate(a: dict, _):
     try:
         a["params"] = json.loads(a["params"])   # the report shows the object
     except json.JSONDecodeError as exc:
@@ -255,8 +240,7 @@ def _run_generate(a: dict, stages: Stages):
                       lambda tmp: _write_text(tmp, desc))], None
 
 
-def _run_validate(a: dict, stages: Stages):
-    ps = stages.load(a["in"], "validate")
+def _run_validate(a: dict, ps):
     rep = validate_separation(ps)
     return {"points": len(ps), "min_distance": rep.min_distance,
             "closest_pair": rep.closest_pair, "separated": rep.valid}, [], None
@@ -274,8 +258,7 @@ def _parse_scales(spec: str) -> np.ndarray:
     raise ConfigError(f"--scales must look like dyadic:<max>, got {spec!r}")
 
 
-def _run_dim(a: dict, stages: Stages):
-    obj = stages.load(a["in"], "dim")
+def _run_dim(a: dict, obj):
     scales = _parse_scales(a["scales"]) if a["scales"] else None
     prof = mass_dim_profile(obj, scales=scales, kind=a["kind"],
                             method=a["method"])
@@ -296,8 +279,7 @@ def _parse_pair(text: str, flag: str) -> tuple[float, float]:
         raise ConfigError(f"{flag} expects numbers, got {text!r}") from None
 
 
-def _run_slice(a: dict, stages: Stages):
-    ps = stages.load(a["in"], "slice")
+def _run_slice(a: dict, ps):
     if a["tube"] is not None and a["floor"] is not None:
         raise ConfigError("slice takes exactly one of --tube or --floor")
     if a["tube"] is not None:
@@ -337,8 +319,7 @@ def _cells_csv(counts: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_survey(a: dict, stages: Stages):
-    ps = stages.load(a["in"], "survey")
+def _run_survey(a: dict, ps):
     kwargs = dict(n_side=a["N"], m_range=a["M"], k_threshold=a["k"])
     if a["mc"]:
         kwargs.update(mode="mc", mc_samples=a["mc"], seed=a["seed"])
@@ -376,27 +357,25 @@ def _parse_ff_set(spec: str, p: int) -> FiniteFieldSet:
             raise ConfigError(f"bad --set value {spec!r}") from None
         return FiniteFieldSet.random(p, density, seed)
     try:
-        with open(spec, "r", encoding="utf-8") as fh:
-            pairs = []
-            for line_no, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                try:
-                    x, y = map(int, line.split())
-                except ValueError:
-                    raise ConfigError(f"{spec}:{line_no}: expected two "
-                                      f"integers 'x y', got {line!r}") from None
-                if not (0 <= x < p and 0 <= y < p):
-                    raise ConfigError(f"{spec}:{line_no}: point ({x}, {y}) "
-                                      f"outside [0, {p})^2")
-                pairs.append((x, y))
+        pts = read_points(spec).points
     except OSError as exc:
         raise OSError(f"cannot read --set file {spec}: {exc}") from None
-    return FiniteFieldSet.from_points(p, pairs)
+    ok = (pts == np.floor(pts)) & (pts >= 0) & (pts < p)
+    bad = np.flatnonzero(~ok.all(axis=1))
+    if bad.size:        # name the file line of the first bad point
+        with open(spec, "r", encoding="utf-8") as fh:
+            data_lines = (n for n, line in enumerate(fh, 1)
+                          if line.split() and not line.lstrip().startswith("#"))
+            where = f"{spec}:{next(itertools.islice(data_lines, bad[0], None))}"
+        x, y = pts[bad[0]].tolist()
+        point = ", ".join(repr(v).removesuffix(".0") for v in (x, y))
+        if x.is_integer() and y.is_integer():
+            raise ConfigError(f"{where}: point ({point}) outside [0, {p})^2")
+        raise ConfigError(f"{where}: expected two integers, got ({point})")
+    return FiniteFieldSet.from_points(p, pts.astype(np.int64))
 
 
-def _run_ff(a: dict, stages: Stages):
+def _run_ff(a: dict, _):
     prime = a["p"]
     B = _parse_ff_set(a["set"], prime)
     results: dict = {"p": prime, "cardinality": B.cardinality}
@@ -432,8 +411,7 @@ def _run_ff(a: dict, stages: Stages):
     return results, [], failure
 
 
-def _run_levels(a: dict, stages: Stages):
-    ps = stages.load(a["in"], "levels")
+def _run_levels(a: dict, ps):
     try:
         lsc = LevelSearchConfig(alpha=a["alpha"], psi=a["psi"],
                                 search_bound=a["bound"])
@@ -445,7 +423,7 @@ def _run_levels(a: dict, stages: Stages):
             "counts": prof.counts, "thresholds": prof.thresholds}, [], None
 
 
-def _run_repro(a: dict, stages: Stages):
+def _run_repro(a: dict, _):
     name = a["name"]
     extra: dict = {}
     if name == "all":
@@ -484,6 +462,7 @@ class Command(NamedTuple):
     help: str
     runner: Callable
     report_out: bool        # --out names the report JSON, not an artifact
+    reads: str | None       # --in: None, "points" (a point file) or "set"
     flags: tuple            # (names, add_argument keywords) per flag
 
 
@@ -491,11 +470,11 @@ def _flag(*names, **kwargs):
     return names, kwargs
 
 
-IN = _flag("--in", dest="in", metavar="INFILE", required=True)
 REPORT_OUT = _flag("--out", help="report JSON path")
 
 COMMANDS = {
-    "generate": Command("build an example point set", _run_generate, False, (
+    "generate": Command("build an example point set", _run_generate, False,
+                        None, (
         _flag("--kind", required=True, choices=sorted(GENERATORS)),
         _flag("--params", default="{}",
               help="generator parameters as a JSON object"),
@@ -503,24 +482,23 @@ COMMANDS = {
               choices=("materialize", "implicit")),
         _flag("--out", help="point file (or descriptor for implicit)"))),
     "validate": Command("check 1-separation of a point file",
-                        _run_validate, False, (IN,)),
-    "dim": Command("mass dimension profile", _run_dim, False, (
-        IN,
+                        _run_validate, False, "points", ()),
+    "dim": Command("mass dimension profile", _run_dim, False, "set", (
         _flag("--scales", help="dyadic:<max>, e.g. dyadic:1048576"),
         _flag("--kind", default="first_quadrant",
               choices=("first_quadrant", "centered")),
         _flag("--method", default="ratio_max_tail",
               choices=("ratio_max_tail", "regression_tail")),
         _flag("--out", help="profile CSV path"))),
-    "slice": Command("slice by one tube or floor line", _run_slice, False, (
-        IN,
+    "slice": Command("slice by one tube or floor line", _run_slice, False,
+                     "points", (
         _flag("--tube", help="U,V tube parameters (U=0 for horizontal)"),
         _flag("--floor", help="U,V floor-line parameters"),
         _flag("--x-max", type=float, default=math.inf,
               help="floor slices: ignore points with x beyond this"),
         _flag("--out", help="output point/heights file"))),
-    "survey": Command("floor-line slice-count survey", _run_survey, True, (
-        IN,
+    "survey": Command("floor-line slice-count survey", _run_survey, True,
+                      "points", (
         _flag("--N", type=int, required=True,
               help="window side: survey restricted to [0,N]^2"),
         _flag("--M", type=float, help="parameter range (0,M]^2"),
@@ -529,20 +507,19 @@ COMMANDS = {
         _flag("--seed", type=int, default=0),
         _flag("--k", type=float, help="exception threshold factor"),
         REPORT_OUT, _flag("--cells", help="per-cell CSV sidecar"))),
-    "ff": Command("finite-field incidence checks", _run_ff, True, (
+    "ff": Command("finite-field incidence checks", _run_ff, True, None, (
         _flag("--p", type=int, required=True, help="prime modulus"),
         _flag("--set", default="full",
               help="point file, random:<density>:<seed>, or full"),
         _flag("--verify", default="identity",
               help="comma list: identity, chebyshev[:k]"), REPORT_OUT)),
     "levels": Command("find dyadic annulus levels in a tube", _run_levels,
-                      True, (
-        IN,
+                      True, "points", (
         _flag("--u", type=float, required=True),
         _flag("--alpha", type=float, default=0.0),
         _flag("--psi", type=float, default=1.0),
         _flag("--bound", type=int, default=1024), REPORT_OUT)),
-    "repro": Command("run reproducibility recipes", _run_repro, True, (
+    "repro": Command("run reproducibility recipes", _run_repro, True, None, (
         _flag("name", nargs="?", default="all",
               help="all, example2, ff, or criterion<1..10>"),
         _flag("--p", type=int, default=argparse.SUPPRESS,
@@ -554,12 +531,22 @@ _NOT_PARAMS = ("out", "seed", "cells")
 
 def run(command: str, params: dict) -> Report:
     """Run one command on its flag values (``vars`` of the parsed flags).
-    The only code that writes files: the runner's artifacts, then the
-    ``--out`` report, then it raises ``CheckFailure`` if a check failed."""
-    spec, a, stages = COMMANDS[command], dict(params), Stages()
-    results, artifacts, failure = spec.runner(a, stages)
+    The only code that reads the ``--in`` set and writes files: it loads
+    the set, runs the runner on it, writes the runner's artifacts, then the
+    ``--out`` report, then raises ``CheckFailure`` if a check failed."""
+    spec, a, start = COMMANDS[command], dict(params), time.perf_counter()
+    obj = load_s = points_loaded = None
+    if spec.reads:
+        obj = load_set(a["in"])
+        load_s = time.perf_counter() - start
+        if isinstance(obj, PointSet):
+            points_loaded = len(obj)
+        elif spec.reads == "points":
+            raise ConfigError(f"{command} needs a materialized point file")
+    results, artifacts, failure = spec.runner(a, obj)
     report = Report(command, {k: v for k, v in a.items() if k not in _NOT_PARAMS},
-                    a.get("seed", 0), results, stages=stages)
+                    a.get("seed", 0), results, start=start, load_s=load_s,
+                    points_loaded=points_loaded)
     for key, path, writer in artifacts:
         if path:
             _atomic_write(path, writer)
@@ -586,6 +573,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     for name, spec in COMMANDS.items():
         cmd = sub.add_parser(name, help=spec.help)
+        if spec.reads:
+            cmd.add_argument("--in", dest="in", metavar="INFILE", required=True)
         for names, kwargs in spec.flags:
             cmd.add_argument(*names, **kwargs)
     return ap

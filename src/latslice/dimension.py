@@ -339,12 +339,18 @@ def _count_windows(cols, rows, rx, ry, w, merge: bool):
 
 
 def dim_1d_profile(values, scales=None) -> DimensionProfile:
-    """Dimension profile of a set of positive integers via counts in [1, N]."""
+    """Dimension profile of a set of positive integers via counts in [1, N].
+    Every value must lie in 1 ... 2^63 - 1, the int64 range."""
     raw = np.unique(np.asarray(values))
-    with np.errstate(invalid="ignore"):     # nan and inf cast to garbage
-        vals = raw.astype(np.int64)
-    if np.any((vals != raw) | (vals < 1)):  # 1.5, nan, inf and 0 all fail
-        raise ValueError("values must be positive integers")
+    try:
+        with np.errstate(invalid="ignore"):     # nan and inf cast to garbage
+            vals = raw.astype(np.int64)
+    except OverflowError:                       # Python ints past uint64
+        vals = None
+    # 1.5, nan, inf, 0 and 2^63 (uint64, wrapped negative) all fail
+    if vals is None or np.any((vals != raw) | (vals < 1)):
+        raise ValueError("values must be positive integers below 2^63 "
+                         "(the int64 limit)")
     if scales is None:
         scales = dyadic_scales(float(vals[-1]) if vals.size else 2.0)
     scales = np.asarray(scales, dtype=float)

@@ -38,7 +38,6 @@ __all__ = [
     "gen_cartesian",
     "gen_parabolic_staircase",
     "gen_random_dimension",
-    "gen_random_dimension_1d",
     "gen_unit_line",
     "gen_zigzag",
     "zigzag_tube_counts",
@@ -69,6 +68,9 @@ def gen_unit_line(m: float, count: int) -> PointSet:
         raise ValueError("slope m must be positive")
     if count < 1:
         raise ValueError("count must be >= 1")
+    if count > MAX_MATERIALIZE_POINTS:
+        raise MaterializeError(f"unit line with count={count} holds {count} "
+                               f"points; the cap is {MAX_MATERIALIZE_POINTS}")
     r = math.sqrt(1.0 + m * m)
     k = np.arange(count, dtype=float)
     pad = count * 2.5e-16
@@ -697,25 +699,3 @@ def gen_random_dimension(alpha: float, l_max: int, seed: int) -> PointSet:
         ys[~right] = h + top // (2 * h)
         chunks.append(np.column_stack([xs, ys]).astype(float))
     return PointSet(np.concatenate(chunks))
-
-
-def gen_random_dimension_1d(alpha: float, n_max: int, seed: int) -> np.ndarray:
-    """Random A subset of {1..n_max} with |A n [1, N]| comparable to N^alpha.
-
-    Same annulus scheme as the planar version, one dimension down: integer
-    n in [2^j, 2^(j+1)) survives with probability 2^(j(alpha-1)).  Returns
-    the sorted surviving integers.
-    """
-    if not (0.0 <= alpha <= 1.0):
-        raise ValueError("alpha must lie in [0, 1]")
-    if n_max < 2 or n_max & (n_max - 1):
-        raise ValueError("n_max must be a power of two >= 2")
-    rng = np.random.default_rng(seed)
-    parts = []
-    for j in range(n_max.bit_length() - 1):
-        n = 1 << j
-        p = min(1.0, 2.0 ** (j * (alpha - 1.0)))
-        k = n if p >= 1.0 else int(rng.binomial(n, p))
-        idx = _distinct_uniform(rng, n, k)
-        parts.append(np.sort(idx) + n)
-    return np.concatenate(parts).astype(np.int64)

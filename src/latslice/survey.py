@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dimension import DimensionProfile, mass_dim_profile
+from .generators import MAX_MATERIALIZE_POINTS, MaterializeError
 from .geometry import PointSet, Tube, slice_tube
 
 __all__ = [
@@ -84,6 +85,15 @@ class SurveyConfig:
             raise ValueError("grid dimensions must be >= 1")
         if self.mode == "mc" and self.mc_samples < 1:
             raise ValueError("mc_samples must be >= 1")
+        cells = self.grid_u * self.grid_v
+        if self.mode == "grid" and cells > MAX_MATERIALIZE_POINTS:
+            raise MaterializeError(
+                f"survey grid {self.grid_u}x{self.grid_v} holds {cells} "
+                f"cells; the cap is {MAX_MATERIALIZE_POINTS}")
+        if self.mode == "mc" and self.mc_samples > MAX_MATERIALIZE_POINTS:
+            raise MaterializeError(
+                f"mc survey of {self.mc_samples} samples; the cap is "
+                f"{MAX_MATERIALIZE_POINTS}")
         if self.k_threshold is None and self.m_range <= math.e:
             raise ValueError("default k_threshold needs m_range > e")
         # negated, so that nan (false under every comparison) fails

@@ -171,19 +171,29 @@ def test_ff_set_file(tmp_path, capsys):
 @pytest.mark.parametrize("body, line_no, needle", [
     ("1 2\n1.5 2\n", 2, "expected two integers"),
     ("# header\n3 9\n", 2, "point (3, 9) outside [0, 7)^2"),
-    ("1 2 3\n", 1, "expected two integers"),
+    ("1 2 3\n", 1, "expected two fields, got 3"),
     ("\n\n-1 0\n", 3, "point (-1, 0) outside"),
-    ("0\n", 1, "expected two integers"),
+    ("0\n", 1, "expected two fields, got 1"),
+    ("0_6 2\n", 1, "'0_6' is not a finite decimal number"),
+    ("# x y\n1 2\n\u0661 2\n", 3, "'\u0661' is not a finite decimal number"),
 ])
 def test_ff_set_file_names_the_bad_line(tmp_path, capsys, body, line_no, needle):
     pts = tmp_path / "b.txt"
-    pts.write_text(body)
+    pts.write_text(body, encoding="utf-8")
     rc = cli.main(["ff", "--p", "7", "--set", str(pts)])
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.out == ""
     assert f"{pts}:{line_no}: " in captured.err
     assert needle in captured.err
+
+
+def test_ff_set_file_accepts_integers_spelled_as_floats(tmp_path, capsys):
+    pts = tmp_path / "b.txt"
+    pts.write_text("3.0 4\n3 4e0\n")
+    rep = run_json(["ff", "--p", "7", "--set", str(pts)], capsys)
+    assert rep["results"]["cardinality"] == 1
+    assert rep["results"]["identity"]["total"] == 7
 
 
 def test_ff_set_missing_file_gives_io_exit(tmp_path, capsys):
@@ -341,6 +351,33 @@ def test_unknown_kind_exits_via_argparse(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 2
     assert not (tmp_path / "x.txt").exists()
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["generate", "--kind", "unit_line",
+      "--params", '{"m": 1.0, "count": 10000000000}'],
+     "unit line with count=10000000000 holds 10000000000 points"),
+    (["survey", "--N", "8", "--M", "4", "--mc", "10000000000"],
+     "mc survey of 10000000000 samples"),
+    (["survey", "--N", "8", "--M", "4", "--grid", "100000x100000"],
+     "survey grid 100000x100000 holds 10000000000 cells"),
+])
+def test_oversized_requests_exit_2_under_a_memory_limit(tmp_path, argv, needle):
+    # each command runs in a child under a 2 GiB address-space limit, where
+    # an attempt to allocate its 10^10 entries ends in MemoryError (exit 1)
+    pts = tmp_path / "p.txt"
+    pts.write_text("0 0\n1 1\n")
+    if argv[0] == "survey":
+        argv = [argv[0], "--in", str(pts), *argv[1:]]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import resource, sys\n"
+         "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+         "from latslice.cli import main\n"
+         "sys.exit(main(sys.argv[1:]))\n", *argv],
+        capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert f"{needle}; the cap is {MAX_MATERIALIZE_POINTS}" in proc.stderr
 
 
 def test_version_flag():

@@ -182,9 +182,22 @@ def test_dim_1d_squares_exactly_half():
 
 
 def test_dim_1d_random_alpha():
-    vals = gen.gen_random_dimension_1d(0.7, 2 ** 14, seed=11)
-    prof = dim.dim_1d_profile(vals[vals > 0])
-    assert 0.6 <= prof.estimate <= 0.85
+    # floor(k^(1/0.7)) for k = 1..1024 are distinct, so |A n [1, N]| ~ N^0.7
+    vals = np.floor(np.arange(1, 2 ** 10 + 1) ** (1 / 0.7)).astype(np.int64)
+    assert np.all(np.diff(vals) > 0)
+    assert dim.dim_1d_profile(vals).estimate == pytest.approx(0.7, abs=0.01)
+
+
+@pytest.mark.parametrize("values", [[2 ** 63], [2 ** 64], [1, -2 ** 70],
+                                    [5, 2 ** 63 + 7]])
+def test_dim_1d_rejects_values_past_int64(values):
+    with pytest.raises(ValueError, match="positive integers below 2\\^63"):
+        dim.dim_1d_profile(values)
+
+
+def test_dim_1d_counts_values_up_to_int64():
+    assert int(dim.dim_1d_profile([2 ** 62]).counts[-1]) == 1
+    assert int(dim.dim_1d_profile([1, 2 ** 62, 2 ** 63 - 1]).counts[-1]) == 3
 
 
 def test_dim_1d_rejects_nonpositive():

@@ -1,6 +1,8 @@
 """Tests for the example-set generators, implicit and materialized."""
 import hashlib
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -43,6 +45,24 @@ def test_unit_line_rejects_bad_params():
         gen.gen_unit_line(0.0, 5)
     with pytest.raises(ValueError):
         gen.gen_unit_line(1.0, 0)
+
+
+def test_unit_line_refuses_a_count_past_the_cap_before_allocating():
+    # a child under a 2 GiB address-space limit: an attempt to allocate 10^10
+    # points would end there in MemoryError rather than in MaterializeError
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import resource, sys\n"
+         "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+         "from latslice.generators import MaterializeError, gen_unit_line\n"
+         "try:\n"
+         "    gen_unit_line(1.0, 10 ** 10)\n"
+         "except MaterializeError as exc:\n"
+         "    sys.exit(f'refused: {exc}')\n"],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert ("refused: unit line with count=10000000000 holds 10000000000 "
+            f"points; the cap is {gen.MAX_MATERIALIZE_POINTS}") in proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -556,14 +576,6 @@ def test_random_dimension_separated():
     assert validate_separation(ps).valid
 
 
-def test_random_dimension_1d_sorted_distinct():
-    vals = gen.gen_random_dimension_1d(0.7, 2 ** 12, seed=11)
-    assert np.all(np.diff(vals) > 0)
-    assert vals.dtype == np.int64
-    again = gen.gen_random_dimension_1d(0.7, 2 ** 12, seed=11)
-    assert np.array_equal(vals, again)
-
-
 def _digest(arr: np.ndarray) -> str:
     """sha256 of an array's dtype, shape and C-order bytes."""
     arr = np.ascontiguousarray(arr)
@@ -596,15 +608,3 @@ def test_random_dimension_points_are_pinned(alpha, l_max, seed, size, digest):
     ps = gen.gen_random_dimension(alpha, l_max, seed)
     assert len(ps) == size
     assert _digest(ps.points) == digest
-
-
-@pytest.mark.parametrize("seed,size,digest", [
-    (1, 4985, "5027fe3b685232d9ff2e5a32d29184d50763fddc5f5d2baed370a41fd7497970"),
-    (2, 4939, "994c75ab87ab05088c77d42c211bdbda2eb74b08061ff044f1febb6ca9e72d3f"),
-])
-def test_random_dimension_1d_values_are_pinned(seed, size, digest):
-    # n_max = 2^22 at alpha 0.5: the top annulus of 2^21 integers keeps
-    # about 1450, so it removes duplicates from drawn values
-    vals = gen.gen_random_dimension_1d(0.5, 2 ** 22, seed)
-    assert len(vals) == size
-    assert _digest(vals) == digest

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from latslice import generators as gen
 from latslice import survey as sv
+from latslice.generators import MaterializeError
 from latslice.geometry import PointSet
 
 
@@ -112,6 +113,17 @@ def test_survey_config_validation():
         sv.SurveyConfig(n_side=8, m_range=4.0, mode="quasi")
     cfg2 = sv.SurveyConfig(n_side=8, m_range=2.0, k_threshold=1.5)
     assert cfg2.k_threshold == 1.5
+
+
+@pytest.mark.parametrize("kwargs, needle", [
+    ({"grid_u": 100_000, "grid_v": 100_000},
+     "survey grid 100000x100000 holds 10000000000 cells; the cap is"),
+    ({"mode": "mc", "mc_samples": 10 ** 10},
+     "mc survey of 10000000000 samples; the cap is"),
+])
+def test_survey_config_refuses_samples_past_the_cap(kwargs, needle):
+    with pytest.raises(MaterializeError, match=needle):
+        sv.SurveyConfig(n_side=8, m_range=4.0, **kwargs)
 
 
 def test_tube_dim_along_horizontal_floor_row():
