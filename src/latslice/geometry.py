@@ -3,12 +3,13 @@
 Conventions used throughout the package:
 
 * Points are (x, y) pairs.  ``PointSet`` stores them as an (n, 2) float64
-  array plus a CSR unit-cell index, built on first use: the points sorted
+  array plus a CSR unit-cell index, built when needed: the points sorted
   by cell ``(floor(x), floor(y))``, the occupied cells as sorted packed
   int64 keys with offsets into that order, and the sorted occupied columns
-  and rows.  Tube and floor-line slicing visit only occupied columns, all
-  at once as array expressions, and only the rows the strip can reach in
-  each.  Coordinates may be negative (the cone constructions are built
+  and rows.  A set's first tube or floor-line slice scans every point;
+  later slices visit only occupied columns of the index, all at once as
+  array expressions, and only the rows the strip can reach in each.
+  Coordinates may be negative (the cone constructions are built
   symmetric about the y axis); generators that model first-quadrant sets
   emit nonnegative coordinates.
 
@@ -296,12 +297,15 @@ class PointSet:
       more entry than cells).  Column j's cells begin at the first key
       >= j * _stride, so the column offsets need no array of their own.
 
-    Slicing computes a row interval for every occupied column at once and
-    finds the matching cells with one ``searchsorted`` on packed keys.  The
-    index is built on the first call that needs it (``contains``,
-    ``cell_arrays``, ``cell_ranks``, ``slice_tube``, ``slice_floor_line``)
-    and kept, so a set that is only counted in boxes, validated or written
-    never pays for it.
+    ``contains``, ``cell_arrays`` and ``cell_ranks`` build the index on
+    their first call and keep it, so a set that is only counted in boxes,
+    validated or written never pays for it.  Slices rent before they buy:
+    a set's first ``slice_tube`` or ``slice_floor_line`` scans every point
+    with its exact filter (one pass, cheaper than the three sorts of the
+    build), and the second builds the index, unless a query has already
+    built it.  An indexed slice computes a row interval for every occupied
+    column at once and finds the matching cells with one ``searchsorted``
+    on packed keys.
 
     Box counts have their own cache, ``_box_keys``: for each axis box kind
     (first-quadrant and centered) the points' ``BoxSpec.key`` values,
@@ -322,6 +326,7 @@ class PointSet:
         arr.setflags(write=False)
         self.points = arr
         self._order = None
+        self._sliced = False
         self._box_keys: dict[str, np.ndarray] = {}
 
     def _index(self) -> None:
@@ -357,6 +362,23 @@ class PointSet:
         length = np.maximum(stop - start, 0)
         offset = np.repeat(start - (np.cumsum(length) - length), length)
         return self._order[np.arange(len(offset)) + offset]
+
+    def _candidate_rows(self, x_max: float, bounds) -> np.ndarray:
+        """Rows of ``points`` a slice must test with its exact filter.
+
+        The first slice of a set gets every row, ascending, and leaves the
+        index unbuilt.  Any later slice (or one after the index exists)
+        gets, in cell order, the points of each occupied column x0 <= x_max
+        between the rows ``bounds(x0)`` returns for all those columns at
+        once; the bounds only narrow the candidates, so both paths leave
+        the filter the same points.
+        """
+        if self._order is None and not self._sliced:
+            self._sliced = True
+            return np.arange(len(self.points))
+        self._index()
+        x0 = self._col_x[:np.searchsorted(self._col_x, x_max, side="right")]
+        return self._points_in_rows(np.arange(len(x0)), *bounds(x0))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -700,24 +722,26 @@ def _as_int64(values: np.ndarray) -> np.ndarray:
 
 
 def slice_tube(ps: PointSet, tube: Tube) -> PointSet:
-    """Subset of ``ps`` inside ``tube``, gathered from the CSR cell index.
+    """Subset of ``ps`` inside ``tube``, in the order of ``ps.points``.
 
-    Every occupied column gets the row interval the tube can reach over it,
-    all columns in one array expression; the points of those cells are then
-    filtered by the exact strip inequality ``Tube.contains``.  The row
-    bounds use the same float expressions as that inequality, evaluated at
-    the column's two ends: rounding is monotone, so the computed edges at
-    any x in the column lie between their values at the ends, and no point
-    the inequality accepts is left out, however steep the tube.
+    The exact strip inequality ``Tube.contains`` is the only membership
+    test.  A set's first slice applies it to every point; later slices
+    apply it to the candidates of the CSR cell index: every occupied column
+    gets the row interval the tube can reach over it, all columns in one
+    array expression.  The row bounds use the same float expressions as
+    the inequality, evaluated at the column's two ends: rounding is
+    monotone, so the computed edges at any x in the column lie between
+    their values at the ends, and no point the inequality accepts is left
+    out, however steep the tube.  Both paths give the same array.
     """
     a = tube.edge_slope()
     lo, up = tube.edge_intercepts()
-    ps._index()
-    x0 = ps._col_x
-    b0, b1 = a * x0, a * (x0 + 1.0)
-    rows = ps._points_in_rows(np.arange(len(x0)),
-                              np.floor(np.minimum(b0, b1) + lo),
-                              np.floor(np.maximum(b0, b1) + up))
+
+    def bounds(x0):
+        b0, b1 = a * x0, a * (x0 + 1.0)
+        return np.floor(np.minimum(b0, b1) + lo), np.floor(np.maximum(b0, b1) + up)
+
+    rows = ps._candidate_rows(math.inf, bounds)
     pts = ps.points[rows]
     keep = tube.contains(pts[:, 0], pts[:, 1])
     return ps._subset(np.sort(rows[keep]))
@@ -728,16 +752,17 @@ def slice_floor_line(ps: PointSet, line: FloorLine, x_max: float = math.inf) -> 
     sitting exactly on the broken line y = floor(u x + v).
 
     Returns the sorted array of distinct y values.  Only points with integer
-    y can qualify.  The walk visits only occupied columns with floor(x) <=
-    x_max, and in each only the rows between the line's floor values at the
-    column's two ends (the same float expression as the membership test,
-    which is monotone in x), all columns in one array expression.
+    y can qualify.  The test ``x <= x_max`` and ``y == line.y_at(x)`` is the
+    only membership test.  A set's first slice applies it to every point;
+    later slices apply it to the candidates of the CSR cell index: only
+    occupied columns with floor(x) <= x_max, and in each only the rows
+    between the line's floor values at the column's two ends (the same
+    float expression as the test, which is monotone in x), all columns in
+    one array expression.  Both paths give the same array.
     """
     if not (x_max > 0.0):
         raise ValueError("x_max must be positive")
-    ps._index()
-    x0 = ps._col_x[:np.searchsorted(ps._col_x, x_max, side="right")]
-    rows = ps._points_in_rows(np.arange(len(x0)), line.y_at(x0), line.y_at(x0 + 1.0))
+    rows = ps._candidate_rows(x_max, lambda x0: (line.y_at(x0), line.y_at(x0 + 1.0)))
     pts = ps.points[rows]
     ok = (pts[:, 0] <= x_max) & (pts[:, 1] == line.y_at(pts[:, 0]))
     return _as_int64(np.unique(pts[ok, 1]))

@@ -371,13 +371,18 @@ def exception_ray_scan(ps: PointSet, v0: float, u_interval, u_samples: int,
 
     Samples midpoints of u_samples equal subintervals of u_interval
     (zero is rejected: tubes need u != 0; so are non-finite ends and
-    thresholds).  A finite-scale diagnostic, not a
-    limit statement: the estimates inherit all the bias of the underlying
-    profiles, so thresholds should be read against the profile depth
-    actually available.  Raising the threshold never raises the fraction.
+    thresholds).  More than ``MAX_MATERIALIZE_POINTS`` samples raise
+    ``MaterializeError`` before anything is allocated.  A finite-scale
+    diagnostic, not a limit statement: the estimates inherit all the bias
+    of the underlying profiles, so thresholds should be read against the
+    profile depth actually available.  Raising the threshold never raises
+    the fraction.
     """
     if u_samples < 1:
         raise ValueError("u_samples must be >= 1")
+    if u_samples > MAX_MATERIALIZE_POINTS:
+        raise MaterializeError(f"exception ray scan of {u_samples} slope "
+                               f"samples; the cap is {MAX_MATERIALIZE_POINTS}")
     if not math.isfinite(threshold_dim):
         raise ValueError("threshold_dim must be finite")
     u_lo, u_hi = (float(u_interval[0]), float(u_interval[1]))

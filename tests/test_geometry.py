@@ -257,6 +257,19 @@ def test_slice_tube_collinear_unit_spaced_points():
     assert len(got) == len(ps)
 
 
+@pytest.mark.parametrize("slice_once", [
+    lambda ps: slice_tube(ps, Tube(-0.5, 0.25)),
+    lambda ps: slice_floor_line(ps, FloorLine(0.5, 0.25)),
+], ids=["tube", "floor"])
+def test_first_slice_scans_and_second_builds_the_index(slice_once):
+    pts = np.column_stack([np.arange(40.0), np.floor(0.5 * np.arange(40.0))])
+    ps = PointSet(pts)
+    slice_once(ps)
+    assert ps._order is None
+    slice_once(ps)
+    assert ps._order is not None
+
+
 def test_slice_tube_disjoint_is_empty():
     xs, ys = np.meshgrid(np.arange(20), np.arange(20))
     ps = PointSet(np.column_stack([xs.ravel(), ys.ravel()]))

@@ -1,11 +1,14 @@
 """Differential property tests: indexed queries against naive full scans.
 
 Every indexed operation of ``PointSet`` is compared with a scan of the raw
-point array written from the documented definitions.  The drawn sets mix
-small coordinates of either sign with clusters near +-2^53, where float
-spacing reaches 1 and 2, and tubes span |u| from 1e-150 to 1e150.  Points
-are placed exactly on computed tube edges and floor lines so that the open
-and closed edge conventions are exercised, not just the interiors.
+point array written from the documented definitions.  A set's first slice
+is itself a scan, so slices are checked on both paths: the first slice of a
+fresh set against the naive scan, and against the same slice once the index
+exists.  The drawn sets mix small coordinates of either sign with clusters
+near +-2^53, where float spacing reaches 1 and 2, and tubes span |u| from
+1e-150 to 1e150.  Points are placed exactly on computed tube edges and
+floor lines so that the open and closed edge conventions are exercised, not
+just the interiors.
 """
 import math
 
@@ -127,6 +130,44 @@ def test_slice_floor_line_matches_naive_scan(case):
     assert np.array_equal(got, want)
     if math.isinf(x_max):
         assert np.array_equal(slice_floor_line(PointSet(pts), line), want)
+
+
+def _fresh_and_indexed(pts, slice_once):
+    """The first slice of a fresh set (a scan) and the same slice again
+    (from the index, which the second slice builds)."""
+    ps = PointSet(pts)
+    first = slice_once(ps)
+    assert ps._order is None
+    again = slice_once(ps)
+    assert ps._order is not None
+    return first, again
+
+
+@st.composite
+def few_points(draw, cases):
+    """A drawn case with its points cut to none, one, or all of them."""
+    pts, *rest = draw(cases)
+    keep = draw(st.sampled_from((0, 1, len(pts))))
+    return (pts[:keep], *rest)
+
+
+@SETTINGS
+@given(few_points(tube_cases()))
+def test_first_tube_slice_scan_equals_indexed_slice(case):
+    pts, tube = case
+    first, again = _fresh_and_indexed(pts, lambda ps: slice_tube(ps, tube).points)
+    assert first.shape == again.shape
+    assert first.tobytes() == again.tobytes()
+
+
+@SETTINGS
+@given(few_points(floor_cases()))
+def test_first_floor_slice_scan_equals_indexed_slice(case):
+    pts, line, x_max = case
+    first, again = _fresh_and_indexed(
+        pts, lambda ps: slice_floor_line(ps, line, x_max))
+    assert first.dtype == again.dtype == np.int64
+    assert first.tobytes() == again.tobytes()
 
 
 @SETTINGS

@@ -1,5 +1,6 @@
 """Tests for the floor-line survey and the slice-dimension scans."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,6 +168,22 @@ def test_exception_ray_scan_refuses_non_finite_input(u_interval, threshold):
     full = gen.gen_cartesian(np.arange(33), np.arange(33))
     with pytest.raises(ValueError, match="finite"):
         sv.exception_ray_scan(full, 0.3, u_interval, 4, threshold)
+
+
+def test_exception_ray_scan_refuses_samples_beyond_the_cap_before_allocating():
+    # 10^10 slope samples would be a 74.5 GiB float array
+    full = gen.gen_cartesian(np.arange(4), np.arange(4))
+    tracemalloc.start()
+    try:
+        with pytest.raises(MaterializeError, match="the cap is"):
+            sv.exception_ray_scan(full, 0.3, (1.0, 2.0), 10 ** 10, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(MaterializeError):
+        sv.exception_ray_scan(full, 0.3, (1.0, 2.0),
+                              gen.MAX_MATERIALIZE_POINTS + 1, 0.5)
 
 
 def test_exception_ray_scan_empty_set():
