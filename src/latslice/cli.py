@@ -71,8 +71,12 @@ class Report:
     """A run's report.  Its ``provenance.stages`` say where the time went:
     ``load_s`` is the time spent loading the ``--in`` set (point file or
     implicit descriptor) and ``points_loaded`` the number of points read
-    from a point file, both None when there is no such input; ``run_s`` is
-    the time from ``start`` to the serializing of the report."""
+    from a point file, both None when there is no such input;
+    ``compute_s`` is the runner's time; ``write_s`` is the time spent
+    writing artifacts, None when the command writes none, and leaves out
+    the ``--out`` report, which is written after it is serialized;
+    ``run_s`` is the time from ``start`` to the serializing of the
+    report."""
 
     command: str
     params: dict
@@ -82,6 +86,8 @@ class Report:
     start: float = field(default_factory=time.perf_counter)
     load_s: float | None = None
     points_loaded: int | None = None
+    compute_s: float | None = None
+    write_s: float | None = None
 
     def to_json(self) -> str:
         payload = {
@@ -96,6 +102,8 @@ class Report:
                 "timestamp": datetime.now(timezone.utc).isoformat(),
                 "stages": {"load_s": self.load_s,
                            "points_loaded": self.points_loaded,
+                           "compute_s": self.compute_s,
+                           "write_s": self.write_s,
                            "run_s": time.perf_counter() - self.start},
             },
         }
@@ -543,14 +551,19 @@ def run(command: str, params: dict) -> Report:
             points_loaded = len(obj)
         elif spec.reads == "points":
             raise ConfigError(f"{command} needs a materialized point file")
+    compute_start = time.perf_counter()
     results, artifacts, failure = spec.runner(a, obj)
+    write_start = time.perf_counter()
     report = Report(command, {k: v for k, v in a.items() if k not in _NOT_PARAMS},
                     a.get("seed", 0), results, start=start, load_s=load_s,
-                    points_loaded=points_loaded)
+                    points_loaded=points_loaded,
+                    compute_s=write_start - compute_start)
     for key, path, writer in artifacts:
         if path:
             _atomic_write(path, writer)
             report.artifacts[key] = path
+    if report.artifacts:
+        report.write_s = time.perf_counter() - write_start
     if spec.report_out and a.get("out"):
         text = report.to_json() + "\n"
         _atomic_write(a["out"], lambda tmp: _write_text(tmp, text))

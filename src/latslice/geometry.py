@@ -811,9 +811,13 @@ def read_points(path) -> PointSet:
       blank lines are skipped; a ``#`` after data on a line is an error.
     * A file with no data lines gives the empty set.
 
-    The whole file is parsed at once by ``numpy.loadtxt``.  A malformed file
-    raises ``ValueError`` whose message starts with ``path:line`` of the
-    first bad line; a line scan runs only then, to find that line.
+    The whole file is parsed at once by ``numpy.loadtxt``: a file whose
+    every field is an integer within int64 (and that holds no ``-0``)
+    through its int64 converter, then converted to float64, which gives
+    the float parse's result bit for bit; any other file through its float
+    converter.  A malformed file raises ``ValueError`` whose message starts
+    with ``path:line`` of the first bad line; a line scan runs only then,
+    to find that line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -834,11 +838,33 @@ def _parse_points(path, text: str) -> np.ndarray:
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data",
                                 UserWarning)
-        pts = np.loadtxt(source, dtype=float, comments="#", ndmin=2,
-                         encoding="utf-8")
+        pts = _integer_points(source, text)
+        if pts is None:
+            pts = np.loadtxt(source, dtype=float, comments="#", ndmin=2,
+                             encoding="utf-8")
     if pts.size and (pts.shape[1] != 2 or not np.isfinite(pts).all()):
         raise ValueError("expected two finite fields per line")
     return pts
+
+
+def _integer_points(source, text: str) -> np.ndarray | None:
+    """The coordinates of a file whose every field is an integer within
+    int64, read by ``numpy.loadtxt``'s int64 converter (faster than its
+    float converter) and rounded to float64 as the float parse rounds them;
+    None for any other file.  A text holding ``-0`` is left to the float
+    parse, which keeps the sign of a negative zero."""
+    if "-0" in text:
+        return None
+    try:
+        with warnings.catch_warnings():
+            # numpy 1.x reads a token such as 0.5 as the integer 0 with a
+            # DeprecationWarning; raised here, it sends 0.5 to the float parse
+            warnings.filterwarnings("error", category=DeprecationWarning)
+            pts = np.loadtxt(source, dtype=np.int64, comments="#", ndmin=2,
+                             encoding="utf-8")
+    except (ValueError, DeprecationWarning):
+        return None
+    return pts.astype(float)
 
 
 def _comments_start_lines(text: str) -> bool:

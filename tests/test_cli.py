@@ -395,14 +395,26 @@ def test_provenance_stages(tmp_path, capsys):
                     "--out", str(pts)], capsys)
     stages = rep["provenance"]["stages"]
     assert stages["load_s"] is None and stages["points_loaded"] is None
-    assert stages["run_s"] >= 0.0
+    assert 0.0 <= stages["compute_s"] <= stages["run_s"]
+    assert 0.0 <= stages["write_s"] <= stages["run_s"]
     assert "threads" not in rep["provenance"]
 
     rep = run_json(["slice", "--in", str(pts), "--tube=0,-0.5"], capsys)
     stages = rep["provenance"]["stages"]
-    assert sorted(stages) == ["load_s", "points_loaded", "run_s"]
+    assert sorted(stages) == ["compute_s", "load_s", "points_loaded",
+                              "run_s", "write_s"]
     assert stages["points_loaded"] == 3
-    assert 0.0 <= stages["load_s"] <= stages["run_s"]
+    assert stages["write_s"] in (0, None)
+    assert 0.0 <= stages["load_s"]
+    assert 0.0 <= stages["compute_s"]
+    assert stages["load_s"] + stages["compute_s"] <= stages["run_s"]
+
+    sliced = tmp_path / "sliced.txt"
+    stages = run_json(["slice", "--in", str(pts), "--tube=0,-0.5",
+                       "--out", str(sliced)], capsys)["provenance"]["stages"]
+    assert 0.0 <= stages["write_s"]
+    assert (stages["load_s"] + stages["compute_s"] + stages["write_s"]
+            <= stages["run_s"])
 
     desc = tmp_path / "stair.json"
     run_json(["generate", "--kind", "parabolic_staircase", "--mode",
@@ -417,6 +429,7 @@ def test_provenance_stages(tmp_path, capsys):
     written = json.loads(out.read_text())["provenance"]["stages"]
     assert written["points_loaded"] == 3
     assert written["load_s"] <= written["run_s"]
+    assert written["write_s"] in (0, None)     # the report is not an artifact
 
 
 def test_emit_profile_csv_rejects_empty(tmp_path):

@@ -1,12 +1,14 @@
 """Differential property tests for the point-file format.
 
-``read_points`` parses a whole file with ``numpy.loadtxt`` and
-``write_points`` builds the whole file as one string.  Both are compared
-with the line-at-a-time parser and per-value writer they replaced, kept
-here as the reference: every file the reference parser accepts must give
-bit-identical coordinates, every written file must be byte-identical, and
-every malformed file must raise ``ValueError`` naming ``path:line`` of its
-first bad line.
+``read_points`` parses a whole file with ``numpy.loadtxt``: a file of
+integers (``-0`` aside) through its int64 converter, any other file
+through its float converter.  ``write_points`` builds the whole file as
+one string.  Both are compared with the line-at-a-time parser and
+per-value writer they replaced, kept here as the reference: every file the
+reference parser accepts, integer files included, must give bit-identical
+coordinates, every written file must be byte-identical, and every
+malformed file must raise ``ValueError`` naming ``path:line`` of its first
+bad line.
 """
 import os
 import tempfile
@@ -82,14 +84,38 @@ def tokens(draw) -> str:
     return repr(value) if kind == "repr" else "%.17e" % value
 
 
+INT64 = 2 ** 63
+EDGE_INTEGERS = (2 ** 53 - 1, 2 ** 53 + 1, -(2 ** 53 - 1), -(2 ** 53 + 1),
+                 INT64 - 1, -(INT64 - 1), -INT64)
+# the integer parse leaves these to the float parse: -0 for its sign and
+# 2^63, one past int64, for its range
+FLOAT_PARSED = ("-0", "-008", str(INT64))
+
+
+@st.composite
+def integer_tokens(draw, float_parsed: bool) -> str:
+    """One integer field: signs, leading zeros, small values and values
+    around 2^53 and the int64 limits; ``FLOAT_PARSED`` too if asked."""
+    kind = draw(st.sampled_from(("spelled", "small", "edge")))
+    if kind == "spelled":
+        spellings = ("0", "+0", "+7", "007") + FLOAT_PARSED * float_parsed
+        return draw(st.sampled_from(spellings))
+    if kind == "small":
+        return str(draw(st.integers(-2 ** 12, 2 ** 12)))
+    return str(draw(st.sampled_from(EDGE_INTEGERS)))
+
+
+non_integer = st.one_of(st.sampled_from(("0.5", "1e3", "1.0", "-2.5e-7")),
+                        finite.map(repr))
 blank = st.sampled_from(("", " ", "\t", " \t  "))
 ending = st.sampled_from(("\n", "\r\n", "\r"))
 
 
 @st.composite
-def data_line(draw) -> str:
+def data_line(draw, field=tokens(), last=None) -> str:
+    """Two fields drawn from ``field``, the second from ``last`` if given."""
     sep = draw(st.sampled_from((" ", "\t", "  ", " \t ")))
-    return draw(blank) + draw(tokens()) + sep + draw(tokens()) + draw(blank)
+    return draw(blank) + draw(field) + sep + draw(field if last is None else last) + draw(blank)
 
 
 @st.composite
@@ -104,6 +130,19 @@ def file_lines(draw) -> list[str]:
     """Lines of a well-formed point file, without their endings."""
     return draw(st.lists(st.one_of(data_line(), data_line(), comment_line(), blank),
                          max_size=30))
+
+
+@st.composite
+def integer_file_lines(draw) -> list[str]:
+    """Lines of a point file of integers, possibly ended by a data line
+    whose last field is the file's one non-integer."""
+    field = integer_tokens(draw(st.booleans()))
+    line = data_line(field)
+    lines = draw(st.lists(st.one_of(line, line, comment_line(), blank),
+                          max_size=30))
+    if draw(st.booleans()):
+        lines.append(draw(data_line(field, non_integer)))
+    return lines
 
 
 def write_lines(path, lines: list[str], endings: list[str]) -> None:
@@ -126,13 +165,35 @@ def draw_endings(data, n: int, mixed: bool) -> list[str]:
 
 
 @SETTINGS
-@given(lines=file_lines(), name=st.sampled_from(NAMES), data=st.data())
+@given(lines=st.one_of(file_lines(), integer_file_lines()),
+       name=st.sampled_from(NAMES), data=st.data())
 def test_read_points_matches_line_loop(lines, name, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, name)
         write_lines(path, lines, draw_endings(data, len(lines), mixed=True))
         want = ref_read(path)
         assert same_bits(read_points(path).points, want)
+
+
+def test_integer_file_is_parsed_once_by_the_int64_converter(tmp_path,
+                                                             monkeypatch):
+    kinds = []
+    loadtxt = np.loadtxt
+
+    def counting_loadtxt(*args, **kwargs):
+        kinds.append(np.dtype(kwargs["dtype"]).kind)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+    path = tmp_path / "pts.txt"
+    path.write_text("# x y\n0 +7\n007 9007199254740993\n-8 -9223372036854775808\n")
+    assert same_bits(read_points(path).points, ref_read(path))
+    assert kinds == ["i"]
+
+    kinds.clear()
+    path.write_text("0 +7\n007 9007199254740993\n-8 0.5\n")
+    assert same_bits(read_points(path).points, ref_read(path))
+    assert kinds == ["i", "f"]
 
 
 @SETTINGS
