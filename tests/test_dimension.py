@@ -273,6 +273,15 @@ def test_annulus_profile_rejects_bad_levels():
         dim.annulus_profile(line, -1.0, height_levels=[0, 2])
 
 
+@pytest.mark.parametrize("levels", [[2.5, 4], [1e30], [math.nan], [math.inf],
+                                    [2 ** 63], [2 ** 70]])
+def test_annulus_profile_rejects_levels_int64_cannot_hold(levels):
+    # a cast to int64 would read 2.5 as level 2 and overflow on 1e30
+    line = diag_line(16)
+    with pytest.raises(ValueError, match="levels must be positive integers"):
+        dim.annulus_profile(line, -1.0, height_levels=levels)
+
+
 def test_find_levels_unit_line():
     line = diag_line(600)
     cfg = dim.LevelSearchConfig(alpha=0.0, psi=1.0, search_bound=512)

@@ -56,7 +56,7 @@ def test_non_prime_modulus_rejected():
 def test_from_points_deduplicates_and_checks_range():
     b = ff.FiniteFieldSet.from_points(5, [(1, 2), (1, 2), (0, 4)])
     assert b.cardinality == 2
-    assert as_set(b.points()) == {(1, 2), (0, 4)}
+    assert as_set(np.argwhere(b.grid)) == {(1, 2), (0, 4)}
     with pytest.raises(ValueError):
         ff.FiniteFieldSet.from_points(5, [(6, 7)])
     # the message names the first point outside, as given
@@ -72,8 +72,8 @@ def test_random_is_seeded():
     a = ff.FiniteFieldSet.random(13, density=0.4, seed=3)
     b = ff.FiniteFieldSet.random(13, density=0.4, seed=3)
     c = ff.FiniteFieldSet.random(13, density=0.4, seed=4)
-    assert as_set(a.points()) == as_set(b.points())
-    assert as_set(a.points()) != as_set(c.points())
+    assert as_set(np.argwhere(a.grid)) == as_set(np.argwhere(b.grid))
+    assert as_set(np.argwhere(a.grid)) != as_set(np.argwhere(c.grid))
 
 
 @pytest.mark.parametrize("p, densities", [(2, (0.0, 0.5, 1.0)),
@@ -103,7 +103,7 @@ def test_full_and_product():
     assert ff.FiniteFieldSet.full(7).cardinality == 49
     prod = ff.FiniteFieldSet.from_product(5, xs=[1, 3], ys=[0, 2, 4])
     assert prod.cardinality == 6
-    assert as_set(prod.points()) == {(x, y) for x in (1, 3) for y in (0, 2, 4)}
+    assert as_set(np.argwhere(prod.grid)) == {(x, y) for x in (1, 3) for y in (0, 2, 4)}
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +121,7 @@ def test_slice_count_empty():
 
 def test_slice_counts_match_naive_scan():
     b = ff.FiniteFieldSet.random(13, density=0.4, seed=3)
-    pts = as_set(b.points())
+    pts = as_set(np.argwhere(b.grid))
     for u in range(13):
         for v in range(13):
             naive = sum(1 for (x, y) in pts if (y - u * x) % 13 == v)
@@ -207,7 +207,7 @@ def test_line_count_matrix_large_primes(p):
 
 def test_double_count_brute_force_small():
     b = ff.FiniteFieldSet.random(5, density=0.5, seed=11)
-    pts = as_set(b.points())
+    pts = as_set(np.argwhere(b.grid))
     brute = sum(1 for u in range(5) for v in range(5)
                 for (x, y) in pts if (y - u * x) % 5 == v)
     assert ff.ff_double_count(b) == brute == b.cardinality * 5

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from latslice.dimension import mass_dim_profile
 from latslice.geometry import (BoxSpec, FloorLine, PointSet, Tube, box_count,
                                read_points, slice_floor_line, slice_tube,
                                tube_edge_distance, validate_separation,
@@ -268,6 +269,16 @@ def test_first_slice_scans_and_second_builds_the_index(slice_once):
     assert ps._order is None
     slice_once(ps)
     assert ps._order is not None
+
+
+def test_contains_and_box_ladders_leave_the_index_unbuilt():
+    pts = np.column_stack([np.arange(40.0), np.floor(0.5 * np.arange(40.0))])
+    ps = PointSet(pts)
+    assert ps.contains(3.0, 1.0) and not ps.contains(3.0, 2.0)
+    mass_dim_profile(ps)
+    mass_dim_profile(ps, scales=[2.0, 8.0], kind="slanted", u=-0.5)
+    assert ps._order is None
+    assert ps._box_keys == {}
 
 
 def test_slice_tube_disjoint_is_empty():

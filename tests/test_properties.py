@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from latslice.dimension import _ladder_counts, mass_dim_profile
+from latslice.dimension import mass_dim_profile
 from latslice.geometry import (BoxSpec, FloorLine, PointSet, Tube, box_count,
                                slice_floor_line, slice_tube)
 
@@ -170,18 +170,37 @@ def test_first_floor_slice_scan_equals_indexed_slice(case):
     assert first.tobytes() == again.tobytes()
 
 
-@SETTINGS
-@given(point_arrays(), st.data())
-def test_contains_matches_naive_scan(pts, data):
-    ps = PointSet(pts)
-    queries = [data.draw(st.tuples(small, small)) for _ in range(3)]
+@st.composite
+def membership_cases(draw):
+    """A point set, possibly empty, with repeated points, several points in
+    one unit cell and zeros of both signs, and queries on its points, just
+    off them, and with the sign of each zero flipped."""
+    pts = draw(st.one_of(point_arrays(), st.just(np.empty((0, 2)))))
+    queries = draw(st.lists(st.tuples(small, small), max_size=3))
+    queries += [(0.0, 0.0), (-0.0, -0.0), (0.0, 2.0), (-3.5, -0.0)]
     if pts.size:
-        for x, y in pts[:5]:
-            queries += [(x, y), (np.nextafter(x, np.inf), y),
-                        (x, np.nextafter(y, -np.inf)), (x + 1.0, y)]
+        repeats = draw(st.lists(st.integers(0, len(pts) - 1), max_size=5))
+        cell = np.floor(pts[0]) + np.array([[0.25, 0.5], [0.75, 0.0], [0.5, 0.125]])
+        zeros = np.array(draw(st.lists(st.sampled_from(
+            [(0.0, -0.0), (-0.0, 2.0), (-0.0, -0.0), (-3.5, 0.0)]), max_size=3)))
+        pts = np.concatenate([pts, pts[repeats], cell, zeros.reshape(-1, 2)])
+        for x, y in pts[draw(st.lists(st.integers(0, len(pts) - 1), max_size=8))]:
+            queries += [(x, y), (-x if x == 0.0 else x, -y if y == 0.0 else y),
+                        (np.nextafter(x, np.inf), y), (x, np.nextafter(y, -np.inf)),
+                        (x + 0.5, y), (x + 1.0, y)]
+    return pts, queries
+
+
+@SETTINGS
+@given(membership_cases())
+def test_contains_matches_naive_scan(case):
+    """``contains`` equals a Python loop over the points, where -0.0 ==
+    0.0, however the points share cells or repeat."""
+    pts, queries = case
+    ps = PointSet(pts)
     for x, y in queries:
-        want = bool(np.any((pts[:, 0] == x) & (pts[:, 1] == y)))
-        assert ps.contains(x, y) == want
+        want = any(px == x and py == y for px, py in pts.tolist())
+        assert ps.contains(x, y) is want
 
 
 @SETTINGS
@@ -260,27 +279,20 @@ def scan_counts(pts: np.ndarray, kind: str, u, sizes) -> list[int]:
 
 
 @SETTINGS
-@given(ladder_cases(), st.booleans())
-def test_box_count_and_ladder_match_contains_scan(case, ladder_first):
+@given(ladder_cases())
+def test_box_count_and_ladder_match_contains_scan(case):
     """``box_count`` (sorted cached keys, or a key scan for slanted boxes)
-    and the ladder (keys binned against the sizes) both equal a scan with
-    ``BoxSpec.contains``, whichever of them runs first on the set."""
+    at every drawn size, and ``mass_dim_profile`` (sorted keys searched per
+    scale, never cached) at the sizes above 1, equal a scan with
+    ``BoxSpec.contains``."""
     pts, kind, u, sizes = case
-    want = scan_counts(pts, kind, u, sizes)
     ps = PointSet(pts)
-
-    def boxes():
-        return [ps.box_count(BoxSpec(kind, s, u)) for s in sizes]
-
-    def ladder():
-        return _ladder_counts(ps, BoxSpec(kind, 0.0, u), np.array(sizes)).tolist()
-
-    for count in (ladder, boxes) if ladder_first else (boxes, ladder):
-        assert count() == want
     scales = np.unique([s for s in sizes if s > 1.0])
     if scales.size:
         prof = mass_dim_profile(ps, scales=scales, kind=kind, u=u)
         assert prof.counts.tolist() == scan_counts(pts, kind, u, scales)
+    assert [ps.box_count(BoxSpec(kind, s, u)) for s in sizes] \
+        == scan_counts(pts, kind, u, sizes)
 
 
 @pytest.mark.parametrize("u", [1.0, -1.0, 0.75, -0.37, 2.5])
@@ -294,4 +306,3 @@ def test_slanted_box_of_odd_subnormal_size(u, size):
     want = scan_counts(pts, "slanted", u, [size])
     assert want[0] >= 1
     assert PointSet(pts).box_count(box) == want[0]
-    assert _ladder_counts(PointSet(pts), box, np.array([size])).tolist() == want
