@@ -4,10 +4,10 @@ The ``gen_*`` functions return :class:`~latslice.geometry.PointSet`.  The
 staircase and the cone-based families (which blow up doubly exponentially)
 are also classes, ``ParabolicStaircase``, ``ConeAnnuli``, ``ConeStaircase``
 and ``ConeFixedWidth``: an instance is the implicit set, carrying an exact
-membership predicate and exact closed-form rectangle counts (floor sums over
-each band, never a sweep over rows), usable by the dimension profilers
-without ever enumerating points, and its ``materialize()`` returns the
-points.  Counts are Python ints, exact at any band however far they pass
+membership predicate and exact closed-form rectangle counts (clamped floor
+sums over each band, never a sweep over rows), usable by the dimension
+profilers without ever enumerating points, and its ``materialize()`` returns
+the points.  Counts are Python ints, exact at any band however far they pass
 2^64.  The implicit set and its points agree exactly wherever both are
 defined; all generators are deterministic functions of their parameters
 (plus an explicit seed for the random family).
@@ -116,20 +116,17 @@ class ParabolicStaircase(_ImplicitSet):
         return m * m == xi and m <= self.m_max and yi <= m - 1
 
     def rect_count(self, x0, x1, y0, y1) -> int:
-        """Exact count inside the closed rectangle [x0,x1] x [y0,y1], in
-        closed form: column m holds rows 0..m-1, so for rectangle rows lo..top
-        the columns m <= top + 1 hold m - lo points each (none below m = lo)
-        and every later column holds top - lo + 1."""
+        """Exact count inside the closed rectangle [x0,x1] x [y0,y1]: column
+        m holds rows 0..m-1, so for rectangle rows lo..top it holds m - 1
+        clamped to [lo - 1, top], less lo - 1, points."""
         cols = _int_span(max(x0, 1), min(x1, self.m_max ** 2))
         rows = _int_span(max(y0, 0), min(y1, self.m_max - 1))
         if cols is None or rows is None:
             return 0
         m_lo, m_hi = math.isqrt(cols[0] - 1) + 1, math.isqrt(cols[1])
         lo, top = rows
-        first, last = max(m_lo, lo + 1), min(m_hi, top + 1)
-        total = max(0, m_hi - max(m_lo, top + 2) + 1) * (top - lo + 1)
-        if first <= last:
-            total += (first + last - 2 * lo) * (last - first + 1) // 2
+        total = _clamped_total(_Bound(1, 1, -1, 1), m_lo, m_hi, lo - 1, top)
+        total -= (lo - 1) * (m_hi - m_lo + 1)
         return total
 
     def size_estimate(self) -> float:
@@ -318,8 +315,8 @@ def zigzag_tube_counts(delta: float, n_levels: int,
 # rational slopes, so implicit counts and materialized points agree bit for
 # bit.  A family yields only its bands: ``_BandedSet`` derives membership and
 # size from them, ``_ImplicitSet`` box counts from ``rect_count``.  Counts are
-# closed form (floor sums over at most six pieces per band): exact Python ints
-# at any band, O(log) integer operations, not one step per row.
+# closed form (two clamped floor sums per band): exact Python ints at any band,
+# O(log) integer operations, not one step per row.
 
 class _Bound(NamedTuple):
     """Row bound y -> sign * floor((p*y + r) / q), p >= 0 and q >= 1, so it
@@ -336,6 +333,13 @@ class _Bound(NamedTuple):
     def total(self, a: int, b: int) -> int:
         """Sum of the bound over the rows a..b."""
         return self.sign * _floor_sum(b - a + 1, self.q, self.p, self.p * a + self.r)
+
+    def first(self, c: int, a: int, b: int) -> int:
+        """First row of a..b where floor((p*y + r) / q) >= c, the bound
+        without its sign; b + 1 if there is none."""
+        if self.p == 0:
+            return a if self.r // self.q >= c else b + 1
+        return min(max(-((self.r - c * self.q) // self.p), a), b + 1)
 
 
 class _Band(NamedTuple):
@@ -382,36 +386,35 @@ def _band_rows(k: int) -> tuple[int, int]:
 
 
 def _as_int(value) -> int | None:
-    if isinstance(value, (int, np.integer)):
+    """The integer a finite number is exactly, or None."""
+    if isinstance(value, (int, np.integer)):   # math.floor would go via float
         return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    return None
+    try:
+        whole = math.floor(value)
+    except (TypeError, ValueError, OverflowError):     # not a number, nan, inf
+        return None
+    return whole if whole == value else None
 
 
-def _first_change(pred, lo: int, hi: int) -> int:
-    """First y in lo..hi where the monotone ``pred`` differs from pred(lo),
-    found by bisection; hi + 1 if there is none."""
-    start = pred(lo)
-    if pred(hi) == start:
-        return hi + 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if pred(mid) == start:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+def _clamped_total(bound: _Bound, a: int, b: int, lo: int, hi: int) -> int:
+    """Sum over the rows a..b of bound.at(y) clamped to [lo, hi], lo <= hi.
+
+    The bound without its sign rises with y, so it lies below its clamp range
+    on the rows before one crossing and above it from a later one; the rows
+    between sum to one floor sum."""
+    if bound.sign < 0:      # clamp(-f, lo, hi) = -clamp(f, -hi, -lo)
+        lo, hi = -hi, -lo
+    start, stop = bound.first(lo, a, b), bound.first(hi + 1, a, b)
+    return (bound.sign * ((start - a) * lo + (b + 1 - stop) * hi)
+            + bound.total(start, stop - 1))
 
 
 def _band_count(band: _Band, a: int, b: int, x0, x1) -> int:
     """Points of the rows a..b of ``band`` with columns in [x0, x1].
 
-    Both bounds are monotone, so each clamp binds on a prefix or a suffix of
-    the rows: splitting where it starts to bind leaves at most three pieces.
-    In a piece with no clamp binding no row is negatively wide; in the
-    others the width is monotone, so one more split drops the empty rows.
-    Each remaining piece is two floor sums.
+    Row y holds the integers in (lower(y) - 1, upper(y)] and is never
+    negatively wide, so its points in [c0, c1] number upper(y) less
+    lower(y) - 1, each clamped to [c0 - 1, c1].
     """
     lower, upper = band.lower, band.upper
     # an infinite side becomes a clamp that binds on no row
@@ -419,27 +422,10 @@ def _band_count(band: _Band, a: int, b: int, x0, x1) -> int:
                      min(x1, max(upper.at(a), upper.at(b))))
     if cols is None:
         return 0
-    c0, c1 = cols
-    left_clamp, right_clamp = _Bound(1, 0, c0, 1), _Bound(1, 0, c1, 1)
-    cuts = sorted({a, b + 1, _first_change(lambda y: lower.at(y) < c0, a, b),
-                   _first_change(lambda y: upper.at(y) > c1, a, b)})
-    total = 0
-    for s, e in zip(cuts, cuts[1:]):
-        e -= 1
-        left = left_clamp if lower.at(s) < c0 else lower
-        right = right_clamp if upper.at(s) > c1 else upper
-
-        def empty(y, left=left, right=right):   # negatively wide
-            return right.at(y) < left.at(y) - 1
-
-        cut = _first_change(empty, s, e)
-        if empty(s):
-            s = cut
-        else:
-            e = cut - 1
-        if s <= e:
-            total += right.total(s, e) - left.total(s, e) + (e - s + 1)
-    return total
+    lo, hi = cols[0] - 1, cols[1]
+    below = lower._replace(r=lower.r - lower.sign * lower.q)    # lower(y) - 1
+    return (_clamped_total(upper, a, b, lo, hi)
+            - _clamped_total(below, a, b, lo, hi))
 
 
 def _bands_rect_count(bands, x0, x1, y0, y1) -> int:
@@ -548,6 +534,7 @@ class ConeStaircase(_BandedSet):
             raise ValueError("theta must lie in (0, 1)")
         if self.k_max < 0:
             raise ValueError("k_max must be >= 0")
+        _band_rows(self.k_max)      # refuse a band too deep before building to it
         th = Fraction(self.theta)
         w, sigma, acc = [], [], Fraction(0)
         for k in range(self.k_max + 1):

@@ -99,6 +99,12 @@ def test_staircase_membership():
     assert not implicit.contains(5, 0)      # not a perfect square
     assert not implicit.contains(4.5, 0.0)
     assert not implicit.contains(81.0, 0.0)  # beyond m_max
+    # any number that is exactly an integer reads as that integer
+    for form in (np.float16, np.float32, np.float64, float, Fraction):
+        assert implicit.contains(form(4), form(1))
+        assert not implicit.contains(form(4), form(2))
+        assert not implicit.contains(form(4.5), form(0))
+    assert gen.ParabolicStaircase(3).contains(np.float32(4.0), np.float32(1.0))
 
 
 @pytest.mark.parametrize("family", [gen.ParabolicStaircase(10),
@@ -404,6 +410,13 @@ def test_cone_constructors_refuse_derived_fields(build):
     # these fields are derived from the others, so no caller may set them
     with pytest.raises(TypeError):
         build()
+
+
+def test_cone_staircase_refuses_a_band_too_deep_on_construction():
+    # each further band costs about 4x more to build the slope offsets for,
+    # so the refusal comes before them
+    with pytest.raises(ValueError, match="band index too large"):
+        gen.ConeStaircase(0.5, 21)
 
 
 def test_cone_staircase_slope_intervals_stack():

@@ -23,6 +23,7 @@ import functools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -215,6 +216,41 @@ def test_deep_band_windows_match_row_sweep(name, data):
     assert fam.rect_count(x0, x1, y0, y1) == want
 
 
+DEEPER = {
+    "staircase": gen.ConeStaircase(0.5, 12),
+    "annuli": gen.ConeAnnuli(0.7, 7, 12),
+    "fixed_width": gen.ConeFixedWidth(0.4, 3, n_levels=9),
+}
+
+
+@DEEP_SETTINGS
+@given(st.sampled_from(sorted(DEEPER)), st.data())
+def test_deeper_band_counts_add_up_across_a_split(name, data):
+    """Bands 7-12 (levels 5-9 of the fixed width) lie past any row sweep, so
+    a rectangle split at a column, then at a row, must count as its parts.
+    The column split and the rectangle's sides lie on the spans of rows
+    drawn inside the band, where the column clamps start to bind."""
+    fam = DEEPER[name]
+    bands = [b for b in documented_bands(fam) if b[1] - b[0] >= 2 ** 128]
+    lo, hi, span = data.draw(st.sampled_from(bands))
+    rows = sorted(data.draw(st.integers(lo, hi - 1)) for _ in range(3))
+    y0 = data.draw(st.sampled_from((lo - 1, lo, rows[0])))
+    y1 = data.draw(st.sampled_from((rows[2], hi - 1, hi)))
+    cols = [c for y in rows for c in span(y)]
+    x0, x1 = sorted(data.draw(st.sampled_from(cols))
+                    + data.draw(st.integers(-2, 2)) for _ in range(2))
+    x0 = data.draw(st.sampled_from((x0, -math.inf)))
+    x1 = data.draw(st.sampled_from((x1, math.inf)))
+    a, b = span(rows[1])
+    col = data.draw(st.integers(a - 1, b))
+    x0, x1 = min(x0, col), max(x1, col)
+    whole = fam.rect_count(x0, x1, y0, y1)
+    assert whole == (fam.rect_count(x0, col, y0, y1)
+                     + fam.rect_count(col + 1, x1, y0, y1))
+    assert whole == (fam.rect_count(x0, x1, y0, rows[1])
+                     + fam.rect_count(x0, x1, rows[1] + 1, y1))
+
+
 def test_deep_band_window_counts_exceed_int64():
     fam = DEEP["staircase"]
     lo = 2 ** 2 ** 7                    # first row of band 6
@@ -233,9 +269,14 @@ def test_cone_contains_matches_documented_spans(fam, data):
     x = data.draw(st.sampled_from((a - 1, a, b, b + 1)) | st.integers(a - 2, b + 2))
     want = lo <= y < hi and a <= x <= b
     assert fam.contains(x, y) == want
-    if abs(x) < 2 ** 53 and abs(y) < 2 ** 53:
-        assert fam.contains(float(x), float(y)) == want
-        assert not fam.contains(x + 0.5, y)
+    assert not fam.contains(Fraction(2 * x + 1, 2), y)
+    # any number that is exactly an integer reads as that integer; each form
+    # holds the integers and halves below its bound exactly
+    for form, exact in ((Fraction, math.inf), (float, 2 ** 52),
+                        (np.float32, 2 ** 23), (np.float16, 2 ** 10)):
+        if abs(x) < exact and abs(y) < exact:
+            assert fam.contains(form(x), form(y)) == want
+            assert not fam.contains(form(x) + form(0.5), form(y))
 
 
 # ---------------------------------------------------------------------------
