@@ -9,10 +9,14 @@ Markov's inequality on the exact per-slope average |B| / p then bounds the
 fraction of lines with unusually large intersection.
 
 The p x p line-count matrix is one histogram of the residues (y - u x) mod p
-per slope u.  ``ff_line_count_matrix`` counts a block of consecutive slopes
-with one ``bincount`` over keys that interleave residue and slope, and steps
-the keys from block to block by integer subtraction with an unsigned wrap,
-so it takes no modulo per incidence; the matrix is exact int64.
+per slope u.  ``ff_line_count_matrix`` finds the points with one flat scan of
+the grid, counts a block of consecutive slopes with one ``bincount`` over
+keys that interleave residue and slope, and steps the keys from block to
+block by 16-bit subtraction with an unsigned wrap, so it takes no modulo per
+incidence and moves two bytes per incidence in each step; the matrix is
+exact int64.  Every matrix a check reads carries a certificate: each slope's
+row sums to |B| (each point lies on one line per slope, so the rows imply
+the identity) and column v sums to |B minus {x = 0}| + p [(0, v) in B].
 """
 
 from __future__ import annotations
@@ -146,14 +150,22 @@ def ff_slice_count(B: FiniteFieldSet, u: int, v: int) -> int:
 def ff_line_count_matrix(B: FiniteFieldSet) -> np.ndarray:
     """Matrix counts[u, v] = |B intersect l_{u,v}| for all p^2 lines.
 
-    A point (x, y) lies on l_{u,v} iff v = (y - u x) mod p.  Slopes go in
-    blocks of ``block`` (about 2^12 histogram bins a block, which stay in
-    cache): slope u0 + j gives a point the key r * block + j, r its residue,
-    and one ``bincount`` of the block's keys fills the block's rows.  For
-    the next block every residue drops by s = block * x mod p, so each key
-    drops by s * block.  In unsigned arithmetic a key whose residue fell
-    below 0 wraps past every valid key, so the smaller of (key - s * block)
-    and (key + (p - s) * block) is the stepped key.
+    A point (x, y) lies on l_{u,v} iff v = (y - u x) mod p.  One scan of the
+    flattened grid finds the points, their flat indices x * p + y split by
+    ``divmod``.  Slopes go in blocks of ``block`` (about 2^12 histogram bins
+    a block, which stay in cache): slope u0 + j gives a point the key
+    r * block + j, r its residue, and one ``bincount`` of the block's keys
+    fills the block's rows.  For the next block every residue drops by
+    s = block * x mod p, so each key drops by s * block.  In unsigned
+    arithmetic a key whose residue fell below 0 wraps past every valid key,
+    so the smaller of (key - s * block) and (key + (p - s) * block) is the
+    stepped key.
+
+    The keys are 16-bit.  Every key is below K = p * block, which is at most
+    max(``_BLOCK_KEYS``, p); a stepped key is below 2K and a wrapped one at
+    least 2^16 - K, so the minimum is exact while 3K <= 2^16, which holds for
+    every p <= ``MAX_PRIME``.  Each block's keys are copied into one intp
+    buffer, so ``bincount`` neither casts nor allocates its input.
 
     A prime whose matrix would hold more than ``MAX_MATERIALIZE_POINTS``
     entries (p > 4463) raises ``MaterializeError`` before anything is
@@ -164,13 +176,17 @@ def ff_line_count_matrix(B: FiniteFieldSet) -> np.ndarray:
         raise MaterializeError(
             f"the line matrix for p={p} holds {p * p} counts, more than "
             f"{MAX_MATERIALIZE_POINTS}")
-    xs, ys = np.nonzero(B.grid)
+    xs = np.empty(B.cardinality, dtype=np.int16)
+    ys = np.empty_like(xs)
+    np.divmod(np.flatnonzero(B.grid), p, out=(xs, ys))
     block = max(1, min(p, _BLOCK_KEYS // p))
-    lane = np.arange(block)[:, None]
-    keys = ((ys - lane * xs) % p * block + lane).astype(np.uint64)
-    down = (block * xs % p * block).astype(np.uint64)
-    up = np.uint64(p * block) - down
+    lane = np.arange(block, dtype=np.int16)[:, None]
+    # every intermediate is below K <= 10^4 in magnitude, so int16 is exact
+    keys = ((ys - lane * xs) % p * block + lane).view(np.uint16)
+    down = (block * xs % p * block).view(np.uint16)
+    up = np.uint16(p * block) - down
     lower = np.empty_like(keys)
+    flat = np.empty(keys.shape, dtype=np.intp)
     counts = np.empty((p, p), dtype=np.int64)
     for u0 in range(0, p, block):
         if u0:
@@ -178,7 +194,8 @@ def ff_line_count_matrix(B: FiniteFieldSet) -> np.ndarray:
             keys += up
             np.minimum(keys, lower, out=keys)
         m = min(block, p - u0)
-        hist = np.bincount(keys[:m].ravel().view(np.int64), minlength=p * block)
+        flat[:m] = keys[:m]
+        hist = np.bincount(flat[:m].ravel(), minlength=p * block)
         counts[u0:u0 + m] = hist.reshape(p, block)[:, :m].T
     return counts
 
@@ -188,25 +205,37 @@ class DoubleCountError(ArithmeticError):
 
 
 def _checked_matrix(B: FiniteFieldSet) -> np.ndarray:
-    """B's line-count matrix, its sum checked equal to |B| * p.
+    """B's line-count matrix, its row and column sums certified.
 
-    The sum and the cardinality come from independent code paths (per-slope
-    residue histograms vs the grid population), so the check guards the
-    counting machinery, not arithmetic tautology.  A mismatch raises
-    ``DoubleCountError``, which ``python -O`` does not strip.
+    Each point lies on exactly one line per slope, so every row sums to |B|
+    (and all p rows to the double count |B| * p).  A point (x, y) with
+    x != 0 meets column v at exactly one slope, and one with x = 0 lies on
+    line (u, y) for every u, so column v sums to |B minus {x = 0}| +
+    p [(0, v) in B].  The sums and the cardinality come from independent
+    code paths (per-slope residue histograms vs the grid population), so the
+    check guards the counting machinery, not arithmetic tautology.  A
+    mismatch raises ``DoubleCountError`` naming the first bad slope or
+    column; ``python -O`` does not strip it.
     """
     counts = ff_line_count_matrix(B)
-    total = int(counts.sum())
-    expected = B.cardinality * B.p
-    if total != expected:
-        raise DoubleCountError(
-            f"double count {total} != |B|*p = {expected} for p={B.p}")
+    p, card = B.p, B.cardinality
+    on_axis = B.grid[0].astype(np.int64)        # 1 where (0, v) is in B
+    for line, sums, want in (
+            ("slope", counts.sum(axis=1), np.full(p, card)),
+            ("column", counts.sum(axis=0), card - on_axis.sum() + p * on_axis)):
+        bad = np.flatnonzero(sums != want)
+        if bad.size:
+            i = int(bad[0])
+            raise DoubleCountError(
+                f"double count: {line} {i} sums to {sums[i]}, not {want[i]}, "
+                f"for p={p}")
     return counts
 
 
 def ff_double_count(B: FiniteFieldSet) -> int:
     """Sum of slice counts over all p^2 lines, checked equal to |B| * p
-    (a mismatch raises ``DoubleCountError``)."""
+    slope by slope, with the column sums certified too (a mismatch raises
+    ``DoubleCountError``)."""
     _checked_matrix(B)
     return B.cardinality * B.p
 
@@ -227,8 +256,8 @@ def ff_chebyshev_fraction(B: FiniteFieldSet, k: float) -> ChebyshevReport:
     Exceeding lines carry more than k/p of the per-slope total |B| each, so
     fewer than p/k slopes' worth can exceed: good_fraction > 1 - 1/k always
     (strictly, for nonempty B), reported as markov_bound.  The fraction is
-    read off a matrix that passed the double-count identity, so a mismatch
-    raises ``DoubleCountError`` here as in ``ff_double_count``.
+    read off a matrix whose row and column sums passed the certificate, so a
+    mismatch raises ``DoubleCountError`` here as in ``ff_double_count``.
     """
     if B.cardinality < 1:
         raise ValueError("Chebyshev fraction needs a nonempty set")

@@ -577,6 +577,7 @@ class ConeFixedWidth(_BandedSet):
             raise ValueError("theta must lie in (0, 1)")
         if self.k0 < 0:
             raise ValueError("k0 must be >= 0")
+        self.level_rows(1)      # refuse a level too high before building 2^(2^k0)
         full = 1 << (1 << self.k0)
         n = self.n_levels if self.n_levels is not None else full
         if not (1 <= n <= full):

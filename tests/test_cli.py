@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -459,6 +460,29 @@ def test_ff_double_count_mismatch_gives_check_exit(tmp_path, capsys,
         assert not out.exists()
 
 
+def test_ff_moved_count_gives_check_exit(tmp_path, capsys, monkeypatch):
+    # one count moved between two lines of a slope keeps every total, but
+    # not the column sums the certificate checks
+    from latslice import finitefield as ff
+    real = ff.ff_line_count_matrix
+
+    def moved(B):
+        mat = real(B).copy()
+        mat[1, 0] -= 1
+        mat[1, 1] += 1
+        return mat
+
+    monkeypatch.setattr(ff, "ff_line_count_matrix", moved)
+    out = tmp_path / "report.json"
+    for verify in ("chebyshev", "identity"):
+        rc = cli.main(["ff", "--p", "5", "--set", "full", "--verify", verify,
+                       "--out", str(out)])
+        assert rc == 3, verify
+        assert "double count: column 0 sums to 24, not 25" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_ff_builds_the_line_matrix_once_per_set(capsys, monkeypatch):
     from latslice import finitefield as ff
     real, built = ff.ff_line_count_matrix, []
@@ -596,6 +620,25 @@ def test_dim_reports_counts_beyond_int64(tmp_path, capsys):
     assert rep["results"]["top_count"] == 9223372040076067104
     assert int(prof.read_text().strip().splitlines()[-1].split(",")[1]) \
         == 9223372040076067104
+
+
+@pytest.mark.parametrize("mode", ["implicit", "materialize"])
+def test_generate_refuses_a_fixed_width_level_too_high_at_once(
+        tmp_path, capsys, mode):
+    # at k0 = 33 the slope width alone would be a 2^33-bit integer (1 GiB)
+    out = tmp_path / "fixed.json"
+    tracemalloc.start()
+    try:
+        rc = cli.main(["generate", "--kind", "cone_fixed_width", "--params",
+                       '{"theta": 0.5, "k0": 33}', "--mode", mode,
+                       "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert "level height too large" in capsys.readouterr().err
+    assert peak < 1 << 20
+    assert not out.exists()
 
 
 def test_descriptor_without_kind_names_the_file(tmp_path, capsys):

@@ -194,11 +194,38 @@ def test_line_count_matrix_matches_per_slope_histogram(b):
         b.p * column0 + b.cardinality - int(column0.sum()))
 
 
-@pytest.mark.parametrize("p", [1031, 2053])
+@pytest.mark.parametrize("p", [61, 67, 1031, 2039, 2053, 4463])
 def test_line_count_matrix_large_primes(p):
-    # 1031 slopes end in a partial block; at 2053 a block holds one slope
-    b = ff.FiniteFieldSet.random(p, density=0.002, seed=p)
+    # 61 is the last prime whose one block holds every slope (3,721 keys);
+    # at 67 a block holds 61 slopes (4,087 keys); 1031 slopes end in a
+    # partial block; 2039 steps two slopes a block; at 2053 a block holds
+    # one slope; 4463 is the largest prime the matrix cap allows
+    b = ff.FiniteFieldSet.random(p, density=0.05 if p < 100 else 0.002, seed=p)
     assert np.array_equal(ff.ff_line_count_matrix(b), per_slope_matrix(b))
+
+
+def test_line_count_keys_fit_in_16_bits():
+    # every key is below K = p * block <= max(_BLOCK_KEYS, p); a stepped key
+    # is below 2K and a wrapped one at least 2^16 - K, so the 16-bit minimum
+    # finds the stepped key only while 3K <= 2^16
+    assert 3 * max(ff._BLOCK_KEYS, ff.MAX_PRIME) <= 2 ** 16
+
+
+@pytest.mark.parametrize("p", [31, 101, 211])
+def test_line_count_matrix_memory_is_bounded(p):
+    # the p x p int64 matrix, then 12 bytes per point and slope of a block
+    # (a 16-bit key, a 16-bit stepped key and an intp copy for bincount)
+    # and 8 bytes per point (16-bit x, y and key steps), with 128 KiB for
+    # one block's histogram and numpy's small arrays
+    b = ff.FiniteFieldSet.full(p)
+    block = max(1, min(p, ff._BLOCK_KEYS // p))
+    tracemalloc.start()
+    try:
+        ff.ff_line_count_matrix(b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * p * p + (12 * block + 8) * b.cardinality + (1 << 17)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +273,29 @@ def test_chebyshev_fraction_checks_the_identity(off_by_one_matrix):
     b = ff.FiniteFieldSet.random(7, density=0.5, seed=1)
     with pytest.raises(ff.DoubleCountError, match="double count"):
         ff.ff_chebyshev_fraction(b, 2.0)
+
+
+@pytest.mark.parametrize("to, named", [((1, 1), "column 0"),
+                                      ((2, 0), "slope 1")],
+                         ids=["within_a_slope", "within_a_column"])
+def test_moved_count_fails_the_line_certificate(monkeypatch, to, named):
+    # one count moved from line (1, 0) to another line keeps the total
+    # |B| p, but not the row or column sums the certificate checks; the
+    # message names the first bad slope or column
+    real = ff.ff_line_count_matrix
+
+    def moved(B):
+        mat = real(B).copy()
+        mat[1, 0] -= 1
+        mat[to] += 1
+        return mat
+
+    monkeypatch.setattr(ff, "ff_line_count_matrix", moved)
+    b = ff.FiniteFieldSet.random(7, density=0.5, seed=1)
+    with pytest.raises(ff.DoubleCountError, match=f"double count: {named} "):
+        ff.ff_chebyshev_fraction(b, 2.0)
+    with pytest.raises(ff.DoubleCountError, match=f"double count: {named} "):
+        ff.ff_double_count(b)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import hashlib
 import math
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -417,6 +418,22 @@ def test_cone_staircase_refuses_a_band_too_deep_on_construction():
     # so the refusal comes before them
     with pytest.raises(ValueError, match="band index too large"):
         gen.ConeStaircase(0.5, 21)
+
+
+def test_cone_fixed_width_refuses_a_level_too_high_on_construction():
+    # every level of k0 >= 24 is too high to count, and 2^(2^k0) doubles in
+    # bits with each step of k0, so the refusal comes before it is built
+    tracemalloc.start()
+    try:
+        for k0 in (24, 26):
+            with pytest.raises(ValueError, match="level height too large"):
+                gen.ConeFixedWidth(0.5, k0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    first = gen.ConeFixedWidth(0.5, 23, n_levels=1).level_rows(1)
+    assert first[0] == 1 << (1 << 24)
 
 
 def test_cone_staircase_slope_intervals_stack():
