@@ -6,7 +6,10 @@ generators builds the example families (staircases, zigzags, sparse cones,
 random dimension-alpha sets); dimension turns counts into dimension
 profiles; survey averages floor-line slice counts over parameter boxes;
 finitefield mirrors the slicing story over F_p. acceptance packages the
-reproducibility battery behind `latslice repro`.
+reproducibility battery behind `latslice repro`. exact is the one home of
+the allocation budget, the error roots and the exact integer primitives;
+modules import only from strictly lower tiers: exact < {geometry,
+finitefield} < {generators, dimension} < survey < acceptance < cli.
 """
 
 from .dimension import (DimensionProfile, LevelProfile, LevelSearchConfig,
@@ -18,11 +21,11 @@ from .finitefield import (ChebyshevReport, DoubleCountError, FiniteFieldSet,
                           ff_chebyshev_fraction, ff_double_count,
                           ff_exception_limit_table, ff_line_count_matrix,
                           ff_line_points, ff_slice_count, is_prime)
+from .exact import MaterializeError
 from .generators import (ConeAnnuli, ConeFixedWidth, ConeStaircase,
-                         MaterializeError, ParabolicStaircase, ZigzagTrace,
-                         gen_cartesian, gen_parabolic_staircase,
-                         gen_random_dimension, gen_unit_line, gen_zigzag,
-                         zigzag_tube_counts)
+                         ParabolicStaircase, ZigzagTrace, gen_cartesian,
+                         gen_parabolic_staircase, gen_random_dimension,
+                         gen_unit_line, gen_zigzag, zigzag_tube_counts)
 from .geometry import (BoxSpec, FloorLine, PointSet, SeparationReport, Tube,
                        box_count, read_points, slice_floor_line, slice_tube,
                        tube_edge_distance, validate_separation, write_points)

@@ -45,7 +45,8 @@ from . import generators as gen
 from .acceptance import ALL_CRITERIA, run_criterion, run_ff_battery
 from .dimension import (DimensionProfile, LevelSearchConfig, dyadic_scales,
                         find_levels, mass_dim_profile)
-from .finitefield import DoubleCountError, FiniteFieldSet
+from .exact import InputError, InternalCheckError
+from .finitefield import FiniteFieldSet
 from .geometry import (FloorLine, PointSet, Tube, read_points,
                        slice_floor_line, slice_tube, validate_separation,
                        write_points)
@@ -54,7 +55,7 @@ from .survey import SurveyConfig, survey_floor_lines
 __all__ = ["COMMANDS", "Report", "run", "emit_profile_csv", "main"]
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     """Bad flags or parameters; exit code 2."""
 
 
@@ -334,10 +335,7 @@ def _run_survey(a: dict, ps):
     else:
         gu, gv = _parse_grid(a["grid"])
         kwargs.update(mode="grid", grid_u=gu, grid_v=gv)
-    try:
-        scfg = SurveyConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    scfg = SurveyConfig(**kwargs)
     rep = survey_floor_lines(ps, scfg, store_counts=bool(a["cells"]))
     results = {"points_in_window": rep.point_count,
                "lattice_row_points": rep.lattice_row_points,
@@ -420,11 +418,7 @@ def _run_ff(a: dict, _):
 
 
 def _run_levels(a: dict, ps):
-    try:
-        lsc = LevelSearchConfig(alpha=a["alpha"], psi=a["psi"],
-                                search_bound=a["bound"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    lsc = LevelSearchConfig(alpha=a["alpha"], psi=a["psi"], search_bound=a["bound"])
     prof = find_levels(ps, a["u"], lsc)
     return {"u": a["u"], "alpha": lsc.alpha, "psi": lsc.psi,
             "search_bound": lsc.search_bound, "levels": prof.levels,
@@ -604,7 +598,7 @@ def main(argv=None) -> int:
     except CheckFailure as exc:
         print(f"latslice: check failed: {exc}", file=sys.stderr)
         return 3
-    except (AssertionError, DoubleCountError) as exc:
+    except (AssertionError, InternalCheckError) as exc:
         print(f"latslice: internal check failed: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import MAX_MATERIALIZE_POINTS, MaterializeError
+from .exact import positive_int64, refuse_past_budget
 from .geometry import BoxSpec, PointSet, Tube, slice_tube
 
 __all__ = [
@@ -328,28 +328,13 @@ def _count_windows(cols, rows, rx, ry, w, merge: bool):
 def dim_1d_profile(values, scales=None) -> DimensionProfile:
     """Dimension profile of a set of positive integers via counts in [1, N].
     Every value must lie in 1 ... 2^63 - 1, the int64 range."""
-    vals = np.unique(_positive_int64(values, "values must be positive integers "
+    vals = np.unique(positive_int64(values, "values must be positive integers "
                                              "below 2^63 (the int64 limit)"))
     if scales is None:
         scales = dyadic_scales(float(vals[-1]) if vals.size else 2.0)
     scales = np.asarray(scales, dtype=float)
     counts = np.searchsorted(vals, scales, side="right")
     return profile_from_counts(scales, counts)
-
-
-def _positive_int64(values, message: str) -> np.ndarray:
-    """``values`` as int64; ValueError(``message``) unless each is an
-    integer in 1 ... 2^63 - 1, checked so that the cast cannot change it."""
-    raw = np.asarray(values)
-    try:
-        with np.errstate(invalid="ignore"):     # nan and inf cast to garbage
-            out = raw.astype(np.int64)
-    except OverflowError:                       # Python ints past uint64
-        out = None
-    # 1.5, nan, inf, 0 and 2^63 (uint64, wrapped negative) all fail
-    if out is None or np.any((out != raw) | (out < 1)):
-        raise ValueError(message)
-    return out
 
 
 def ff_dim(fset) -> float:
@@ -386,7 +371,7 @@ def annulus_profile(ps: PointSet, u: float,
     and m/2 sitting inside t_{u,0}, so together with a base count they
     telescope to slanted box counts.
     """
-    levels = _positive_int64(height_levels, "levels must be positive integers")
+    levels = positive_int64(height_levels, "levels must be positive integers")
     svals = _axial_sorted(ps, Tube(u, 0.0))
     return levels, _annulus_counts(svals, levels.astype(float))
 
@@ -445,10 +430,8 @@ def find_levels(ps: PointSet, u: float, config: LevelSearchConfig) -> LevelProfi
     extent = 2.0 * float(np.max(svals, initial=0.0))
     top = config.search_bound if extent > config.search_bound \
         else math.ceil(extent) - 1
-    if top > MAX_MATERIALIZE_POINTS:
-        raise MaterializeError(
-            f"level search would scan {top} levels; the cap is "
-            f"{MAX_MATERIALIZE_POINTS} (lower search_bound)")
+    refuse_past_budget(top, f"level search would scan {top} levels",
+                       "lower search_bound")
     levels = np.arange(1, top + 1, dtype=np.int64)
     counts = _annulus_counts(svals, levels.astype(float))
     thr = config.threshold(levels)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import MAX_MATERIALIZE_POINTS, MaterializeError
+from .exact import InternalCheckError, refuse_past_budget
 
 __all__ = [
     "ChebyshevReport",
@@ -172,10 +172,7 @@ def ff_line_count_matrix(B: FiniteFieldSet) -> np.ndarray:
     allocated.
     """
     p = B.p
-    if p * p > MAX_MATERIALIZE_POINTS:
-        raise MaterializeError(
-            f"the line matrix for p={p} holds {p * p} counts, more than "
-            f"{MAX_MATERIALIZE_POINTS}")
+    refuse_past_budget(p * p, f"the line matrix for p={p} holds {p * p} counts")
     xs = np.empty(B.cardinality, dtype=np.int16)
     ys = np.empty_like(xs)
     np.divmod(np.flatnonzero(B.grid), p, out=(xs, ys))
@@ -200,7 +197,7 @@ def ff_line_count_matrix(B: FiniteFieldSet) -> np.ndarray:
     return counts
 
 
-class DoubleCountError(ArithmeticError):
+class DoubleCountError(InternalCheckError):
     """The line sums disagree with |B| * p: the counting code is wrong."""
 
 

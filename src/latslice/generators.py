@@ -27,6 +27,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+# MAX_MATERIALIZE_POINTS and MaterializeError stay importable from here
+from .exact import (EXACT_INT_LIMIT, MAX_MATERIALIZE_POINTS, MaterializeError,
+                    as_int, floor_root, floor_sum, refuse_past_budget)
 from .geometry import BoxSpec, PointSet, Tube
 
 __all__ = [
@@ -42,14 +45,6 @@ __all__ = [
     "gen_zigzag",
     "zigzag_tube_counts",
 ]
-
-MAX_MATERIALIZE_POINTS = 20_000_000
-EXACT_INT_LIMIT = 2 ** 53
-
-
-class MaterializeError(ValueError):
-    """Raised when a materialization request is too large to honor."""
-
 
 # ---------------------------------------------------------------------------
 # Straight line with unit spacing
@@ -68,9 +63,7 @@ def gen_unit_line(m: float, count: int) -> PointSet:
         raise ValueError("slope m must be positive")
     if count < 1:
         raise ValueError("count must be >= 1")
-    if count > MAX_MATERIALIZE_POINTS:
-        raise MaterializeError(f"unit line with count={count} holds {count} "
-                               f"points; the cap is {MAX_MATERIALIZE_POINTS}")
+    refuse_past_budget(count, f"unit line with count={count} holds {count} points")
     r = math.sqrt(1.0 + m * m)
     k = np.arange(count, dtype=float)
     pad = count * 2.5e-16
@@ -109,7 +102,7 @@ class ParabolicStaircase(_ImplicitSet):
             raise ValueError("m_max must be >= 1")
 
     def contains(self, x, y) -> bool:
-        xi, yi = _as_int(x), _as_int(y)
+        xi, yi = as_int(x), as_int(y)
         if xi is None or yi is None or xi < 1 or yi < 0:
             return False
         m = math.isqrt(xi)
@@ -134,9 +127,8 @@ class ParabolicStaircase(_ImplicitSet):
 
     def materialize(self) -> PointSet:
         total = self.m_max * (self.m_max + 1) // 2
-        if total > MAX_MATERIALIZE_POINTS:
-            raise MaterializeError(
-                f"parabolic staircase with m_max={self.m_max} holds {total} points")
+        refuse_past_budget(
+            total, f"parabolic staircase with m_max={self.m_max} holds {total} points")
         cols = [np.column_stack([np.full(m, float(m * m)), np.arange(m, dtype=float)])
                 for m in range(1, self.m_max + 1)]
         pts = np.concatenate(cols) if cols else np.empty((0, 2))
@@ -231,10 +223,8 @@ def gen_zigzag(delta: float, n_levels: int) -> tuple[PointSet, ZigzagTrace]:
     lattice, truncated = _zigzag_lattice_corners(delta, n_levels,
                                                  limit=EXACT_INT_LIMIT)
     est = 2 * (lattice[-1] - lattice[0]) + 1
-    if est > MAX_MATERIALIZE_POINTS:
-        raise MaterializeError(
-            f"zigzag to level {n_levels} holds about {est} points; "
-            "use zigzag_tube_counts for tube statistics at this depth")
+    refuse_past_budget(est, f"zigzag to level {n_levels} holds about {est} points",
+                       "use zigzag_tube_counts for tube statistics at this depth")
     chunks = [np.array([[1.0, 1.0]])]
     for k in range(len(lattice) - 1):
         c0, c1 = lattice[k], lattice[k + 1]
@@ -246,15 +236,6 @@ def gen_zigzag(delta: float, n_levels: int) -> tuple[PointSet, ZigzagTrace]:
                         corners=np.array(real), lattice_corners=lattice,
                         truncated=truncated)
     return PointSet(np.concatenate(chunks)), trace
-
-
-def _floor_root(c: int, q: int) -> int:
-    """floor(c * sqrt(q)) for integers c and q >= 0."""
-    m = c * c * q
-    r = math.isqrt(m)
-    if c >= 0:
-        return r
-    return -r if r * r == m else -r - 1
 
 
 def zigzag_tube_counts(delta: float, n_levels: int,
@@ -285,7 +266,7 @@ def zigzag_tube_counts(delta: float, n_levels: int,
     a, b = -u.numerator, u.denominator
     c, d = v.numerator, v.denominator
     q = a * a + b * b
-    e_lo, e_up = _floor_root(c, q), _floor_root(c + d, q)
+    e_lo, e_up = floor_root(c, q), floor_root(c + d, q)
     ad, bd = a * d, b * d
 
     total = int((bd + e_lo) // ad < 1 <= (bd + e_up) // ad)   # the seed (1, 1)
@@ -332,7 +313,7 @@ class _Bound(NamedTuple):
 
     def total(self, a: int, b: int) -> int:
         """Sum of the bound over the rows a..b."""
-        return self.sign * _floor_sum(b - a + 1, self.q, self.p, self.p * a + self.r)
+        return self.sign * floor_sum(b - a + 1, self.q, self.p, self.p * a + self.r)
 
     def first(self, c: int, a: int, b: int) -> int:
         """First row of a..b where floor((p*y + r) / q) >= c, the bound
@@ -354,22 +335,6 @@ class _Band(NamedTuple):
     upper: _Bound
 
 
-def _floor_sum(n: int, m: int, a: int, b: int) -> int:
-    """sum_{i=0}^{n-1} floor((a*i + b) / m) for n >= 0, m >= 1 and any
-    integers a, b, in O(log m) steps (Knuth, Concrete Mathematics 3.5; the
-    AtCoder Library's floor_sum)."""
-    total = 0
-    while True:
-        qa, a = divmod(a, m)
-        qb, b = divmod(b, m)
-        total += qa * (n * (n - 1) // 2) + qb * n
-        top = a * n + b
-        if top < m:
-            return total
-        n, b = divmod(top, m)
-        m, a = a, m
-
-
 def _slope_span(lo: Fraction, hi: Fraction) -> tuple[_Bound, _Bound]:
     """Bounds of the integer x with lo <= x / y < hi: ceil(y lo) and
     ceil(y hi) - 1."""
@@ -383,17 +348,6 @@ def _band_rows(k: int) -> tuple[int, int]:
         raise ValueError("band index too large to represent")
     lo = 1 << (1 << (k + 1))
     return lo, lo + (1 << (1 << k))
-
-
-def _as_int(value) -> int | None:
-    """The integer a finite number is exactly, or None."""
-    if isinstance(value, (int, np.integer)):   # math.floor would go via float
-        return int(value)
-    try:
-        whole = math.floor(value)
-    except (TypeError, ValueError, OverflowError):     # not a number, nan, inf
-        return None
-    return whole if whole == value else None
 
 
 def _clamped_total(bound: _Bound, a: int, b: int, lo: int, hi: int) -> int:
@@ -442,10 +396,8 @@ def _bands_rect_count(bands, x0, x1, y0, y1) -> int:
 
 def _bands_materialize(family) -> PointSet:
     est = family.size_estimate()
-    if est > MAX_MATERIALIZE_POINTS:
-        raise MaterializeError(
-            f"{family!r} holds about {est:.3g} points; the cap is "
-            f"{MAX_MATERIALIZE_POINTS} (use the implicit set for counts)")
+    refuse_past_budget(est, f"{family!r} holds about {est:.3g} points",
+                       "use the implicit set for counts")
     rows = []
     for band in family._bands():
         for y in range(band.lo, band.hi):
@@ -459,7 +411,7 @@ class _BandedSet(_ImplicitSet):
     """Base of the three cone families: membership and size from ``_bands()``."""
 
     def contains(self, x, y) -> bool:
-        xi, yi = _as_int(x), _as_int(y)
+        xi, yi = as_int(x), as_int(y)
         if xi is None or yi is None:
             return False
         for band in self._bands():
@@ -621,8 +573,7 @@ def gen_cartesian(a_values, b_values) -> PointSet:
     for name, vals in (("A", a), ("B", b)):
         if vals.size and (vals[0] < 0 or np.any(vals != np.floor(vals))):
             raise ValueError(f"{name} must contain nonnegative integers")
-    if a.size * b.size > MAX_MATERIALIZE_POINTS:
-        raise MaterializeError(f"product holds {a.size * b.size} points")
+    refuse_past_budget(a.size * b.size, f"product holds {a.size * b.size} points")
     pts = np.column_stack([np.repeat(a, b.size), np.tile(b, a.size)])
     return PointSet(pts)
 
@@ -666,9 +617,8 @@ def gen_random_dimension(alpha: float, l_max: int, seed: int) -> PointSet:
     n_annuli = l_max.bit_length() - 1
     expected = 1.0 + sum(3.0 * 4.0 ** j * min(1.0, 2.0 ** (j * (alpha - 2.0)))
                          for j in range(n_annuli))
-    if expected > MAX_MATERIALIZE_POINTS:
-        raise MaterializeError(
-            f"expected about {expected:.3g} points; lower alpha or l_max")
+    refuse_past_budget(expected, f"expected about {expected:.3g} points",
+                       "lower alpha or l_max")
     rng = np.random.default_rng(seed)
     chunks = [np.zeros((1, 2))]
     for j in range(n_annuli):

@@ -35,9 +35,10 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
+
+from .exact import InternalCheckError, as_int64, at_least_one_apart
 
 __all__ = [
     "BoxSpec",
@@ -399,9 +400,9 @@ class PointSet:
         """Occupied unit cells by rank, sorted by cell: the distinct
         occupied columns and rows as ascending int64 arrays, each cell's
         rank among those columns and among those rows, and its population.
-        Raises ``OverflowError`` for cells beyond the int64 range."""
+        Raises ``Int64RangeError`` for cells beyond the int64 range."""
         self._index()
-        return (_as_int64(self._col_x), _as_int64(self._row_y),
+        return (as_int64(self._col_x), as_int64(self._row_y),
                 self._cell_key // self._stride, self._cell_key % self._stride,
                 np.diff(self._cell_start))
 
@@ -531,8 +532,8 @@ def _sieve(pts: np.ndarray) -> float:
         mesh = math.ldexp(1.0, math.frexp(min(d, _FAR_REACH) / 3.0)[1] - 1)
         alone = _alone(*_cell_keys(pts[live], mesh))
         if not alone[at]:
-            raise ArithmeticError("closest-pair sieve failed to drop its "
-                                  "sampled point: the cell keys are wrong")
+            raise InternalCheckError("closest-pair sieve failed to drop its "
+                                     "sampled point: the cell keys are wrong")
         live = live[~alone]
     return d
 
@@ -681,10 +682,8 @@ def _separated(pts: np.ndarray, i: np.ndarray, j: np.ndarray, f: np.ndarray) -> 
     d = pts[j[both]] - pts[i[both]]
     if np.any(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] < 1.0):
         return False
-    rest = zip(pts[i[~both]].tolist(), pts[j[~both]].tolist())
-    return all((Fraction(xb) - Fraction(xa)) ** 2
-               + (Fraction(yb) - Fraction(ya)) ** 2 >= 1
-               for (xa, ya), (xb, yb) in rest)
+    return all(map(at_least_one_apart, pts[i[~both]].tolist(),
+                   pts[j[~both]].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -697,13 +696,6 @@ def box_count(obj, box: BoxSpec) -> int:
     ``obj`` may be a PointSet or any implicit set exposing ``box_count``.
     """
     return int(obj.box_count(box))
-
-
-def _as_int64(values: np.ndarray) -> np.ndarray:
-    """Integer-valued floats as int64, refusing values int64 cannot hold."""
-    if values.size and not (-2.0 ** 63 <= values.min() and values.max() < 2.0 ** 63):
-        raise OverflowError("integer coordinates beyond the int64 range")
-    return values.astype(np.int64)
 
 
 def slice_tube(ps: PointSet, tube: Tube) -> PointSet:
@@ -750,7 +742,7 @@ def slice_floor_line(ps: PointSet, line: FloorLine, x_max: float = math.inf) -> 
     rows = ps._candidate_rows(x_max, lambda x0: (line.y_at(x0), line.y_at(x0 + 1.0)))
     pts = ps.points[rows]
     ok = (pts[:, 0] <= x_max) & (pts[:, 1] == line.y_at(pts[:, 0]))
-    return _as_int64(np.unique(pts[ok, 1]))
+    return as_int64(np.unique(pts[ok, 1]))
 
 
 # ---------------------------------------------------------------------------

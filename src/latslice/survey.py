@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dimension import DimensionProfile, mass_dim_profile
-from .generators import MAX_MATERIALIZE_POINTS, MaterializeError
+from .exact import refuse_past_budget
 from .geometry import PointSet, Tube, slice_tube
 
 __all__ = [
@@ -85,15 +85,11 @@ class SurveyConfig:
             raise ValueError("grid dimensions must be >= 1")
         if self.mode == "mc" and self.mc_samples < 1:
             raise ValueError("mc_samples must be >= 1")
-        cells = self.grid_u * self.grid_v
-        if self.mode == "grid" and cells > MAX_MATERIALIZE_POINTS:
-            raise MaterializeError(
-                f"survey grid {self.grid_u}x{self.grid_v} holds {cells} "
-                f"cells; the cap is {MAX_MATERIALIZE_POINTS}")
-        if self.mode == "mc" and self.mc_samples > MAX_MATERIALIZE_POINTS:
-            raise MaterializeError(
-                f"mc survey of {self.mc_samples} samples; the cap is "
-                f"{MAX_MATERIALIZE_POINTS}")
+        if self.mode == "grid":
+            gu, gv = self.grid_u, self.grid_v
+            refuse_past_budget(gu * gv, f"survey grid {gu}x{gv} holds {gu * gv} cells")
+        else:
+            refuse_past_budget(self.mc_samples, f"mc survey of {self.mc_samples} samples")
         if self.k_threshold is None and self.m_range <= math.e:
             raise ValueError("default k_threshold needs m_range > e")
         # negated, so that nan (false under every comparison) fails
@@ -380,9 +376,7 @@ def exception_ray_scan(ps: PointSet, v0: float, u_interval, u_samples: int,
     """
     if u_samples < 1:
         raise ValueError("u_samples must be >= 1")
-    if u_samples > MAX_MATERIALIZE_POINTS:
-        raise MaterializeError(f"exception ray scan of {u_samples} slope "
-                               f"samples; the cap is {MAX_MATERIALIZE_POINTS}")
+    refuse_past_budget(u_samples, f"exception ray scan of {u_samples} slope samples")
     if not math.isfinite(threshold_dim):
         raise ValueError("threshold_dim must be finite")
     u_lo, u_hi = (float(u_interval[0]), float(u_interval[1]))

@@ -665,3 +665,30 @@ def test_key_error_in_a_kernel_is_a_bug_not_a_config_error(tmp_path, capsys,
     with pytest.raises(KeyError):
         cli.main(["validate", "--in", str(pts)])
     assert "config error" not in capsys.readouterr().err
+
+
+def test_coordinates_beyond_int64_give_config_exit(tmp_path, capsys):
+    # the floor line y = floor(x / 2) meets (2^64, 2^63), a height int64
+    # cannot hold
+    pts = tmp_path / "far.txt"
+    pts.write_text("18446744073709551616 9223372036854775808\n0 0\n")
+    rc = cli.main(["slice", "--in", str(pts), "--floor", "0.5,0.0"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == ("latslice: config error: integer coordinates "
+                            "beyond the int64 range\n")
+
+
+def test_sieve_self_check_gives_check_exit(tmp_path, capsys, monkeypatch):
+    # every point in one cell: the sieve's round drops nothing and raises
+    from latslice import geometry
+    pts = tmp_path / "p.txt"
+    pts.write_text("0 0\n5 0\n0 7\n")
+    monkeypatch.setattr(geometry, "_cell_keys",
+                        lambda pts, mesh: (np.zeros(len(pts), dtype=np.int64), 3))
+    rc = cli.main(["validate", "--in", str(pts)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert "latslice: internal check failed: closest-pair sieve" in captured.err
