@@ -110,7 +110,7 @@ def positive_int64(values, message: str) -> np.ndarray:
     try:
         with np.errstate(invalid="ignore"):     # nan and inf cast to garbage
             out = raw.astype(np.int64)
-    except OverflowError:                       # Python ints past uint64
+    except (OverflowError, ValueError, TypeError):  # ints past uint64, text, None
         raise ValueError(message) from None
     # 1.5, nan, inf, 0 and 2^63 (uint64, wrapped negative) all fail
     if np.any((out != raw) | (out < 1)):

@@ -85,18 +85,20 @@ class FiniteFieldSet:
 
     @classmethod
     def from_points(cls, p: int, pairs) -> "FiniteFieldSet":
-        """The set of the given (x, y) pairs; repeats count once."""
+        """The set of the given (x, y) pairs; repeats count once.  The
+        first pair not of two integers in [0, p) raises ValueError."""
         p = _check_prime(p)
-        pairs = list(pairs)
-        try:
-            pts = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-            inside = bool(np.all((pts >= 0) & (pts < p)))
-        except OverflowError:
-            inside = False
-        if not inside:
-            x, y = next((x, y) for x, y in pairs
-                        if not (0 <= int(x) < p and 0 <= int(y) < p))
-            raise ValueError(f"point ({x}, {y}) outside [0, {p})^2")
+        raw = np.asarray(pairs).reshape(-1, 2)
+        with np.errstate(invalid="ignore"):     # inf % 1 is nan
+            whole = raw % 1 == 0
+            ok = whole & (raw >= 0) & (raw < p)
+        if not ok.all():
+            i = np.flatnonzero(~ok.all(axis=1))[0]
+            x, y = raw[i].tolist()
+            if whole[i].all():
+                raise ValueError(f"point ({x}, {y}) outside [0, {p})^2")
+            raise ValueError(f"point ({x}, {y}) has a non-integer coordinate")
+        pts = raw.astype(np.int64)
         grid = np.zeros((p, p), dtype=bool)
         grid[pts[:, 0], pts[:, 1]] = True
         return cls(p, grid)

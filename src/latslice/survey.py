@@ -13,11 +13,14 @@ Chebyshev bound making slices above  k |E_N| / M  rare.
 Within a height b the interval starts b - u a for u > 0 are ordered by
 descending a, independently of u (rounding is monotone), so one presort by
 (b, -a) serves every sampled slope, and for any threshold t the points of a
-row with start <= t are a leading run of it.  Both modes work on such runs,
-found for every (slope or draw, row) pair at once by one binary search at
-the approximate threshold a = (b - t) / u over packed (row, a) keys; the
-exact float test at the run end's neighbours confirms it, and any end it
-rejects is found by bisection over its row, so every run end is exact.
+row with start <= t are a leading run of it.  A survey builds one row
+index, ``_RowRuns``, holding the window's point count, that presort, the
+row bounds, packed (row, a) run keys and the one float start b - u a that
+every test below uses.  Both modes work on runs, found for every (slope or
+draw, row) pair at once by one binary search at the approximate threshold
+a = (b - t) / u over the keys; the float test at the run end's neighbours
+confirms it, and any end it rejects is found by bisection over its row,
+so every run end is exact.
 
 Monte Carlo mode never scans the points per draw: a draw (u, v) hits row b
 exactly when the last point of its run with start <= v also has
@@ -135,26 +138,6 @@ class SurveyReport:
 _BLOCK = 1 << 15
 
 
-def _row_sorted_starts(ps: PointSet, n_side: int):
-    """Points of [0, n_side]^2 with integer y, ordered by (y, -x).
-
-    Returns (number of points in the box, a, b, new_row) with interval starts b - u a
-    ascending within each row for every u > 0, plus the row-boundary mask.
-    """
-    pts = ps.points
-    pts = pts[(pts[:, 0] >= 0.0) & (pts[:, 0] <= n_side)
-              & (pts[:, 1] >= 0.0) & (pts[:, 1] <= n_side)]
-    on_rows = pts[:, 1] == np.floor(pts[:, 1])
-    a = pts[on_rows, 0]
-    b = pts[on_rows, 1]
-    order = np.lexsort((-a, b))
-    a, b = a[order], b[order]
-    new_row = np.ones(len(a), dtype=bool)
-    if len(a) > 1:
-        new_row[1:] = b[1:] != b[:-1]
-    return len(pts), a, b, new_row
-
-
 def _merged_segments(starts: np.ndarray, new_row: np.ndarray):
     """Merge per-row unit intervals [s, s+1) whose starts chain with gap <= 1.
 
@@ -172,88 +155,100 @@ def _merged_segments(starts: np.ndarray, new_row: np.ndarray):
 
 
 class _RowRuns:
-    """Row points (a, b), ordered as ``_row_sorted_starts`` returns them,
-    keyed for run searches.
+    """The survey's row index: the points of ``ps`` in [0, n_side]^2 with
+    integer y, as (a, b) = (x, y) ordered by (b, -a), keyed for run searches.
 
-    For a slope u and a threshold t, the points of a row whose start
-    b - u a is at most t form a leading run of the row, since starts
-    ascend within it.  Each run's end is searched at a = (b - t) / u among
-    keys packing (row rank, rank of -a), for every (pair, row) at once,
-    then checked against the exact float test at its two neighbours.  An
-    end that fails the check is found by bisection over its row under the
-    same test, so every end is exact whatever the rounding of (b - t) / u.
+    ``point_count`` counts all points of the window, on rows or not; rows
+    are [lo[r], hi[r]) with height row_b[r].  Within a row the starts
+    b - u a ascend for every u > 0, so for a slope u and a threshold t the
+    points with start at most t form a leading run of the row.  Each run's
+    end is searched at a = (b - t) / u among keys packing (row rank, rank
+    of -a), for every (pair, row) at once, then checked by ``start`` at its
+    two neighbours.  An end that fails the check is found by bisection over
+    its row under the same test, so every end is exact whatever the
+    rounding of (b - t) / u.
     """
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, new_row: np.ndarray):
-        self.a = a
+    def __init__(self, ps: PointSet, n_side: int):
+        pts = ps.points
+        pts = pts[(pts[:, 0] >= 0.0) & (pts[:, 0] <= n_side)
+                  & (pts[:, 1] >= 0.0) & (pts[:, 1] <= n_side)]
+        self.point_count = len(pts)
+        on_rows = pts[:, 1] == np.floor(pts[:, 1])
+        a, b = pts[on_rows, 0], pts[on_rows, 1]
+        order = np.lexsort((-a, b))
+        a, b = a[order], b[order]
+        self.a, self.b = a, b
+        new_row = np.ones(a.size, dtype=bool)
+        new_row[1:] = b[1:] != b[:-1]
         self.lo = np.flatnonzero(new_row)
-        self.hi = np.append(self.lo[1:], a.size)
+        self.hi = np.append(self.lo, a.size)[1:]
         self.row_b = b[self.lo]
         self.neg_a, a_rank = np.unique(-a, return_inverse=True)
         stride = self.neg_a.size + 1
         self.packed = (np.cumsum(new_row) - 1) * stride + a_rank
         self.base = np.arange(self.lo.size) * stride
 
+    def start(self, u, k):
+        """The float start b - u a of the points ``k`` at slopes ``u``."""
+        return self.b[k] - u * self.a[k]
+
     def ends(self, u: np.ndarray, t) -> np.ndarray:
         """Run ends for slopes ``u`` of shape (n, 1) and thresholds ``t``
         of that shape or scalar: entry [i, r] is the first index of row r,
-        or the row's end, whose start row_b[r] - u[i] a exceeds t[i]."""
-        a, lo, hi, row_b = self.a, self.lo, self.hi, self.row_b
+        or the row's end, whose start at u[i] exceeds t[i].  A neighbour
+        outside its row is tested too, but masked by the bound beside it."""
+        lo, hi = self.lo, self.hi
         with np.errstate(divide="ignore", invalid="ignore"):
-            guess = (row_b - t) / u
+            guess = (self.row_b - t) / u
         rank = np.searchsorted(self.neg_a, -guess, side="right")
         end = np.searchsorted(self.packed, self.base + rank)
-        late = (end > lo) & ~(row_b - u * a[end - 1] <= t)
-        early = (end < hi) & (row_b - u * a[np.minimum(end, a.size - 1)] <= t)
+        late = (end > lo) & ~(self.start(u, end - 1) <= t)
+        early = (end < hi) & (self.start(u, np.minimum(end, self.a.size - 1)) <= t)
         todo = np.flatnonzero(late | early)
         if todo.size:
             i, r = np.divmod(todo, lo.size)
-            end.flat[todo] = self._bisect(lo[r], hi[r], row_b[r], u[i, 0],
+            end.flat[todo] = self._bisect(lo[r], hi[r], u[i, 0],
                                           np.broadcast_to(t, u.shape)[i, 0])
         return end
 
-    def _bisect(self, lo, hi, row_b, u, t) -> np.ndarray:
-        """First index in each [lo, hi) whose start row_b - u a exceeds t,
-        or hi; the arrays are one entry per search and ``lo`` is updated."""
+    def _bisect(self, lo, hi, u, t) -> np.ndarray:
+        """First index in each [lo, hi) whose start at u exceeds t, or hi;
+        the arrays are one entry per search and ``lo`` is updated."""
         open_ = np.flatnonzero(lo < hi)
         while open_.size:
             mid = (lo[open_] + hi[open_]) // 2
-            below = row_b[open_] - u[open_] * self.a[mid] <= t[open_]
+            below = self.start(u[open_], mid) <= t[open_]
             lo[open_] = np.where(below, mid + 1, lo[open_])
             hi[open_] = np.where(below, hi[open_], mid)
             open_ = open_[lo[open_] < hi[open_]]
         return lo
 
 
-def _mc_counts(a: np.ndarray, b: np.ndarray, new_row: np.ndarray,
-               us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Distinct heights b hit by the floor line of each draw (us[i], vs[i]),
-    for points (a, b) ordered as ``_row_sorted_starts`` returns them.
+def _mc_counts(runs: _RowRuns, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Distinct heights hit by the floor line of each draw (us[i], vs[i]).
 
-    Point k hits when start_k <= v < start_k + 1 with start_k = b - u a_k,
-    the same float expressions as a scan.  The points with start <= v are
-    a leading run of the row, and the row is hit exactly when
-    v < start + 1 at the run's last point.
+    Point k hits when start_k <= v < start_k + 1, the same float
+    expressions as a scan.  The points with start <= v are a leading run
+    of the row, and the row is hit exactly when v < start + 1 at the run's
+    last point.
     """
     counts = np.zeros(us.size, dtype=np.int64)
-    if a.size == 0:
+    if runs.a.size == 0:
         return counts
-    runs = _RowRuns(a, b, new_row)
     block = max(1, _BLOCK // runs.lo.size)
     for d0 in range(0, us.size, block):
         u = us[d0:d0 + block, None]
         v = vs[d0:d0 + block, None]
         end = runs.ends(u, v)
-        hit = (end > runs.lo) & (v < (runs.row_b - u * a[end - 1]) + 1.0)
+        hit = (end > runs.lo) & (v < runs.start(u, end - 1) + 1.0)
         counts[d0:d0 + block] = hit.sum(axis=1)
     return counts
 
 
-def _grid_counts(a: np.ndarray, b: np.ndarray, new_row: np.ndarray,
-                 us: np.ndarray, vs: np.ndarray, m: float):
+def _grid_counts(runs: _RowRuns, us: np.ndarray, vs: np.ndarray, m: float):
     """Slice counts at every grid centre (us[i], vs[j]), with vs ascending,
-    and each slope's exact v-integral over (0, m] divided by m, for points
-    (a, b) ordered as ``_row_sorted_starts`` returns them.
+    and each slope's exact v-integral over (0, m] divided by m.
 
     Only points with start + 1 > 0 and start <= m can be hit by an offset
     in (0, m]; in each row they are the run [p0, p1) between two run
@@ -263,9 +258,8 @@ def _grid_counts(a: np.ndarray, b: np.ndarray, new_row: np.ndarray,
     """
     counts = np.zeros((us.size, vs.size), dtype=np.int64)
     exact = np.zeros(us.size)
-    if a.size == 0:
+    if runs.a.size == 0:
         return counts, exact
-    runs = _RowRuns(a, b, new_row)
     block = max(1, _BLOCK // runs.lo.size)
     for s0 in range(0, us.size, block):
         u = us[s0:s0 + block, None]
@@ -278,12 +272,12 @@ def _grid_counts(a: np.ndarray, b: np.ndarray, new_row: np.ndarray,
             i1 = max(i0 + 1, int(np.searchsorted(done, limit, side="right")))
             part = slice(s0 + i0, s0 + i1)
             counts[part], exact[part] = _grid_block(
-                a, b, u[i0:i1], p0[i0:i1], kept[i0:i1], vs, m)
+                runs, u[i0:i1], p0[i0:i1], kept[i0:i1], vs, m)
             i0 = i1
     return counts, exact
 
 
-def _grid_block(a, b, u, p0, kept, vs, m):
+def _grid_block(runs: _RowRuns, u, p0, kept, vs, m):
     """Grid counts and exact v-means for the slopes ``u`` (shape (n, 1))
     whose kept runs are [p0, p0 + kept), one per (slope, row).
 
@@ -297,7 +291,7 @@ def _grid_block(a, b, u, p0, kept, vs, m):
     run_at = np.cumsum(n) - n
     k = np.arange(n.sum()) + np.repeat(p0.ravel() - run_at, n)
     slope = np.repeat(np.arange(u.shape[0]), kept.sum(axis=1))
-    starts = b[k] - u[slope, 0] * a[k]
+    starts = runs.start(u[slope, 0], k)
     new_run = np.zeros(k.size, dtype=bool)
     new_run[run_at[n > 0]] = True
     lo = np.searchsorted(vs, starts)
@@ -317,16 +311,16 @@ def _grid_block(a, b, u, p0, kept, vs, m):
 def survey_floor_lines(ps: PointSet, config: SurveyConfig,
                        store_counts: bool = False) -> SurveyReport:
     """Survey floor-line slice counts of ``ps`` over (u, v) in (0, M]^2."""
-    n_pts, a, b, new_row = _row_sorted_starts(ps, config.n_side)
+    runs = _RowRuns(ps, config.n_side)
     m = config.m_range
     k = config.threshold_factor()
-    bound = n_pts / m
+    bound = runs.point_count / m
     threshold = k * bound
 
     if config.mode == "grid":
         us = (np.arange(config.grid_u) + 0.5) * (m / config.grid_u)
         v_centers = (np.arange(config.grid_v) + 0.5) * (m / config.grid_v)
-        counts, exact_v_means = _grid_counts(a, b, new_row, us, v_centers, m)
+        counts, exact_v_means = _grid_counts(runs, us, v_centers, m)
         mean_exact = float(exact_v_means.mean())
         extra = {"mean_exact_v": mean_exact,
                  "resolution_term": abs(float(counts.mean()) - mean_exact)}
@@ -334,12 +328,12 @@ def survey_floor_lines(ps: PointSet, config: SurveyConfig,
         rng = np.random.default_rng(config.seed)
         us = rng.uniform(0.0, m, size=config.mc_samples)
         vs = rng.uniform(0.0, m, size=config.mc_samples)
-        counts = _mc_counts(a, b, new_row, us, vs)
+        counts = _mc_counts(runs, us, vs)
         extra = {"mc_std_error": float(counts.std(ddof=1) / math.sqrt(counts.size))
                  if counts.size > 1 else 0.0}
     exception = float(np.mean(counts > threshold))
     return SurveyReport(
-        config=config, point_count=n_pts, lattice_row_points=len(a),
+        config=config, point_count=runs.point_count, lattice_row_points=runs.a.size,
         mean=float(counts.mean()), bound=bound, k=k, threshold=threshold,
         exception_fraction=exception, good_fraction=1.0 - exception,
         counts=counts if store_counts else None, **extra)

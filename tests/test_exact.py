@@ -99,7 +99,7 @@ def test_positive_int64_keeps_each_value(values):
 
 
 @pytest.mark.parametrize("values", [[0], [-1], [1.5], [math.nan], [math.inf],
-                                    [2 ** 63], [2 ** 64]])
+                                    [2 ** 63], [2 ** 64], ["x"], [None], [3, None]])
 def test_positive_int64_refuses_a_changed_value(values):
     with pytest.raises(ValueError, match="refused"):
         positive_int64(values, "refused")

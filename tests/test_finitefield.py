@@ -68,6 +68,17 @@ def test_from_points_deduplicates_and_checks_range():
     assert grid[4, 0] and grid[0, 4] and grid.sum() == 2
 
 
+@pytest.mark.parametrize("pairs, named", [
+    ([(3.5, 1)], r"\(3\.5, 1\.0\)"), ([(1, 2), (2, 0.25)], r"\(2\.0, 0\.25\)"),
+    (np.array([[1.0, 2.0], [4.0, np.nan]]), r"\(4\.0, nan\)"),
+    ([(math.inf, 1)], r"\(inf, 1\.0\)"),
+], ids=["half", "second-pair", "nan", "inf"])
+def test_from_points_refuses_non_integer_coordinates(pairs, named):
+    # a cast to int64 would keep (3.5, 1) as the point (3, 1)
+    with pytest.raises(ValueError, match=rf"point {named} has a non-integer coordinate"):
+        ff.FiniteFieldSet.from_points(7, pairs)
+
+
 def test_random_is_seeded():
     a = ff.FiniteFieldSet.random(13, density=0.4, seed=3)
     b = ff.FiniteFieldSet.random(13, density=0.4, seed=3)

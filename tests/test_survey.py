@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from latslice import generators as gen
 from latslice import survey as sv
 from latslice.generators import MaterializeError
-from latslice.geometry import PointSet
+from latslice.geometry import FloorLine, PointSet, slice_floor_line
 
 
 def test_single_point_mean_under_reciprocal_range():
@@ -223,8 +223,7 @@ def scan_survey(ps: PointSet, cfg: sv.SurveyConfig):
 
 
 def kernel_counts(ps: PointSet, n_side: int, us, vs) -> np.ndarray:
-    _, a, b, new_row = sv._row_sorted_starts(ps, n_side)
-    return sv._mc_counts(a, b, new_row, np.asarray(us, dtype=float),
+    return sv._mc_counts(sv._RowRuns(ps, n_side), np.asarray(us, dtype=float),
                          np.asarray(vs, dtype=float))
 
 
@@ -340,13 +339,33 @@ def test_run_ends_match_a_scan_of_each_row(step, pairs):
     a = np.arange(0.0, 400.0, step / 4.0)
     pts = np.concatenate([np.column_stack([a, np.full(a.size, 2.0 ** 40 + d)])
                           for d in (-1.0, 0.0, 1.0)])
-    _, a, b, new_row = sv._row_sorted_starts(PointSet(pts), 2 ** 41)
-    runs = sv._RowRuns(a, b, new_row)
+    runs = sv._RowRuns(PointSet(pts), 2 ** 41)
     u = np.array([2.0 ** -e for e, _ in pairs])[:, None]
     t = np.array([2.0 ** 40 + j * 2.0 ** -16 for _, j in pairs])[:, None]
-    below = (b - u * a <= t).astype(np.int64)
+    below = (runs.b - u * runs.a <= t).astype(np.int64)
     expect = runs.lo + np.add.reduceat(below, runs.lo, axis=1)
     assert np.array_equal(runs.ends(u, t), expect)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.tuples(st.integers(-8, 76), st.integers(-4, 38)), max_size=60),
+       st.lists(st.tuples(st.integers(1, 64), st.integers(0, 128)),
+                min_size=1, max_size=20))
+def test_mc_kernel_agrees_with_slice_floor_line(points, draws):
+    """The survey's start test b - u a <= v < b - u a + 1 and
+    ``slice_floor_line``'s b == floor(u a + v) say the same in the reals;
+    with x on a quarter grid, y on a half grid, u on a quarter grid and v
+    on an eighth grid both float predicates are exact, so each mc count is
+    the length of the slice of the set restricted to [0, N]^2."""
+    n_side = 16
+    pts = np.array(points, dtype=float).reshape(-1, 2) * [0.25, 0.5]
+    inside = np.all((pts >= 0.0) & (pts <= n_side), axis=1)
+    window = PointSet(pts[inside])
+    us, vs = (np.array(draws, dtype=float) * [0.25, 0.125]).T
+    expect = [len(slice_floor_line(window, FloorLine(u, v), n_side))
+              for u, v in zip(us, vs)]
+    assert np.array_equal(kernel_counts(PointSet(pts), n_side, us, vs), expect)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +384,10 @@ def loop_mean_exact_v(ps: PointSet, cfg: sv.SurveyConfig) -> float:
     """Reference for ``mean_exact_v``: for every slope, form all row points'
     starts, merge each row's chained unit intervals and sum the merged
     lengths inside (0, M]."""
-    _, a, b, new_row = sv._row_sorted_starts(ps, cfg.n_side)
+    runs = sv._RowRuns(ps, cfg.n_side)
+    a, b = runs.a, runs.b
+    new_row = np.zeros(a.size, dtype=bool)
+    new_row[runs.lo] = True
     m = cfg.m_range
     us, _ = grid_centres(cfg)
     per_slope = np.zeros(us.size)
