@@ -1,12 +1,15 @@
 """Brute-force line incidence counting over prime fields.
 
-Everything here is exact integer combinatorics on the p x p grid: the line
-family is y = u x + v for (u, v) in F_p^2 (vertical lines x = const are not
-part of the family, so there are p^2 lines, not p^2 + p).  The central
-identity: each point lies on exactly one line per slope, hence on exactly p
-lines of the family, so slice counts summed over all lines equal |B| * p.
-Markov's inequality on the exact per-slope average |B| / p then bounds the
-fraction of lines with unusually large intersection.
+Everything here is exact integer combinatorics on the p x p grid, whose p^2
+cells ``_check_prime`` holds to the allocation budget (p <= ``MAX_PRIME`` =
+4472, so 4463 is the largest prime), the module's one size check; entries
+and line parameters are integers read mod p.  The line family is y = u x + v
+for (u, v) in F_p^2 (vertical lines x = const are not part of it, so there
+are p^2 lines, not p^2 + p).  The central identity: each point lies on
+exactly one line per slope, hence on exactly p lines of the family, so slice
+counts summed over all lines equal |B| * p.  Markov's inequality on the exact
+per-slope average |B| / p then bounds the fraction of lines with unusually
+large intersection.
 
 The p x p line-count matrix is one histogram of the residues (y - u x) mod p
 per slope u.  ``ff_line_count_matrix`` finds the points with one flat scan of
@@ -26,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import InternalCheckError, refuse_past_budget
+from .exact import (MAX_MATERIALIZE_POINTS, InternalCheckError, as_int,
+                    refuse_past_budget)
 
 __all__ = [
     "ChebyshevReport",
@@ -42,33 +46,35 @@ __all__ = [
     "is_prime",
 ]
 
-MAX_PRIME = 10_000
+MAX_PRIME = math.isqrt(MAX_MATERIALIZE_POINTS)   # p x p cells fit the budget
 _BLOCK_KEYS = 1 << 12
 
 
 def is_prime(p: int) -> bool:
-    """Deterministic trial division; intended range p <= 10^4."""
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    """Trial division by 2 ... isqrt(p); ``_check_prime`` admits p <= 4472."""
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 def _check_prime(p: int) -> int:
+    """``p``; ``MaterializeError`` past the budget, checked before any
+    allocation or trial division, then ValueError unless it is prime."""
     p = int(p)
-    if p > MAX_PRIME:
-        raise ValueError(f"p={p} beyond supported range (<= {MAX_PRIME})")
+    refuse_past_budget(p * p, f"the grid of F_p^2 for p={p} holds {p * p} cells")
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
     return p
+
+
+def _residues(values, what: str, p: int) -> list[int]:
+    """``values`` mod p, exactly; ValueError naming ``what`` and the first
+    value that is not an integer."""
+    out = []
+    for value in values:
+        n = as_int(value)
+        if n is None:
+            raise ValueError(f"{what} {value!r} is not an integer")
+        out.append(n % p)
+    return out
 
 
 class FiniteFieldSet:
@@ -120,31 +126,31 @@ class FiniteFieldSet:
 
     @classmethod
     def full(cls, p: int) -> "FiniteFieldSet":
-        return cls(p, np.ones((int(p), int(p)), dtype=bool))
+        p = _check_prime(p)
+        return cls(p, np.ones((p, p), dtype=bool))
 
     @classmethod
     def from_product(cls, p: int, xs, ys) -> "FiniteFieldSet":
-        """Product set {(x, y) : x in xs, y in ys}."""
+        """Product set {(x, y) : x in xs, y in ys}, integers read mod p."""
         p = _check_prime(p)
+        xi, yi = _residues(xs, "xs entry", p), _residues(ys, "ys entry", p)
         grid = np.zeros((p, p), dtype=bool)
-        xi = np.asarray(list(xs), dtype=np.int64) % p
-        yi = np.asarray(list(ys), dtype=np.int64) % p
         grid[np.ix_(xi, yi)] = True
         return cls(p, grid)
 
 
 def ff_line_points(p: int, u: int, v: int) -> np.ndarray:
-    """The p points of the line y = u x + v, one per x in F_p."""
+    """The p points of y = u x + v, one per x in F_p; u, v integers mod p."""
     p = _check_prime(p)
-    u, v = int(u) % p, int(v) % p
+    u, v = _residues((u, v), "line parameter", p)
     xs = np.arange(p, dtype=np.int64)
     return np.column_stack([xs, (u * xs + v) % p])
 
 
 def ff_slice_count(B: FiniteFieldSet, u: int, v: int) -> int:
-    """|B intersect l_{u,v}|, exact."""
+    """|B intersect l_{u,v}|, exact; u and v are integers read mod p."""
     p = B.p
-    u, v = int(u) % p, int(v) % p
+    u, v = _residues((u, v), "line parameter", p)
     xs = np.arange(p, dtype=np.int64)
     return int(np.count_nonzero(B.grid[xs, (u * xs + v) % p]))
 
@@ -167,20 +173,16 @@ def ff_line_count_matrix(B: FiniteFieldSet) -> np.ndarray:
     max(``_BLOCK_KEYS``, p); a stepped key is below 2K and a wrapped one at
     least 2^16 - K, so the minimum is exact while 3K <= 2^16, which holds for
     every p <= ``MAX_PRIME``.  Each block's keys are copied into one intp
-    buffer, so ``bincount`` neither casts nor allocates its input.
-
-    A prime whose matrix would hold more than ``MAX_MATERIALIZE_POINTS``
-    entries (p > 4463) raises ``MaterializeError`` before anything is
-    allocated.
+    buffer, so ``bincount`` neither casts nor allocates its input.  The
+    p^2 counts fit the budget, as B's grid does.
     """
     p = B.p
-    refuse_past_budget(p * p, f"the line matrix for p={p} holds {p * p} counts")
     xs = np.empty(B.cardinality, dtype=np.int16)
     ys = np.empty_like(xs)
     np.divmod(np.flatnonzero(B.grid), p, out=(xs, ys))
     block = max(1, min(p, _BLOCK_KEYS // p))
     lane = np.arange(block, dtype=np.int16)[:, None]
-    # every intermediate is below K <= 10^4 in magnitude, so int16 is exact
+    # every intermediate is below K <= MAX_PRIME in magnitude: int16 is exact
     keys = ((ys - lane * xs) % p * block + lane).view(np.uint16)
     down = (block * xs % p * block).view(np.uint16)
     up = np.uint16(p * block) - down
@@ -276,11 +278,13 @@ def ff_affine_intersection(p: int, A, B, u: int, v: int) -> int:
     of b in B with u b + v in A, which is the slice count of the product set
     {(b, a)} by the line y = u x + v read the other way; at u = 0 the image
     u B + v collapses to {v} and the product-slice identity does not apply.
+    Entries, u and v are integers read mod p.
     """
     p = _check_prime(p)
-    a = np.unique(np.asarray(list(A), dtype=np.int64) % p)
-    b = np.unique(np.asarray(list(B), dtype=np.int64) % p)
-    image = np.unique((int(u) * b + int(v)) % p)
+    a = np.unique(_residues(A, "A entry", p))
+    b = np.unique(_residues(B, "B entry", p))
+    u, v = _residues((u, v), "line parameter", p)
+    image = np.unique((u * b + v) % p)
     return int(np.intersect1d(a, image, assume_unique=True).size)
 
 

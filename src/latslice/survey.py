@@ -82,17 +82,17 @@ class SurveyConfig:
             raise ValueError("m_range is required")
         if not (math.isfinite(self.m_range) and self.m_range >= 1.0):
             raise ValueError("m_range must be finite and >= 1")
-        if self.mode not in ("grid", "mc"):
-            raise ValueError(f"unknown survey mode {self.mode!r}")
-        if self.mode == "grid" and (self.grid_u < 1 or self.grid_v < 1):
-            raise ValueError("grid dimensions must be >= 1")
-        if self.mode == "mc" and self.mc_samples < 1:
-            raise ValueError("mc_samples must be >= 1")
         if self.mode == "grid":
             gu, gv = self.grid_u, self.grid_v
+            if gu < 1 or gv < 1:
+                raise ValueError("grid dimensions must be >= 1")
             refuse_past_budget(gu * gv, f"survey grid {gu}x{gv} holds {gu * gv} cells")
-        else:
+        elif self.mode == "mc":
+            if self.mc_samples < 1:
+                raise ValueError("mc_samples must be >= 1")
             refuse_past_budget(self.mc_samples, f"mc survey of {self.mc_samples} samples")
+        else:
+            raise ValueError(f"unknown survey mode {self.mode!r}")
         if self.k_threshold is None and self.m_range <= math.e:
             raise ValueError("default k_threshold needs m_range > e")
         # negated, so that nan (false under every comparison) fails

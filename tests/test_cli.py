@@ -143,6 +143,27 @@ def test_survey_mc_mode(tmp_path, capsys):
     assert rep["results"]["mc_std_error"] > 0.0
 
 
+def test_survey_reports_the_grid_that_ran(tmp_path, capsys):
+    pts = tmp_path / "grid.txt"
+    _write_grid(pts, 4)
+    base = ["survey", "--in", str(pts), "--N", "8", "--M", "8"]
+    assert run_json(base, capsys)["params"]["grid"] == "512x512"
+    assert run_json(base + ["--mc", "64"], capsys)["params"]["grid"] is None
+
+
+@pytest.mark.parametrize("extra, needle", [
+    (["--mc", "0"], "mc_samples must be >= 1"),
+    (["--mc", "64", "--grid", "axb"], "survey takes --grid or --mc, not both"),
+    (["--mc", "64", "--grid", "8x8"], "survey takes --grid or --mc, not both"),
+], ids=["mc-0", "mc-and-bad-grid", "mc-and-grid"])
+def test_survey_refuses_a_plan_it_would_not_run(tmp_path, capsys, extra, needle):
+    pts = tmp_path / "grid.txt"
+    _write_grid(pts, 4)
+    rc = cli.main(["survey", "--in", str(pts), "--N", "8", "--M", "8", *extra])
+    assert rc == 2
+    assert needle in capsys.readouterr().err
+
+
 def test_ff_verify_passes(capsys):
     rep = run_json(["ff", "--p", "7", "--set", "random:0.4:3",
                     "--verify", "identity,chebyshev:2.5"], capsys)
@@ -209,7 +230,22 @@ def test_ff_refuses_a_line_matrix_beyond_the_materialize_cap(capsys):
     rc = cli.main(["ff", "--p", "4481", "--set", "full", "--verify", "identity"])
     captured = capsys.readouterr()
     assert rc == 2
-    assert "line matrix for p=4481" in captured.err
+    assert "grid of F_p^2 for p=4481 holds 20079361 cells" in captured.err
+
+
+def test_ff_refuses_a_prime_past_the_budget_before_building_its_set(capsys):
+    # the full set over F_9973 would hold 99,460,729 points
+    argv = ["ff", "--p", "9973", "--set", "full", "--verify", ""]
+    assert cli.main(argv) == 2          # numpy's first calls set up caches
+    tracemalloc.start()
+    try:
+        rc = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert peak < 1 << 20
+    assert "grid of F_p^2 for p=9973 holds 99460729 cells" in capsys.readouterr().err
 
 
 def _stable(report_text):

@@ -85,6 +85,9 @@ BATTERY = [
     ["survey", "--in", "line.txt", "--N", "16", "--M", "4", "--mc", "200",
      "--seed", "9", "--cells", "mc_cells.csv"],
     ["survey", "--in", "grid.txt", "--N", "8", "--grid", "0x5"],
+    ["survey", "--in", "grid.txt", "--N", "8", "--M", "8", "--grid", "0x5"],
+    ["survey", "--in", "grid.txt", "--N", "8", "--M", "8", "--mc", "64",
+     "--grid", "8x8"],
     ["survey", "--in", "grid.txt", "--N", "8", "--grid", "12"],
     ["survey", "--in", "grid.txt", "--N", "8", "--grid", "axb"],
     ["survey", "--in", "grid.txt", "--N", "1"],

@@ -4,7 +4,6 @@ import math
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -154,6 +153,7 @@ def test_refuse_past_budget_names_the_cap_and_the_hint():
 CAP = f"the cap is {MAX_MATERIALIZE_POINTS}"
 FAR = PointSet([[1.0, 0.5], [1e12, 0.5]])
 GRID = PointSet([[0.0, 0.0], [1.0, 1.0]])
+FF_4481 = f"the grid of F_p^2 for p=4481 holds 20079361 cells; {CAP}"
 
 
 # every allocation whose size a caller chooses, with its refusal's message
@@ -175,8 +175,12 @@ GRID = PointSet([[0.0, 0.0], [1.0, 1.0]])
     (lambda: dimension.find_levels(FAR, math.inf,
                                    dimension.LevelSearchConfig(0.0, 1.0, 10 ** 12)),
      f"level search would scan 1000000000000 levels; {CAP} (lower search_bound)"),
-    (lambda: finitefield.ff_line_count_matrix(SimpleNamespace(p=4481)),
-     f"the line matrix for p=4481 holds 20079361 counts; {CAP}"),
+    (lambda: finitefield.FiniteFieldSet.full(10007),
+     f"the grid of F_p^2 for p=10007 holds 100140049 cells; {CAP}"),
+    (lambda: finitefield.FiniteFieldSet.random(4481, 0.01, 1), FF_4481),
+    (lambda: finitefield.FiniteFieldSet.from_points(4481, []), FF_4481),
+    (lambda: finitefield.FiniteFieldSet.from_product(4481, [0], [0]), FF_4481),
+    (lambda: finitefield.ff_line_points(4481, 0, 0), FF_4481),
     (lambda: survey.SurveyConfig(n_side=8, m_range=4.0, grid_u=100_000,
                                  grid_v=100_000),
      f"survey grid 100000x100000 holds 10000000000 cells; {CAP}"),
@@ -186,7 +190,8 @@ GRID = PointSet([[0.0, 0.0], [1.0, 1.0]])
     (lambda: survey.exception_ray_scan(GRID, 0.3, (1.0, 2.0), 10 ** 10, 0.5),
      f"exception ray scan of 10000000000 slope samples; {CAP}"),
 ], ids=["unit_line", "parabolic", "zigzag", "bands", "cartesian",
-        "random_dimension", "find_levels", "line_matrix", "survey_grid",
+        "random_dimension", "find_levels", "ff_full", "ff_random",
+        "ff_from_points", "ff_from_product", "ff_line_points", "survey_grid",
         "survey_mc", "ray_scan"])
 def test_budget_refusals_allocate_nothing_first(refuse, message):
     with pytest.raises(MaterializeError):

@@ -79,6 +79,35 @@ def test_from_points_refuses_non_integer_coordinates(pairs, named):
         ff.FiniteFieldSet.from_points(7, pairs)
 
 
+FIVE = ff.FiniteFieldSet.full(5)
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: ff.FiniteFieldSet.from_product(5, xs=[2.5], ys=[0]), "xs entry 2.5"),
+    (lambda: ff.FiniteFieldSet.from_product(5, xs=[0], ys=[1, "x"]), "ys entry 'x'"),
+    (lambda: ff.ff_affine_intersection(5, [2.5], [0.4], 1, 2), "A entry 2.5"),
+    (lambda: ff.ff_affine_intersection(5, [2], [math.nan], 1, 2), "B entry nan"),
+    (lambda: ff.ff_affine_intersection(5, [2], [1], 1.5, 2), "line parameter 1.5"),
+    (lambda: ff.ff_slice_count(FIVE, 2.5, 0), "line parameter 2.5"),
+    (lambda: ff.ff_line_points(5, 0, math.inf), "line parameter inf"),
+], ids=["product-xs", "product-ys", "affine-A", "affine-B", "affine-u",
+        "slice-u", "line-v"])
+def test_non_integer_entries_and_line_parameters_are_refused(call, named):
+    # a cast to int64 would read 2.5 as 2
+    with pytest.raises(ValueError, match=rf"^{named} is not an integer$"):
+        call()
+
+
+def test_integer_entries_and_line_parameters_are_read_mod_p():
+    big = 5 * 2 ** 70 + 3
+    prod = ff.FiniteFieldSet.from_product(5, xs=[7, 2.0], ys=[-1, np.int64(big % 5)])
+    assert as_set(np.argwhere(prod.grid)) == {(2, 4), (2, 3)}
+    assert ff.ff_affine_intersection(5, [big, 1], [-4], 6, 5 * 2 ** 70) == 1
+    assert ff.ff_slice_count(FIVE, big, -1) == 5
+    assert np.array_equal(ff.ff_line_points(5, big, 2 ** 64 + 1),
+                          ff.ff_line_points(5, 3, 2))
+
+
 def test_random_is_seeded():
     a = ff.FiniteFieldSet.random(13, density=0.4, seed=3)
     b = ff.FiniteFieldSet.random(13, density=0.4, seed=3)
@@ -90,7 +119,7 @@ def test_random_is_seeded():
 @pytest.mark.parametrize("p, densities", [(2, (0.0, 0.5, 1.0)),
                                            (31, (0.0, 0.01, 0.5, 1.0)),
                                            (101, (0.01, 0.5)), (211, (0.01, 0.5)),
-                                           (4481, (0.01,))])
+                                           (4463, (0.01,))])
 def test_random_draws_the_same_grid_as_one_p_by_p_draw(p, densities):
     for density in densities:
         grid = ff.FiniteFieldSet.random(p, density, seed=1).grid
@@ -100,7 +129,7 @@ def test_random_draws_the_same_grid_as_one_p_by_p_draw(p, densities):
 
 def test_random_holds_no_p_by_p_float_array():
     # one p x p float64 draw alone is 8 p^2 bytes
-    p = 4481
+    p = 4463
     tracemalloc.start()
     try:
         ff.FiniteFieldSet.random(p, 0.01, 1)
