@@ -266,8 +266,9 @@ def criterion_09_oracle_equivalence() -> CriterionResult:
                      rng.uniform(-3.0, 3.0, 2))]
         tubes.append(Tube.horizontal(float(rng.uniform(0, l_max / 2))))
         # a set's first slice scans its points and later slices read its
-        # index, so each query runs on a fresh copy and on the indexed set
-        ps.cell_ranks()
+        # index, so one discarded slice sends every later slice of ps to the
+        # index, and each query runs on a fresh copy and on ps
+        slice_tube(ps, tubes[0])
         for tube in tubes:
             naive = _naive_tube_slice(ps, tube)
             for path, sliced in (("scan", PointSet(ps.points)), ("index", ps)):

@@ -56,13 +56,18 @@ def is_prime(p: int) -> bool:
 
 
 def _check_prime(p: int) -> int:
-    """``p``; ``MaterializeError`` past the budget, checked before any
+    """``p`` as an int; ValueError unless it is an integer of at least 2,
+    then ``MaterializeError`` past the budget, checked before any
     allocation or trial division, then ValueError unless it is prime."""
-    p = int(p)
-    refuse_past_budget(p * p, f"the grid of F_p^2 for p={p} holds {p * p} cells")
-    if not is_prime(p):
-        raise ValueError(f"p={p} is not prime")
-    return p
+    n = as_int(p)
+    if n is None:
+        raise ValueError(f"p={p!r} is not an integer")
+    if n < 2:
+        raise ValueError(f"p={n} is not prime")
+    refuse_past_budget(n * n, f"the grid of F_p^2 for p={n} holds {n * n} cells")
+    if not is_prime(n):
+        raise ValueError(f"p={n} is not prime")
+    return n
 
 
 def _residues(values, what: str, p: int) -> list[int]:

@@ -3,13 +3,16 @@
 Conventions used throughout the package:
 
 * Points are (x, y) pairs.  ``PointSet`` stores them as an (n, 2) float64
-  array plus a CSR unit-cell index, built when needed: the points sorted
-  by cell ``(floor(x), floor(y))``, the occupied cells as sorted packed
-  int64 keys with offsets into that order, and the sorted occupied columns
-  and rows, used by slices and cell ranks only.  A set's first slice
-  scans every point; later slices visit only occupied columns of the
-  index, all at once as array expressions, and only the rows the strip
-  can reach in each.
+  array plus a CSR block index, built when needed and used by slices
+  only: the sorted occupied columns ``floor(x)`` and rows ``floor(y)``,
+  the points sorted by block of B x B consecutive occupied ranks, and the
+  occupied blocks as sorted packed int64 keys with offsets into that
+  order.  B is a power of two the set derives from its own fill, about
+  the square root of its occupied grid's cells per point: 1 on a lattice
+  or the staircase, where a block is a unit cell.  A set's first slice
+  scans every point; later slices visit only the block columns of the
+  index, all at once as array expressions, and only the block rows the
+  strip can reach in each.
   Coordinates may be negative (the cone constructions are built
   symmetric about the y axis); generators that model first-quadrant sets
   emit nonnegative coordinates.
@@ -283,32 +286,41 @@ class BoxSpec:
 # ---------------------------------------------------------------------------
 
 class PointSet:
-    """Immutable planar point collection with a CSR unit-cell index.
+    """Immutable planar point collection with a CSR block index for slices.
 
-    The index groups the points by unit cell (floor(x), floor(y)) in sorted
-    arrays with offsets, as in a compressed sparse row matrix:
+    The index groups the points by block in sorted arrays with offsets, as
+    in a compressed sparse row matrix.  A block is B x B consecutive
+    occupied ranks: the unit columns of ranks jB ... jB + B - 1 among the
+    distinct floor(x), crossed with the rows of ranks kB ... kB + B - 1
+    among the distinct floor(y).
 
-    * ``_order``: the point rows sorted by cell, column first;
     * ``_col_x`` and ``_row_y``: the distinct occupied columns floor(x) and
       rows floor(y), ascending;
-    * ``_cell_key``: the occupied cells, ascending, each packed as
-      ``column rank * _stride + row rank`` with ``_stride`` the number of
-      occupied rows plus one, so keys are built from ranks and cannot
-      overflow however large the coordinates are;
-    * ``_cell_start``: where each cell's points begin in ``_order`` (one
-      more entry than cells).  Column j's cells begin at the first key
-      >= j * _stride, so the column offsets need no array of their own.
+    * ``_block_side``: B = ``2**round(0.5 * log2(n_cols * n_rows / n))``,
+      at least 1, for n points in n_cols occupied columns and n_rows
+      occupied rows, so a block of the occupied grid holds about one
+      point; a lattice or the staircase fills its grid and gets B = 1, one
+      block per unit cell;
+    * ``_order``: the point rows sorted by block, block column first;
+    * ``_block_key``: the occupied blocks, ascending, each packed as
+      ``block column * _block_stride + block row`` with ``_block_stride``
+      the number of block rows plus one, so keys are built from ranks and
+      cannot overflow however large the coordinates are;
+    * ``_block_start``: where each block's points begin in ``_order`` (one
+      more entry than blocks).  Block column j's blocks begin at the first
+      key >= j * _block_stride, so the column offsets need no array of
+      their own.
 
-    ``cell_arrays`` and ``cell_ranks`` build the index on their first call
-    and keep it; ``contains`` scans the points, so a set that is only
-    tested for membership, counted in boxes, validated or written never
-    pays for the index.  Slices rent before they buy: a set's first
-    ``slice_tube`` or ``slice_floor_line`` scans every point with its exact
-    filter (one pass, cheaper than the three sorts of the build), and the
-    second builds the index, unless a query has already built it.  An
-    indexed slice computes a row interval for every occupied column at
-    once and finds the matching cells with one ``searchsorted`` on packed
-    keys.
+    Only slices build the index, and they rent before they buy: a set's
+    first ``slice_tube`` or ``slice_floor_line`` scans every point with its
+    exact filter (one pass, cheaper than the three sorts of the build), and
+    the second builds the index and keeps it.  An indexed slice computes a
+    row interval for every block column at once and finds the matching
+    blocks with one ``searchsorted`` on packed keys; a larger B means fewer
+    columns to search and a few more candidates for the filter.
+    ``contains`` scans the points, and ``cell_ranks`` sorts them itself, so
+    a set that is only tested for membership, counted in boxes or windows,
+    validated or written never pays for the index.
 
     Box counts have their own cache, ``_box_keys``: for each axis box kind
     (first-quadrant and centered) the points' ``BoxSpec.key`` values,
@@ -333,19 +345,19 @@ class PointSet:
         self._box_keys: dict[str, np.ndarray] = {}
 
     def _index(self) -> None:
-        """Build the CSR index unless it is built already."""
+        """Build the CSR block index unless it is built already."""
         if self._order is not None:
             return
-        floors = np.floor(self.points)
-        self._col_x, col_rank = np.unique(floors[:, 0], return_inverse=True)
-        self._row_y, row_rank = np.unique(floors[:, 1], return_inverse=True)
-        self._stride = len(self._row_y) + 1
-        keys = col_rank.astype(np.int64) * self._stride + row_rank
+        self._col_x, col_rank, self._row_y, row_rank = _floor_ranks(self.points)
+        side = _block_side(len(self._col_x), len(self._row_y), len(self.points))
+        self._block_side = side
+        self._block_stride = (len(self._row_y) + side - 1) // side + 1
+        keys = col_rank // side * self._block_stride + row_rank // side
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         starts = np.flatnonzero(np.diff(keys, prepend=-1))
-        self._cell_key = keys[starts]
-        self._cell_start = np.append(starts, len(keys))
+        self._block_key = keys[starts]
+        self._block_start = np.append(starts, len(keys))
         self._order = order
 
     def _candidate_rows(self, x_max: float, bounds) -> np.ndarray:
@@ -353,23 +365,31 @@ class PointSet:
 
         The first slice of a set gets every row, ascending, and leaves the
         index unbuilt.  Any later slice (or one after the index exists)
-        gets, in cell order, the points of each occupied column x0 <= x_max
-        between the rows ``bounds(x0)`` returns for all those columns at
-        once; the bounds only narrow the candidates, so both paths leave
-        the filter the same points.  The bounds are floats, perhaps
-        infinite, compared with the occupied rows and never cast to int.
+        gets, in block order, the points of every block column holding an
+        occupied column x0 <= x_max, in the blocks that meet the rows
+        between the bounds ``bounds(x_lo, x_hi)`` returns for all those
+        block columns at once: x_lo is a block column's least occupied x0
+        and x_hi the x0 + 1 of its last one at most x_max.  Row ranks map
+        to block rows by ``rank // B`` below and ``ceil(rank / B)`` above.
+        The bounds only narrow the candidates, so both paths leave the
+        filter the same points.  They are floats, perhaps infinite,
+        compared with the occupied rows and never cast to int.
         """
         if self._order is None and not self._sliced:
             self._sliced = True
             return np.arange(len(self.points))
         self._index()
-        x0 = self._col_x[:np.searchsorted(self._col_x, x_max, side="right")]
-        row_lo, row_hi = bounds(x0)
-        base = np.arange(len(x0), dtype=np.int64) * self._stride
-        k_lo = np.searchsorted(self._row_y, row_lo, side="left")
-        k_hi = np.searchsorted(self._row_y, row_hi, side="right")
-        cell = np.searchsorted(self._cell_key, np.concatenate([base + k_lo, base + k_hi]))
-        start, stop = self._cell_start[cell].reshape(2, -1)
+        side = self._block_side
+        n_keep = np.searchsorted(self._col_x, x_max, side="right")
+        x_lo = self._col_x[:n_keep:side]
+        last = np.arange(side - 1, side * len(x_lo), side)
+        last[-1:] = n_keep - 1      # the last block column may end early
+        row_lo, row_hi = bounds(x_lo, self._col_x[last] + 1.0)
+        k_lo = np.searchsorted(self._row_y, row_lo, side="left") // side
+        k_hi = (np.searchsorted(self._row_y, row_hi, side="right") + (side - 1)) // side
+        base = np.arange(len(x_lo), dtype=np.int64) * self._block_stride
+        block = np.searchsorted(self._block_key, np.concatenate([base + k_lo, base + k_hi]))
+        start, stop = self._block_start[block].reshape(2, -1)
         length = np.maximum(stop - start, 0)
         offset = np.repeat(start - (np.cumsum(length) - length), length)
         return self._order[np.arange(len(offset)) + offset]
@@ -400,11 +420,16 @@ class PointSet:
         """Occupied unit cells by rank, sorted by cell: the distinct
         occupied columns and rows as ascending int64 arrays, each cell's
         rank among those columns and among those rows, and its population.
-        Raises ``Int64RangeError`` for cells beyond the int64 range."""
-        self._index()
-        return (as_int64(self._col_x), as_int64(self._row_y),
-                self._cell_key // self._stride, self._cell_key % self._stride,
-                np.diff(self._cell_start))
+        Computed from the points on each call, with one sort of packed
+        rank keys after the two of ``_floor_ranks``; the slice index is
+        neither built nor read.  Raises ``Int64RangeError`` for cells
+        beyond the int64 range."""
+        cols, col_rank, rows, row_rank = _floor_ranks(self.points)
+        stride = len(rows) + 1
+        cells, population = np.unique(col_rank * stride + row_rank,
+                                      return_counts=True)
+        return (as_int64(cols), as_int64(rows), cells // stride, cells % stride,
+                population)
 
     def box_count(self, box: BoxSpec) -> int:
         """Points in ``box``: a binary search in the sorted keys of its kind,
@@ -418,6 +443,27 @@ class PointSet:
             keys.sort()
             self._box_keys[box.kind] = keys
         return int(np.searchsorted(keys, box.size, side="right"))
+
+
+def _floor_ranks(points: np.ndarray):
+    """The distinct floor(x) and floor(y) of ``points``, ascending, each
+    with every point's rank among them: (columns, column ranks, rows, row
+    ranks)."""
+    floors = np.floor(points)
+    cols, col_rank = np.unique(floors[:, 0], return_inverse=True)
+    rows, row_rank = np.unique(floors[:, 1], return_inverse=True)
+    return (cols, col_rank.astype(np.int64, copy=False),
+            rows, row_rank.astype(np.int64, copy=False))
+
+
+def _block_side(n_cols: int, n_rows: int, n: int) -> int:
+    """Side B, in occupied ranks, of the slice index's blocks for n points
+    in n_cols occupied columns and n_rows occupied rows: the power of two
+    nearest the square root of the occupied grid's cells per point,
+    ``2**round(0.5 * log2(n_cols * n_rows / n))``, and at least 1."""
+    if n == 0:
+        return 1
+    return 2 ** max(0, round(0.5 * math.log2(n_cols * n_rows / n)))
 
 
 # ---------------------------------------------------------------------------
@@ -703,19 +749,21 @@ def slice_tube(ps: PointSet, tube: Tube) -> PointSet:
 
     The exact strip inequality ``Tube.contains`` is the only membership
     test.  A set's first slice applies it to every point; later slices
-    apply it to the candidates of the CSR cell index: every occupied column
-    gets the row interval the tube can reach over it, all columns in one
-    array expression.  The row bounds use the same float expressions as
-    the inequality, evaluated at the column's two ends: rounding is
-    monotone, so the computed edges at any x in the column lie between
-    their values at the ends, and no point the inequality accepts is left
-    out, however steep the tube.  Both paths give the same array.
+    apply it to the candidates of the CSR block index: every block column
+    gets the row interval the tube can reach over it, all block columns in
+    one array expression, and yields the points of every block that
+    interval meets.  The row bounds use the same float expressions as the
+    inequality, evaluated at the block column's two ends, its least
+    occupied column's x0 and its last one's x0 + 1: rounding is monotone,
+    so the computed edges at any x in the block column lie between their
+    values at the ends, and no point the inequality accepts is left out,
+    however steep the tube.  Both paths give the same array.
     """
     a = tube.edge_slope()
     lo, up = tube.edge_intercepts()
 
-    def bounds(x0):
-        b0, b1 = a * x0, a * (x0 + 1.0)
+    def bounds(x_lo, x_hi):
+        b0, b1 = a * x_lo, a * x_hi
         return np.floor(np.minimum(b0, b1) + lo), np.floor(np.maximum(b0, b1) + up)
 
     rows = ps._candidate_rows(math.inf, bounds)
@@ -731,15 +779,19 @@ def slice_floor_line(ps: PointSet, line: FloorLine, x_max: float = math.inf) -> 
     Returns the sorted array of distinct y values.  Only points with integer
     y can qualify.  The test ``x <= x_max`` and ``y == line.y_at(x)`` is the
     only membership test.  A set's first slice applies it to every point;
-    later slices apply it to the candidates of the CSR cell index: only
-    occupied columns with floor(x) <= x_max, and in each only the rows
-    between the line's floor values at the column's two ends (the same
-    float expression as the test, which is monotone in x), all columns in
-    one array expression.  Both paths give the same array.
+    later slices apply it to the candidates of the CSR block index: only
+    block columns holding an occupied column with floor(x) <= x_max, and
+    in each only the blocks meeting the rows between the line's floor
+    values at the block column's two ends (its least occupied column's x0
+    and the x0 + 1 of its last one at most x_max; the same float
+    expression as the test, which is monotone in x), all block columns in
+    one array expression.  A block column that x_max cuts keeps its points
+    past x_max as candidates, and the test drops them.  Both paths give
+    the same array.
     """
     if not (x_max > 0.0):
         raise ValueError("x_max must be positive")
-    rows = ps._candidate_rows(x_max, lambda x0: (line.y_at(x0), line.y_at(x0 + 1.0)))
+    rows = ps._candidate_rows(x_max, lambda x_lo, x_hi: (line.y_at(x_lo), line.y_at(x_hi)))
     pts = ps.points[rows]
     ok = (pts[:, 0] <= x_max) & (pts[:, 1] == line.y_at(pts[:, 0]))
     return as_int64(np.unique(pts[ok, 1]))
@@ -832,8 +884,9 @@ def _integer_points(source, text: str) -> np.ndarray | None:
     int64, read by ``numpy.loadtxt``'s int64 converter (faster than its
     float converter) and rounded to float64 as the float parse rounds them;
     None for any other file.  A text holding ``-0`` is left to the float
-    parse, which keeps the sign of a negative zero."""
-    if "-0" in text:
+    parse, which keeps the sign of a negative zero.  The one-character
+    test for ``-`` runs first: most point files hold no sign at all."""
+    if "-" in text and "-0" in text:
         return None
     try:
         with warnings.catch_warnings():

@@ -88,6 +88,24 @@ def test_criterion_09_slice_oracles():
     assert d["largest"] >= 10 ** 4
 
 
+def test_criterion_09_index_path_reads_the_index(monkeypatch):
+    """Criterion 09 slices each set once more than its five queries, so all
+    five of its "index" slices read the set's index; only that discarded
+    slice and the fresh copies of the "scan" path scan every point."""
+    from latslice.geometry import PointSet
+    scans = []
+    candidate_rows = PointSet._candidate_rows
+
+    def record(ps, x_max, bounds):
+        scans.append(ps._order is None and not ps._sliced)
+        return candidate_rows(ps, x_max, bounds)
+
+    monkeypatch.setattr(PointSet, "_candidate_rows", record)
+    check(acc.criterion_09_oracle_equivalence(), 9)
+    assert scans.count(False) == 50 * 5     # 3 tubes and 2 floor lines a set
+    assert scans.count(True) == 50 * (1 + 5)
+
+
 def test_criterion_10_level_finder():
     d = check(acc.criterion_10_level_finder(), 10)
     assert d["dense_levels"] > 0

@@ -248,6 +248,13 @@ def test_ff_refuses_a_prime_past_the_budget_before_building_its_set(capsys):
     assert "grid of F_p^2 for p=9973 holds 99460729 cells" in capsys.readouterr().err
 
 
+def test_ff_refuses_a_negative_prime_as_not_prime(capsys):
+    assert cli.main(["ff", "--p", "-5000", "--set", "full", "--verify", ""]) == 2
+    err = capsys.readouterr().err
+    assert "p=-5000 is not prime" in err
+    assert "cells" not in err
+
+
 def _stable(report_text):
     """A report with the per-run provenance (timestamp, timings) removed."""
     rep = json.loads(report_text)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from latslice import dimension as dim
 from latslice import finitefield as ff
+from latslice.exact import MaterializeError
 
 
 def as_set(arr):
@@ -51,6 +52,19 @@ def test_non_prime_modulus_rejected():
         ff.FiniteFieldSet.full(9)
     with pytest.raises(ValueError):
         ff.ff_line_points(4, 1, 0)
+
+
+def test_non_integer_modulus_is_refused_not_truncated():
+    with pytest.raises(ValueError, match=r"p=7\.9 is not an integer"):
+        ff.FiniteFieldSet.full(7.9)
+    assert ff.FiniteFieldSet.full(7.0).p == 7
+
+
+def test_modulus_below_two_is_not_prime_before_the_budget():
+    for p in (-5000, -7, 0, 1):
+        with pytest.raises(ValueError, match=rf"p={p} is not prime") as err:
+            ff.FiniteFieldSet.full(p)
+        assert not isinstance(err.value, MaterializeError)
 
 
 def test_from_points_deduplicates_and_checks_range():

@@ -57,12 +57,22 @@ def test_cell_index_assigns_each_point_once():
     rng = np.random.default_rng(5)
     pts = rng.uniform(-20, 20, size=(500, 2))
     ps = PointSet(pts)
+    ps._index()
+    side, stride = ps._block_side, ps._block_stride
+    assert side == 2        # 40 x 40 occupied unit cells for 500 points
+    floors = np.floor(pts)
+    assert np.array_equal(ps._col_x, np.unique(floors[:, 0]))
+    assert np.array_equal(ps._row_y, np.unique(floors[:, 1]))
+    assert np.all(np.diff(ps._block_key) > 0)
     seen = np.zeros(len(pts), dtype=int)
-    cx, cy, _ = ps.cell_arrays()
-    for k, key in enumerate(zip(cx.tolist(), cy.tolist())):
-        for i in ps._order[ps._cell_start[k]:ps._cell_start[k + 1]]:
-            assert tuple(np.floor(pts[i]).astype(int)) == key
-            seen[i] += 1
+    for k, key in enumerate(ps._block_key.tolist()):
+        block = ps._order[ps._block_start[k]:ps._block_start[k + 1]]
+        assert block.size > 0
+        col_rank = np.searchsorted(ps._col_x, floors[block, 0])
+        row_rank = np.searchsorted(ps._row_y, floors[block, 1])
+        assert np.all(col_rank // side == key // stride)
+        assert np.all(row_rank // side == key % stride)
+        seen[block] += 1
     assert np.all(seen == 1)
 
 

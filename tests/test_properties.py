@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from latslice.dimension import mass_dim_profile
+from latslice.generators import gen_parabolic_staircase
 from latslice.geometry import (BoxSpec, FloorLine, PointSet, Tube, box_count,
                                slice_floor_line, slice_tube)
 
@@ -168,6 +169,81 @@ def test_first_floor_slice_scan_equals_indexed_slice(case):
         pts, lambda ps: slice_floor_line(ps, line, x_max))
     assert first.dtype == again.dtype == np.int64
     assert first.tobytes() == again.tobytes()
+
+
+@st.composite
+def block_cases(draw):
+    """A set whose slice index may group unit cells into blocks, with tubes
+    through its points and floor lines whose finite ``x_max`` falls inside
+    an occupied column (so inside a block when B > 1).
+
+    The set is sparse random points (integers, or quarters), a parabolic
+    staircase, or a lattice embedded in sparse points, then reflected in
+    either axis and moved by an offset, near +-2^52 or not; points on the
+    tubes' computed edges and on the floor lines are added."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(("sparse", "staircase", "embedded lattice")))
+    if kind == "staircase":
+        pts = gen_parabolic_staircase(draw(st.integers(1, 24))).points
+    else:
+        n = draw(st.integers(1, 300))
+        reach = draw(st.integers(1, 64)) * n
+        pts = rng.integers(-reach, reach, size=(n, 2)).astype(float)
+        if draw(st.booleans()):
+            pts += np.floor(4.0 * rng.random((n, 2))) / 4.0
+        if kind == "embedded lattice":
+            k = draw(st.integers(2, 16))
+            grid = np.stack(np.meshgrid(np.arange(k), np.arange(k)), -1).reshape(-1, 2)
+            pts = np.concatenate([pts, grid + rng.integers(-reach, reach, size=2)])
+    pts = pts * np.array([draw(st.sampled_from((1.0, -1.0))) for _ in range(2)])
+    pts = pts + np.array([draw(st.sampled_from((0.0, 2.0 ** 52, -2.0 ** 52,
+                                                   2.0 ** 52 - 300.0)))
+                          for _ in range(2)])
+    anchors = pts[rng.integers(len(pts), size=3)]
+    tubes = [Tube(u, float(Tube(u, 0.0).perp_coord(*anchor)) - shift)
+             for u, anchor, shift in zip(draw(st.lists(slopes, min_size=3, max_size=3)),
+                                         anchors.tolist(), rng.random(3))]
+    lines = [FloorLine(u, v) for u, v in
+             zip(draw(st.lists(st.floats(0.01, 10.0), min_size=2, max_size=2)),
+                 rng.uniform(0.0, 3.0, 2))]
+    extra = [edge_points(tube, anchors[:, 0], 2.0 ** 54) for tube in tubes]
+    for line in lines:
+        xs = pts[rng.integers(len(pts), size=8), 0]
+        extra.append(np.column_stack([xs, line.y_at(xs)]))
+    pts = np.concatenate([pts, *extra])
+    cols = np.unique(np.floor(pts[:, 0]))
+    cols = cols[cols > 0.0]
+    x_max = (float(cols[rng.integers(len(cols))]) + draw(st.floats(0.0, 0.99))
+             if cols.size else math.inf)
+    return pts, tubes, lines, x_max
+
+
+def test_indexed_slices_equal_scan_slices_on_blocks():
+    """Each slice of a set whose index is in use equals the first slice of
+    a fresh copy, which scans every point; some drawn sets group unit cells
+    into blocks of B > 1."""
+    sides = []
+
+    @SETTINGS
+    @given(block_cases())
+    def check(case):
+        pts, tubes, lines, x_max = case
+        ps = PointSet(pts)
+        slice_tube(ps, tubes[0])            # the first slice of ps scans
+        for tube in tubes:
+            got = slice_tube(ps, tube).points
+            want = slice_tube(PointSet(pts), tube).points
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for line in lines:
+            for limit in (x_max, math.inf):
+                got = slice_floor_line(ps, line, limit)
+                want = slice_floor_line(PointSet(pts), line, limit)
+                assert got.tobytes() == want.tobytes()
+        sides.append(ps._block_side)
+
+    check()
+    assert max(sides) > 1
+    assert min(sides) == 1
 
 
 @st.composite
