@@ -3,16 +3,12 @@
 Conventions used throughout the package:
 
 * Points are (x, y) pairs.  ``PointSet`` stores them as an (n, 2) float64
-  array plus a CSR block index, built when needed and used by slices
-  only: the sorted occupied columns ``floor(x)`` and rows ``floor(y)``,
-  the points sorted by block of B x B consecutive occupied ranks, and the
-  occupied blocks as sorted packed int64 keys with offsets into that
-  order.  B is a power of two the set derives from its own fill, about
-  the square root of its occupied grid's cells per point: 1 on a lattice
-  or the staircase, where a block is a unit cell.  A set's first slice
-  scans every point; later slices visit only the block columns of the
-  index, all at once as array expressions, and only the block rows the
-  strip can reach in each.
+  array plus a slice index built when needed: the points of each strip of
+  B consecutive occupied columns ``floor(x)``, sorted by y, kept as one
+  ``RankOrder`` (see its docstring for the packed keys and the search).
+  B is a power of two the set derives from its own fill.  A set's first
+  slice scans every point; later slices ask each strip at once, as array
+  expressions, for the points whose y lies between the strip's bounds.
   Coordinates may be negative (the cone constructions are built
   symmetric about the y axis); generators that model first-quadrant sets
   emit nonnegative coordinates.
@@ -282,45 +278,60 @@ class BoxSpec:
 
 
 # ---------------------------------------------------------------------------
+# Sorted-rank order
+# ---------------------------------------------------------------------------
+
+class RankOrder:
+    """Rows sorted by (group, value), searched per group.
+
+    Each row has a group rank, an integer from 0, and a value, given as its
+    rank among the sorted distinct ``values``.  ``order`` lists the rows
+    sorted by the packed int64 key ``group * stride + value rank``, and
+    ``keys`` holds those keys in that order; ``stride`` is the number of
+    distinct values plus one, so a group's keys end below the next group's
+    first.  The keys are built from ranks, so they cannot overflow however
+    large the values are.  Rows with equal keys keep their input order.
+
+    ``find(groups, bound, side)`` gives, for each group, the position in
+    ``order`` of the group's first row whose value is >= bound
+    (``side="left"``) or > bound (``side="right"``), or the group's end:
+    one ``searchsorted`` of ``bound`` in ``values`` and one of the packed
+    key in ``keys``.  ``groups`` and ``bound`` broadcast together.
+    """
+
+    def __init__(self, group: np.ndarray, value_rank: np.ndarray, values: np.ndarray):
+        self.values = values
+        self.stride = len(values) + 1
+        keys = group * self.stride + value_rank
+        self.order = np.argsort(keys, kind="stable")
+        self.keys = keys[self.order]
+
+    def find(self, groups, bound, side: str) -> np.ndarray:
+        rank = np.searchsorted(self.values, bound, side=side)
+        return np.searchsorted(self.keys, groups * self.stride + rank)
+
+
+# ---------------------------------------------------------------------------
 # PointSet
 # ---------------------------------------------------------------------------
 
 class PointSet:
-    """Immutable planar point collection with a CSR block index for slices.
+    """Immutable planar point collection with a strip index for slices.
 
-    The index groups the points by block in sorted arrays with offsets, as
-    in a compressed sparse row matrix.  A block is B x B consecutive
-    occupied ranks: the unit columns of ranks jB ... jB + B - 1 among the
-    distinct floor(x), crossed with the rows of ranks kB ... kB + B - 1
-    among the distinct floor(y).
-
-    * ``_col_x`` and ``_row_y``: the distinct occupied columns floor(x) and
-      rows floor(y), ascending;
-    * ``_block_side``: B = ``2**round(0.5 * log2(n_cols * n_rows / n))``,
-      at least 1, for n points in n_cols occupied columns and n_rows
-      occupied rows, so a block of the occupied grid holds about one
-      point; a lattice or the staircase fills its grid and gets B = 1, one
-      block per unit cell;
-    * ``_order``: the point rows sorted by block, block column first;
-    * ``_block_key``: the occupied blocks, ascending, each packed as
-      ``block column * _block_stride + block row`` with ``_block_stride``
-      the number of block rows plus one, so keys are built from ranks and
-      cannot overflow however large the coordinates are;
-    * ``_block_start``: where each block's points begin in ``_order`` (one
-      more entry than blocks).  Block column j's blocks begin at the first
-      key >= j * _block_stride, so the column offsets need no array of
-      their own.
+    The index is one ``RankOrder``, ``_strips``: a strip is B consecutive
+    occupied columns, its group is a column's rank among the distinct
+    floor(x), ``_col_x``, divided by B, and its values are the exact y.
+    B, ``_strip_width``, is ``_block_side`` of the occupied columns and
+    rows: about the square root of the occupied grid's cells per point,
+    1 on a lattice or the staircase.
 
     Only slices build the index, and they rent before they buy: a set's
     first ``slice_tube`` or ``slice_floor_line`` scans every point with its
     exact filter (one pass, cheaper than the three sorts of the build), and
-    the second builds the index and keeps it.  An indexed slice computes a
-    row interval for every block column at once and finds the matching
-    blocks with one ``searchsorted`` on packed keys; a larger B means fewer
-    columns to search and a few more candidates for the filter.
-    ``contains`` scans the points, and ``cell_ranks`` sorts them itself, so
-    a set that is only tested for membership, counted in boxes or windows,
-    validated or written never pays for the index.
+    the second builds the index and keeps it.  ``contains`` scans the
+    points, and ``cell_ranks`` sorts them itself, so a set that is only
+    tested for membership, counted in boxes or windows, validated or
+    written never pays for the index.
 
     Box counts have their own cache, ``_box_keys``: for each axis box kind
     (first-quadrant and centered) the points' ``BoxSpec.key`` values,
@@ -340,59 +351,51 @@ class PointSet:
         arr = arr.copy()
         arr.setflags(write=False)
         self.points = arr
-        self._order = None
+        self._strips = None
         self._sliced = False
         self._box_keys: dict[str, np.ndarray] = {}
 
     def _index(self) -> None:
-        """Build the CSR block index unless it is built already."""
-        if self._order is not None:
+        """Build the strip index unless it is built already.  The occupied
+        rows floor(y) are counted from the sorted distinct y, whose floors
+        ascend."""
+        if self._strips is not None:
             return
-        self._col_x, col_rank, self._row_y, row_rank = _floor_ranks(self.points)
-        side = _block_side(len(self._col_x), len(self._row_y), len(self.points))
-        self._block_side = side
-        self._block_stride = (len(self._row_y) + side - 1) // side + 1
-        keys = col_rank // side * self._block_stride + row_rank // side
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        starts = np.flatnonzero(np.diff(keys, prepend=-1))
-        self._block_key = keys[starts]
-        self._block_start = np.append(starts, len(keys))
-        self._order = order
+        x, y = self.points.T
+        self._col_x, col_rank = np.unique(np.floor(x), return_inverse=True)
+        ys, y_rank = np.unique(y, return_inverse=True)
+        n_rows = np.count_nonzero(np.diff(np.floor(ys))) + min(len(ys), 1)
+        self._strip_width = _block_side(len(self._col_x), n_rows, len(self.points))
+        self._strips = RankOrder(col_rank // self._strip_width, y_rank, ys)
 
     def _candidate_rows(self, x_max: float, bounds) -> np.ndarray:
         """Rows of ``points`` a slice must test with its exact filter.
 
         The first slice of a set gets every row, ascending, and leaves the
         index unbuilt.  Any later slice (or one after the index exists)
-        gets, in block order, the points of every block column holding an
-        occupied column x0 <= x_max, in the blocks that meet the rows
-        between the bounds ``bounds(x_lo, x_hi)`` returns for all those
-        block columns at once: x_lo is a block column's least occupied x0
-        and x_hi the x0 + 1 of its last one at most x_max.  Row ranks map
-        to block rows by ``rank // B`` below and ``ceil(rank / B)`` above.
-        The bounds only narrow the candidates, so both paths leave the
-        filter the same points.  They are floats, perhaps infinite,
-        compared with the occupied rows and never cast to int.
+        gets, in strip order, the points of every strip holding an occupied
+        column x0 <= x_max whose y lies in the closed interval
+        ``bounds(x_lo, x_hi)`` returns for all those strips at once: x_lo
+        is a strip's least occupied x0 and x_hi the x0 + 1 of its last one
+        at most x_max.  The bounds only narrow the candidates, so both
+        paths leave the filter the same points.  They are floats, perhaps
+        infinite, compared with the exact y.
         """
-        if self._order is None and not self._sliced:
+        if self._strips is None and not self._sliced:
             self._sliced = True
             return np.arange(len(self.points))
         self._index()
-        side = self._block_side
+        side = self._strip_width
         n_keep = np.searchsorted(self._col_x, x_max, side="right")
         x_lo = self._col_x[:n_keep:side]
         last = np.arange(side - 1, side * len(x_lo), side)
-        last[-1:] = n_keep - 1      # the last block column may end early
-        row_lo, row_hi = bounds(x_lo, self._col_x[last] + 1.0)
-        k_lo = np.searchsorted(self._row_y, row_lo, side="left") // side
-        k_hi = (np.searchsorted(self._row_y, row_hi, side="right") + (side - 1)) // side
-        base = np.arange(len(x_lo), dtype=np.int64) * self._block_stride
-        block = np.searchsorted(self._block_key, np.concatenate([base + k_lo, base + k_hi]))
-        start, stop = self._block_start[block].reshape(2, -1)
-        length = np.maximum(stop - start, 0)
+        last[-1:] = n_keep - 1      # the last strip may end early
+        y_lo, y_hi = bounds(x_lo, self._col_x[last] + 1.0)
+        strip = np.arange(len(x_lo))
+        start = self._strips.find(strip, y_lo, "left")
+        length = np.maximum(self._strips.find(strip, y_hi, "right") - start, 0)
         offset = np.repeat(start - (np.cumsum(length) - length), length)
-        return self._order[np.arange(len(offset)) + offset]
+        return self._strips.order[np.arange(len(offset)) + offset]
 
     def __len__(self) -> int:
         return len(self.points)
@@ -421,10 +424,12 @@ class PointSet:
         occupied columns and rows as ascending int64 arrays, each cell's
         rank among those columns and among those rows, and its population.
         Computed from the points on each call, with one sort of packed
-        rank keys after the two of ``_floor_ranks``; the slice index is
-        neither built nor read.  Raises ``Int64RangeError`` for cells
-        beyond the int64 range."""
-        cols, col_rank, rows, row_rank = _floor_ranks(self.points)
+        rank keys after the two of the distinct columns and rows; the
+        slice index is neither built nor read.  Raises ``Int64RangeError``
+        for cells beyond the int64 range."""
+        floors = np.floor(self.points)
+        cols, col_rank = np.unique(floors[:, 0], return_inverse=True)
+        rows, row_rank = np.unique(floors[:, 1], return_inverse=True)
         stride = len(rows) + 1
         cells, population = np.unique(col_rank * stride + row_rank,
                                       return_counts=True)
@@ -445,21 +450,10 @@ class PointSet:
         return int(np.searchsorted(keys, box.size, side="right"))
 
 
-def _floor_ranks(points: np.ndarray):
-    """The distinct floor(x) and floor(y) of ``points``, ascending, each
-    with every point's rank among them: (columns, column ranks, rows, row
-    ranks)."""
-    floors = np.floor(points)
-    cols, col_rank = np.unique(floors[:, 0], return_inverse=True)
-    rows, row_rank = np.unique(floors[:, 1], return_inverse=True)
-    return (cols, col_rank.astype(np.int64, copy=False),
-            rows, row_rank.astype(np.int64, copy=False))
-
-
 def _block_side(n_cols: int, n_rows: int, n: int) -> int:
-    """Side B, in occupied ranks, of the slice index's blocks for n points
-    in n_cols occupied columns and n_rows occupied rows: the power of two
-    nearest the square root of the occupied grid's cells per point,
+    """Width B, in occupied columns, of the slice index's strips for n
+    points in n_cols occupied columns and n_rows occupied rows: the power
+    of two nearest the square root of the occupied grid's cells per point,
     ``2**round(0.5 * log2(n_cols * n_rows / n))``, and at least 1."""
     if n == 0:
         return 1
@@ -749,22 +743,21 @@ def slice_tube(ps: PointSet, tube: Tube) -> PointSet:
 
     The exact strip inequality ``Tube.contains`` is the only membership
     test.  A set's first slice applies it to every point; later slices
-    apply it to the candidates of the CSR block index: every block column
-    gets the row interval the tube can reach over it, all block columns in
-    one array expression, and yields the points of every block that
-    interval meets.  The row bounds use the same float expressions as the
-    inequality, evaluated at the block column's two ends, its least
-    occupied column's x0 and its last one's x0 + 1: rounding is monotone,
-    so the computed edges at any x in the block column lie between their
-    values at the ends, and no point the inequality accepts is left out,
-    however steep the tube.  Both paths give the same array.
+    apply it to the candidates of the strip index (``PointSet``): every
+    strip yields its points whose y lies between the tube's edges over it,
+    all strips in one array expression.  The bounds use the same float
+    expressions as the inequality, evaluated at the strip's two ends, its
+    least occupied column's x0 and its last one's x0 + 1: rounding is
+    monotone, so the computed edges at any x in the strip lie between
+    their values at the ends, and no point the inequality accepts is left
+    out, however steep the tube.  Both paths give the same array.
     """
     a = tube.edge_slope()
     lo, up = tube.edge_intercepts()
 
     def bounds(x_lo, x_hi):
         b0, b1 = a * x_lo, a * x_hi
-        return np.floor(np.minimum(b0, b1) + lo), np.floor(np.maximum(b0, b1) + up)
+        return np.minimum(b0, b1) + lo, np.maximum(b0, b1) + up
 
     rows = ps._candidate_rows(math.inf, bounds)
     pts = ps.points[rows]
@@ -779,15 +772,15 @@ def slice_floor_line(ps: PointSet, line: FloorLine, x_max: float = math.inf) -> 
     Returns the sorted array of distinct y values.  Only points with integer
     y can qualify.  The test ``x <= x_max`` and ``y == line.y_at(x)`` is the
     only membership test.  A set's first slice applies it to every point;
-    later slices apply it to the candidates of the CSR block index: only
-    block columns holding an occupied column with floor(x) <= x_max, and
-    in each only the blocks meeting the rows between the line's floor
-    values at the block column's two ends (its least occupied column's x0
+    later slices apply it to the candidates of the strip index
+    (``PointSet``): only strips holding an occupied column with floor(x)
+    <= x_max, and in each only the points whose y lies between the line's
+    floor values at the strip's two ends (its least occupied column's x0
     and the x0 + 1 of its last one at most x_max; the same float
-    expression as the test, which is monotone in x), all block columns in
-    one array expression.  A block column that x_max cuts keeps its points
-    past x_max as candidates, and the test drops them.  Both paths give
-    the same array.
+    expression as the test, which is monotone in x), all strips in one
+    array expression.  A strip that x_max cuts keeps its points past x_max
+    as candidates, and the test drops them.  Both paths give the same
+    array.
     """
     if not (x_max > 0.0):
         raise ValueError("x_max must be positive")

@@ -14,13 +14,13 @@ Within a height b the interval starts b - u a for u > 0 are ordered by
 descending a, independently of u (rounding is monotone), so one presort by
 (b, -a) serves every sampled slope, and for any threshold t the points of a
 row with start <= t are a leading run of it.  A survey builds one row
-index, ``_RowRuns``, holding the window's point count, that presort, the
-row bounds, packed (row, a) run keys and the one float start b - u a that
-every test below uses.  Both modes work on runs, found for every (slope or
-draw, row) pair at once by one binary search at the approximate threshold
-a = (b - t) / u over the keys; the float test at the run end's neighbours
-confirms it, and any end it rejects is found by bisection over its row,
-so every run end is exact.
+index, ``_RowRuns``, holding the window's point count, that presort as a
+``geometry.RankOrder`` (rows as groups, -a as values), the row bounds and
+the one float start b - u a that every test below uses.  Both modes work
+on runs, found for every (slope or draw, row) pair at once by one
+``RankOrder.find`` at the approximate threshold a = (b - t) / u; the float
+test at the run end's neighbours confirms it, and any end it rejects is
+found by bisection over its row, so every run end is exact.
 
 Monte Carlo mode never scans the points per draw: a draw (u, v) hits row b
 exactly when the last point of its run with start <= v also has
@@ -44,7 +44,7 @@ import numpy as np
 
 from .dimension import DimensionProfile, mass_dim_profile
 from .exact import refuse_past_budget
-from .geometry import PointSet, Tube, slice_tube
+from .geometry import PointSet, RankOrder, Tube, slice_tube
 
 __all__ = [
     "SurveyConfig",
@@ -161,12 +161,13 @@ class _RowRuns:
     ``point_count`` counts all points of the window, on rows or not; rows
     are [lo[r], hi[r]) with height row_b[r].  Within a row the starts
     b - u a ascend for every u > 0, so for a slope u and a threshold t the
-    points with start at most t form a leading run of the row.  Each run's
-    end is searched at a = (b - t) / u among keys packing (row rank, rank
-    of -a), for every (pair, row) at once, then checked by ``start`` at its
-    two neighbours.  An end that fails the check is found by bisection over
-    its row under the same test, so every end is exact whatever the
-    rounding of (b - t) / u.
+    points with start at most t form a leading run of the row.  ``index``
+    is a ``geometry.RankOrder`` whose groups are the rows and whose values
+    are -a, so each run's end is one ``find`` at a = (b - t) / u, for every
+    (pair, row) at once, then checked by ``start`` at its two neighbours.
+    An end that fails the check is found by bisection over its row under
+    the same test, so every end is exact whatever the rounding of
+    (b - t) / u.
     """
 
     def __init__(self, ps: PointSet, n_side: int):
@@ -176,18 +177,13 @@ class _RowRuns:
         self.point_count = len(pts)
         on_rows = pts[:, 1] == np.floor(pts[:, 1])
         a, b = pts[on_rows, 0], pts[on_rows, 1]
-        order = np.lexsort((-a, b))
-        a, b = a[order], b[order]
-        self.a, self.b = a, b
-        new_row = np.ones(a.size, dtype=bool)
-        new_row[1:] = b[1:] != b[:-1]
-        self.lo = np.flatnonzero(new_row)
-        self.hi = np.append(self.lo, a.size)[1:]
-        self.row_b = b[self.lo]
-        self.neg_a, a_rank = np.unique(-a, return_inverse=True)
-        stride = self.neg_a.size + 1
-        self.packed = (np.cumsum(new_row) - 1) * stride + a_rank
-        self.base = np.arange(self.lo.size) * stride
+        _, row_rank, size = np.unique(b, return_inverse=True, return_counts=True)
+        neg_a, a_rank = np.unique(-a, return_inverse=True)
+        self.index = RankOrder(row_rank, a_rank, neg_a)
+        self.a, self.b = a[self.index.order], b[self.index.order]
+        self.hi = np.cumsum(size)
+        self.lo = self.hi - size
+        self.row_b = self.b[self.lo]
 
     def start(self, u, k):
         """The float start b - u a of the points ``k`` at slopes ``u``."""
@@ -201,8 +197,7 @@ class _RowRuns:
         lo, hi = self.lo, self.hi
         with np.errstate(divide="ignore", invalid="ignore"):
             guess = (self.row_b - t) / u
-        rank = np.searchsorted(self.neg_a, -guess, side="right")
-        end = np.searchsorted(self.packed, self.base + rank)
+        end = self.index.find(np.arange(lo.size), -guess, "right")
         late = (end > lo) & ~(self.start(u, end - 1) <= t)
         early = (end < hi) & (self.start(u, np.minimum(end, self.a.size - 1)) <= t)
         todo = np.flatnonzero(late | early)

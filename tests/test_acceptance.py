@@ -97,7 +97,7 @@ def test_criterion_09_index_path_reads_the_index(monkeypatch):
     candidate_rows = PointSet._candidate_rows
 
     def record(ps, x_max, bounds):
-        scans.append(ps._order is None and not ps._sliced)
+        scans.append(ps._strips is None and not ps._sliced)
         return candidate_rows(ps, x_max, bounds)
 
     monkeypatch.setattr(PointSet, "_candidate_rows", record)

@@ -58,22 +58,17 @@ def test_cell_index_assigns_each_point_once():
     pts = rng.uniform(-20, 20, size=(500, 2))
     ps = PointSet(pts)
     ps._index()
-    side, stride = ps._block_side, ps._block_stride
+    side, strips = ps._strip_width, ps._strips
     assert side == 2        # 40 x 40 occupied unit cells for 500 points
-    floors = np.floor(pts)
-    assert np.array_equal(ps._col_x, np.unique(floors[:, 0]))
-    assert np.array_equal(ps._row_y, np.unique(floors[:, 1]))
-    assert np.all(np.diff(ps._block_key) > 0)
-    seen = np.zeros(len(pts), dtype=int)
-    for k, key in enumerate(ps._block_key.tolist()):
-        block = ps._order[ps._block_start[k]:ps._block_start[k + 1]]
-        assert block.size > 0
-        col_rank = np.searchsorted(ps._col_x, floors[block, 0])
-        row_rank = np.searchsorted(ps._row_y, floors[block, 1])
-        assert np.all(col_rank // side == key // stride)
-        assert np.all(row_rank // side == key % stride)
-        seen[block] += 1
-    assert np.all(seen == 1)
+    assert np.array_equal(ps._col_x, np.unique(np.floor(pts[:, 0])))
+    assert np.array_equal(np.sort(strips.order), np.arange(len(pts)))
+    assert np.all(np.diff(strips.keys) >= 0)
+    strip = strips.keys // strips.stride
+    col_rank = np.searchsorted(ps._col_x, np.floor(pts[strips.order, 0]))
+    assert np.all(col_rank // side == strip)
+    ys = pts[strips.order, 1]
+    assert np.array_equal(strips.values[strips.keys % strips.stride], ys)
+    assert np.all(np.diff(ys)[strip[1:] == strip[:-1]] >= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +271,9 @@ def test_first_slice_scans_and_second_builds_the_index(slice_once):
     pts = np.column_stack([np.arange(40.0), np.floor(0.5 * np.arange(40.0))])
     ps = PointSet(pts)
     slice_once(ps)
-    assert ps._order is None
+    assert ps._strips is None
     slice_once(ps)
-    assert ps._order is not None
+    assert ps._strips is not None
 
 
 def test_contains_and_box_ladders_leave_the_index_unbuilt():
@@ -287,7 +282,7 @@ def test_contains_and_box_ladders_leave_the_index_unbuilt():
     assert ps.contains(3.0, 1.0) and not ps.contains(3.0, 2.0)
     mass_dim_profile(ps)
     mass_dim_profile(ps, scales=[2.0, 8.0], kind="slanted", u=-0.5)
-    assert ps._order is None
+    assert ps._strips is None
     assert ps._box_keys == {}
 
 

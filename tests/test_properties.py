@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from latslice.dimension import mass_dim_profile
@@ -138,9 +138,9 @@ def _fresh_and_indexed(pts, slice_once):
     (from the index, which the second slice builds)."""
     ps = PointSet(pts)
     first = slice_once(ps)
-    assert ps._order is None
+    assert ps._strips is None
     again = slice_once(ps)
-    assert ps._order is not None
+    assert ps._strips is not None
     return first, again
 
 
@@ -173,9 +173,9 @@ def test_first_floor_slice_scan_equals_indexed_slice(case):
 
 @st.composite
 def block_cases(draw):
-    """A set whose slice index may group unit cells into blocks, with tubes
-    through its points and floor lines whose finite ``x_max`` falls inside
-    an occupied column (so inside a block when B > 1).
+    """A set whose slice index may group occupied columns into strips, with
+    tubes through its points and floor lines whose finite ``x_max`` falls
+    inside an occupied column (so inside a strip when B > 1).
 
     The set is sparse random points (integers, or quarters), a parabolic
     staircase, or a lattice embedded in sparse points, then reflected in
@@ -220,11 +220,17 @@ def block_cases(draw):
 
 def test_indexed_slices_equal_scan_slices_on_blocks():
     """Each slice of a set whose index is in use equals the first slice of
-    a fresh copy, which scans every point; some drawn sets group unit cells
-    into blocks of B > 1."""
+    a fresh copy, which scans every point; some drawn sets group occupied
+    columns into strips of B > 1."""
     sides = []
 
+    # points 256 apart in y at x = 2^60, where the float edges a x + lo and
+    # a x + up round by up to 128, far more than the tube's width: both
+    # paths miss the point j = 1 inside the tube, and must still agree
+    far = np.column_stack([np.full(5, 2.0 ** 60), 2.0 ** 60 + 256.0 * np.arange(-2, 3)])
+
     @SETTINGS
+    @example((far, [Tube(-1.0, 256.0 / math.sqrt(2.0) - 0.5)], [], math.inf))
     @given(block_cases())
     def check(case):
         pts, tubes, lines, x_max = case
@@ -239,7 +245,7 @@ def test_indexed_slices_equal_scan_slices_on_blocks():
                 got = slice_floor_line(ps, line, limit)
                 want = slice_floor_line(PointSet(pts), line, limit)
                 assert got.tobytes() == want.tobytes()
-        sides.append(ps._block_side)
+        sides.append(ps._strip_width)
 
     check()
     assert max(sides) > 1
