@@ -804,17 +804,12 @@ def write_points(ps: PointSet, path) -> None:
     gives back the same floats.  The text is built in one piece and written
     with one call.
     """
-    xs, ys = (_column_text(col) for col in ps.points.T)
+    pts = ps.points
+    values = pts.astype(object)
+    whole = (np.trunc(pts) == pts) & (np.abs(pts) < 2.0 ** 53)
+    values[whole] = pts[whole].astype(np.int64).tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# x y\n" + "".join([f"{x} {y}\n" for x, y in zip(xs, ys)]))
-
-
-def _column_text(col: np.ndarray) -> list[str]:
-    """The decimal text of each value: integers without a decimal part."""
-    values = col.astype(object)
-    whole = (np.trunc(col) == col) & (np.abs(col) < 2.0 ** 53)
-    values[whole] = col[whole].astype(np.int64).tolist()
-    return list(map(str, values.tolist()))
+        fh.write("# x y\n" + ("%s %s\n" * len(pts)) % tuple(values.ravel().tolist()))
 
 
 # numpy.loadtxt fetches a name with a URL scheme and decompresses one

@@ -27,12 +27,14 @@ exactly when the last point of its run with start <= v also has
 v < start + 1, so the work per draw is the number of occupied rows.  Grid
 mode keeps, for each slope and row, only the run of points with
 start + 1 > 0 and start <= M, the only ones an offset in (0, M] can hit:
-about (M + 1) / u points a row instead of all of them.  A kept point with
-start s covers the v-centres j with L(s) <= j < L(s + 1), where L(x) counts
-the centres below x.  Along a run both ends ascend, so the pieces
-[L(s_k), min(L(s_k + 1), L(s_(k+1)))) split the row's hit centres into
-disjoint parts, and each slope's counts are a difference array summed once,
-with no sort.  The exact v-integral merges the kept runs' chained intervals.
+about (M + 1) / u points a row instead of all of them.  Along a run the
+starts ascend, and a start chains onto the one before it exactly when it
+is at most that start's float end s + 1.0, so the run merges into disjoint
+segments [lo, hi) holding exactly the offsets that hit the row.  The
+segments give both results: a segment covers the v-centres j with
+L(lo) <= j < L(hi), where L(x) counts the centres below x, so each slope's
+counts are one difference array summed once, with no sort, and its exact
+v-integral is the segments' total length inside (0, M].
 """
 
 from __future__ import annotations
@@ -139,16 +141,19 @@ _BLOCK = 1 << 15
 
 
 def _merged_segments(starts: np.ndarray, new_row: np.ndarray):
-    """Merge per-row unit intervals [s, s+1) whose starts chain with gap <= 1.
+    """Merge per-row unit intervals [s, s+1) into the segments they cover.
 
-    ``starts`` must ascend within each row.  Returns (first, seg_starts,
-    seg_ends): the index of each segment's first interval and its bounds.
+    ``starts`` must ascend within each row.  A start chains onto the one
+    before it exactly when it is at most that start's float end s + 1.0,
+    the hit test's own end, so each segment [s_first, s_last + 1.0) holds
+    exactly the offsets that some interval of it holds.  Returns (first,
+    seg_starts, seg_ends): the index of each segment's first interval and
+    its bounds.
     """
     if starts.size == 0:
         return np.flatnonzero(new_row), starts, starts
     new_seg = new_row.copy()
-    gaps = starts[1:] - starts[:-1]
-    new_seg[1:] |= gaps > 1.0
+    new_seg[1:] |= starts[1:] > starts[:-1] + 1.0
     first = np.flatnonzero(new_seg)
     last = np.append(first[1:], starts.size) - 1
     return first, starts[first], starts[last] + 1.0
@@ -276,28 +281,24 @@ def _grid_block(runs: _RowRuns, u, p0, kept, vs, m):
     """Grid counts and exact v-means for the slopes ``u`` (shape (n, 1))
     whose kept runs are [p0, p0 + kept), one per (slope, row).
 
-    Kept point k covers the offsets vs[lo_k:hi_k] with lo_k = #{vs < s_k}
-    and hi_k = #{vs < s_k + 1}, its start s_k.  Both ends ascend along a
-    row's run, so the pieces [lo_k, min(hi_k, lo_(k+1))) split the row's
-    hit offsets into disjoint parts, and each slope's counts are one
-    difference array summed by ``cumsum``.
+    Each row's kept points merge into disjoint segments [lo, hi), the
+    offsets that hit the row; a segment covers the centres vs[L(lo):L(hi)]
+    with L(x) = #{vs < x}, so each slope's counts are one difference array
+    summed by ``cumsum``, and its exact v-integral is the total length of
+    its segments inside (0, m].
     """
     n = kept.ravel()
     run_at = np.cumsum(n) - n
     k = np.arange(n.sum()) + np.repeat(p0.ravel() - run_at, n)
     slope = np.repeat(np.arange(u.shape[0]), kept.sum(axis=1))
-    starts = runs.start(u[slope, 0], k)
     new_run = np.zeros(k.size, dtype=bool)
     new_run[run_at[n > 0]] = True
-    lo = np.searchsorted(vs, starts)
-    hi = np.searchsorted(vs, starts + 1.0)
-    last = np.append(new_run[1:], True)
-    piece_end = np.where(last, hi, np.minimum(hi, np.append(lo[1:], 0)))
+    first, seg_lo, seg_hi = _merged_segments(runs.start(u[slope, 0], k), new_run)
     width = vs.size + 1
-    steps = (np.bincount(slope * width + lo, minlength=u.shape[0] * width)
-             - np.bincount(slope * width + piece_end, minlength=u.shape[0] * width))
+    key = slope[first] * width
+    steps = (np.bincount(key + np.searchsorted(vs, seg_lo), minlength=u.shape[0] * width)
+             - np.bincount(key + np.searchsorted(vs, seg_hi), minlength=u.shape[0] * width))
     counts = np.cumsum(steps.reshape(-1, width), axis=1)[:, :-1]
-    first, seg_lo, seg_hi = _merged_segments(starts, new_run)
     lengths = np.clip(np.minimum(seg_hi, m) - np.maximum(seg_lo, 0.0), 0.0, None)
     return counts, np.bincount(slope[first], weights=lengths,
                                minlength=u.shape[0]) / m

@@ -1,4 +1,5 @@
 """End-to-end tests for the latslice command line."""
+import dataclasses
 import json
 import math
 import subprocess
@@ -524,6 +525,45 @@ def test_ff_moved_count_gives_check_exit(tmp_path, capsys, monkeypatch):
         assert "double count: column 0 sums to 24, not 25" in \
             capsys.readouterr().err
         assert not out.exists()
+
+
+def test_ff_failed_chebyshev_check_writes_its_report_then_exits_3(
+        tmp_path, capsys, monkeypatch):
+    # a requested check that does not hold is exit 3, after the report
+    # that records it has been written
+    from latslice import finitefield as ff
+    real = ff.ff_chebyshev_fraction
+
+    def below_bound(B, k):
+        rep = real(B, k)
+        return dataclasses.replace(rep, good_fraction=rep.markov_bound - 0.25)
+
+    monkeypatch.setattr(ff, "ff_chebyshev_fraction", below_bound)
+    out = tmp_path / "r.json"
+    rc = cli.main(["ff", "--p", "13", "--set", "full", "--verify", "chebyshev",
+                   "--out", str(out)])
+    assert rc == 3
+    assert "check failed: ff checks failed: chebyshev" in capsys.readouterr().err
+    results = json.loads(out.read_text())["results"]
+    assert results["ok"] is False
+    assert results["chebyshev"]["ok"] is False
+
+
+def test_failed_artifact_write_leaves_no_file(tmp_path, capsys, monkeypatch):
+    # a writer that fails part way through leaves neither the artifact nor
+    # its temporary sibling, and the failure is an i/o exit
+    def partial(ps, path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("# x y\n0 0\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_points", partial)
+    out = tmp_path / "pts.txt"
+    rc = cli.main(["generate", "--kind", "unit_line",
+                   "--params", '{"m": 2.0, "count": 5}', "--out", str(out)])
+    assert rc == 4
+    assert "i/o error: disk full" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_ff_builds_the_line_matrix_once_per_set(capsys, monkeypatch):

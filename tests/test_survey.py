@@ -380,6 +380,17 @@ def grid_centres(cfg: sv.SurveyConfig):
             (np.arange(cfg.grid_v) + 0.5) * (m / cfg.grid_v))
 
 
+def test_merged_segments_chain_at_the_hit_tests_float_end():
+    # fl(0.5 + 2^-53 + 1) = 1.5, so v = 1.5 hits neither interval, though
+    # the float gap between the two starts rounds to exactly 1.0
+    starts = np.array([0.5 + 2.0 ** -53, 1.5 + 2.0 ** -52])
+    assert starts[1] - starts[0] == 1.0 and starts[0] + 1.0 == 1.5
+    first, seg_lo, seg_hi = sv._merged_segments(starts, np.array([True, False]))
+    assert first.tolist() == [0, 1]
+    assert seg_lo.tolist() == starts.tolist()
+    assert seg_hi.tolist() == (starts + 1.0).tolist()
+
+
 def loop_mean_exact_v(ps: PointSet, cfg: sv.SurveyConfig) -> float:
     """Reference for ``mean_exact_v``: for every slope, form all row points'
     starts, merge each row's chained unit intervals and sum the merged
