@@ -4,8 +4,8 @@ Each subcommand is one entry of ``COMMANDS``: its help text, its runner,
 whether its ``--out`` names the report JSON (survey, ff, levels, repro) or
 an artifact (generate, dim, slice), what its ``--in`` reads (nothing, a
 point file, or a point file or implicit descriptor), and its other argparse
-flags.  ``main`` parses the flags and passes their values to
-``run(command, params)``.
+flags.  ``main`` parses the flags, passes their values to
+``run(command, params)`` and prints the report text it returns.
 
 ``run()`` is the only code that reads the ``--in`` set and the only code
 that writes files.  It loads the set (timed, and refused if the command
@@ -13,11 +13,13 @@ needs a point file and gets a descriptor) and passes it to the runner.  A
 runner computes on its flag values and that set; it reads and writes no
 files.  It returns its results block, the artifacts to write as
 ``(key, path, writer)`` triples, and the message of a failed check (or
-None).  ``run()`` writes each artifact through ``_atomic_write``, then the
-``--out`` report, and only then raises ``CheckFailure`` for a failed check.  The report's ``params``
-block holds the flag values other than ``out``, ``seed`` and ``cells``, so
-identical flags give identical ``params`` and ``results`` blocks; only the
-provenance (timestamp and stage timings) differs between runs.
+None).  ``run()`` writes each artifact through ``_atomic_write``, then
+serializes the report once and writes that text to ``--out``, and only
+then raises ``CheckFailure`` for a failed check; the text ``main`` prints
+is the same, byte for byte.  The report's ``params`` block holds the flag
+values other than ``out``, ``seed`` and ``cells``, so identical flags give
+identical ``params`` and ``results`` blocks; only the provenance
+(timestamp and stage timings) differs between runs.
 
 Exit codes: 0 ok, 2 config error, 3 assertion failure, 4 I/O error.
 """
@@ -124,8 +126,6 @@ def _jsonable(obj):
         return float(obj)
     if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(dataclasses.asdict(obj))
     return obj
 
 
@@ -269,10 +269,9 @@ def _parse_scales(spec: str) -> np.ndarray:
 
 def _run_dim(a: dict, obj):
     scales = _parse_scales(a["scales"]) if a["scales"] else None
-    prof = mass_dim_profile(obj, scales=scales, kind=a["kind"],
-                            method=a["method"])
-    results = {"estimate": prof.estimate, "method": prof.method,
-               "scales": len(prof), "top_scale": float(prof.scales[-1]),
+    prof = mass_dim_profile(obj, scales=scales, kind=a["kind"])
+    results = {"estimate": prof.estimate, "scales": len(prof),
+               "top_scale": float(prof.scales[-1]),
                "top_count": int(prof.counts[-1])}
     return results, [("profile_csv", a["out"],
                       lambda tmp: emit_profile_csv(prof, tmp))], None
@@ -319,10 +318,13 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 
 def _cells_csv(counts: np.ndarray) -> str:
-    lines = ["i,j,count"] if counts.ndim == 2 else ["i,count"]
-    for idx, val in np.ndenumerate(counts):
-        lines.append(",".join(str(x) for x in idx) + f",{int(val)}")
-    return "\n".join(lines) + "\n"
+    """The ``--cells`` sidecar: a header, then each cell's index and count
+    in C order, built in one piece as ``write_points`` builds a point file."""
+    header = "i,j,count\n" if counts.ndim == 2 else "i,count\n"
+    rows = np.vstack([np.indices(counts.shape).reshape(counts.ndim, -1),
+                      counts.ravel()])
+    row = ",".join(["%d"] * len(rows)) + "\n"
+    return header + (row * counts.size) % tuple(rows.T.ravel().tolist())
 
 
 def _run_survey(a: dict, ps):
@@ -483,8 +485,6 @@ COMMANDS = {
         _flag("--scales", help="dyadic:<max>, e.g. dyadic:1048576"),
         _flag("--kind", default="first_quadrant",
               choices=("first_quadrant", "centered")),
-        _flag("--method", default="ratio_max_tail",
-              choices=("ratio_max_tail", "regression_tail")),
         _flag("--out", help="profile CSV path"))),
     "slice": Command("slice by one tube or floor line", _run_slice, False,
                      "points", (
@@ -525,11 +525,12 @@ COMMANDS = {
 _NOT_PARAMS = ("out", "seed", "cells")
 
 
-def run(command: str, params: dict) -> Report:
-    """Run one command on its flag values (``vars`` of the parsed flags).
-    The only code that reads the ``--in`` set and writes files: it loads
-    the set, runs the runner on it, writes the runner's artifacts, then the
-    ``--out`` report, then raises ``CheckFailure`` if a check failed."""
+def run(command: str, params: dict) -> str:
+    """Run one command on its flag values (``vars`` of the parsed flags)
+    and return its report as JSON text.  The only code that reads the
+    ``--in`` set and writes files: it loads the set, runs the runner on it,
+    writes the runner's artifacts, then the ``--out`` report (that text and
+    a newline), then raises ``CheckFailure`` if a check failed."""
     spec, a, start = COMMANDS[command], dict(params), time.perf_counter()
     obj = load_s = points_loaded = None
     if spec.reads:
@@ -552,13 +553,12 @@ def run(command: str, params: dict) -> Report:
             report.artifacts[key] = path
     if report.artifacts:
         report.write_s = time.perf_counter() - write_start
+    text = report.to_json()
     if spec.report_out and a.get("out"):
-        text = report.to_json() + "\n"
-        _atomic_write(a["out"], lambda tmp: _write_text(tmp, text))
-        report.artifacts["report_json"] = a["out"]
+        _atomic_write(a["out"], lambda tmp: _write_text(tmp, text + "\n"))
     if failure:
         raise CheckFailure(failure)
-    return report
+    return text
 
 
 @functools.cache
@@ -585,7 +585,7 @@ def main(argv=None) -> int:
     params = vars(_build_parser().parse_args(argv))
     command = params.pop("command")
     try:
-        report = run(command, params)
+        text = run(command, params)
     except ValueError as exc:       # ConfigError and library parameter checks
         print(f"latslice: config error: {exc}", file=sys.stderr)
         return 2
@@ -599,7 +599,7 @@ def main(argv=None) -> int:
         print(f"latslice: i/o error: {exc}", file=sys.stderr)
         return 4
     if command != "repro":
-        print(report.to_json())
+        print(text)
     return 0
 
 

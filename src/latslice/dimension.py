@@ -8,15 +8,9 @@ ln s >= (2/3) ln s_max.  Tying the window to log-extent rather than to the
 number of entries keeps estimates unchanged when coarse scales are prepended
 to the ladder.
 
-Two estimate methods:
-
-* ``ratio_max_tail`` (default): max ratio over the tail, a finite-scale
-  stand-in for the limsup that upper counting quantities are defined by.
-* ``regression_tail``: least-squares slope of log count against log scale
-  over the tail, a smoother read when counts are polynomially regular.
-
-``mass_dim_profile`` and ``profile_from_counts`` take either; the window,
-1-d and tube-slice profiles use the default.
+The estimate is the largest ratio over the tail, a finite-scale stand-in
+for the limsup that upper counting quantities are defined by.  Every
+profile (mass, window, 1-d and tube-slice) reads it the same way.
 """
 
 from __future__ import annotations
@@ -62,7 +56,6 @@ class DimensionProfile:
     ratio_scales: np.ndarray
     ratios: np.ndarray
     estimate: float
-    method: str
     tail_start: int
 
     def __len__(self) -> int:
@@ -107,8 +100,7 @@ def _log(counts: np.ndarray) -> np.ndarray:
     return np.log(counts)
 
 
-def profile_from_counts(scales, counts, method: str = "ratio_max_tail",
-                        ratio_scales=None) -> DimensionProfile:
+def profile_from_counts(scales, counts, ratio_scales=None) -> DimensionProfile:
     scales = np.asarray(scales, dtype=float)
     counts = _exact_counts(counts)
     if scales.ndim != 1 or scales.size == 0:
@@ -122,16 +114,8 @@ def profile_from_counts(scales, counts, method: str = "ratio_max_tail",
     informative = counts > 1
     ratios[informative] = _log(counts[informative]) / np.log(rs[informative])
     t0 = _tail_start(rs)
-    if method == "ratio_max_tail":
-        estimate = float(ratios[t0:].max()) if t0 < len(ratios) else 0.0
-    elif method == "regression_tail":
-        mask = counts[t0:] >= 1
-        xs = np.log(rs[t0:][mask])
-        ys = _log(counts[t0:][mask])
-        estimate = float(np.polyfit(xs, ys, 1)[0]) if xs.size >= 2 else 0.0
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return DimensionProfile(scales, counts, rs, ratios, estimate, method, t0)
+    estimate = float(ratios[t0:].max()) if t0 < len(ratios) else 0.0
+    return DimensionProfile(scales, counts, rs, ratios, estimate, t0)
 
 
 def _default_scales(ps: PointSet, kind: str) -> np.ndarray:
@@ -142,8 +126,7 @@ def _default_scales(ps: PointSet, kind: str) -> np.ndarray:
 
 
 def mass_dim_profile(obj, scales=None, kind: str = "first_quadrant",
-                     u: float | None = None,
-                     method: str = "ratio_max_tail") -> DimensionProfile:
+                     u: float | None = None) -> DimensionProfile:
     """Mass dimension profile of a point set or implicit set.
 
     ``kind`` picks the box family: boxes [0,l]^2, centered boxes [-l,l]^2
@@ -168,7 +151,7 @@ def mass_dim_profile(obj, scales=None, kind: str = "first_quadrant",
     else:
         counts = [obj.box_count(b) for b in boxes]
     rs = np.array([b.ratio_scale() for b in boxes])
-    return profile_from_counts(scales, counts, method, ratio_scales=rs)
+    return profile_from_counts(scales, counts, ratio_scales=rs)
 
 
 def counting_dim_profile(ps: PointSet, window_sizes=None) -> DimensionProfile:
@@ -325,14 +308,13 @@ def _count_windows(cols, rows, rx, ry, w, merge: bool):
     return best, (cols, rows, keys // ny, keys % ny, sums[split:])
 
 
-def dim_1d_profile(values, scales=None) -> DimensionProfile:
-    """Dimension profile of a set of positive integers via counts in [1, N].
-    Every value must lie in 1 ... 2^63 - 1, the int64 range."""
+def dim_1d_profile(values) -> DimensionProfile:
+    """Dimension profile of a set of positive integers via counts in [1, N],
+    N along the dyadic ladder up to the largest value.  Every value must
+    lie in 1 ... 2^63 - 1, the int64 range."""
     vals = np.unique(positive_int64(values, "values must be positive integers "
                                              "below 2^63 (the int64 limit)"))
-    if scales is None:
-        scales = dyadic_scales(float(vals[-1]) if vals.size else 2.0)
-    scales = np.asarray(scales, dtype=float)
+    scales = dyadic_scales(float(vals[-1]) if vals.size else 2.0)
     counts = np.searchsorted(vals, scales, side="right")
     return profile_from_counts(scales, counts)
 

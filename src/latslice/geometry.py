@@ -877,13 +877,9 @@ def _integer_points(source, text: str) -> np.ndarray | None:
     if "-" in text and "-0" in text:
         return None
     try:
-        with warnings.catch_warnings():
-            # numpy 1.x reads a token such as 0.5 as the integer 0 with a
-            # DeprecationWarning; raised here, it sends 0.5 to the float parse
-            warnings.filterwarnings("error", category=DeprecationWarning)
-            pts = np.loadtxt(source, dtype=np.int64, comments="#", ndmin=2,
-                             encoding="utf-8")
-    except (ValueError, DeprecationWarning):
+        pts = np.loadtxt(source, dtype=np.int64, comments="#", ndmin=2,
+                         encoding="utf-8")
+    except ValueError:
         return None
     return pts.astype(float)
 

@@ -135,6 +135,36 @@ def test_survey_report_and_cells(tmp_path, capsys):
     assert len(rows) == 1 + 24 * 20
 
 
+def _cells_csv_per_cell(counts):
+    """The cells sidecar written one cell at a time."""
+    lines = ["i,j,count"] if counts.ndim == 2 else ["i,count"]
+    for idx, val in np.ndenumerate(counts):
+        lines.append(",".join(str(x) for x in idx) + f",{int(val)}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("shape", [(24, 20), (1, 7), (300,), (1,)],
+                         ids=["grid", "grid-one-row", "mc", "mc-one-draw"])
+def test_cells_csv_matches_a_per_cell_writer(shape):
+    counts = np.random.default_rng(5).integers(0, 2 ** 40, size=shape)
+    assert cli._cells_csv(counts) == _cells_csv_per_cell(counts)
+
+
+@pytest.mark.parametrize("argv", [
+    ["survey", "--in", "{grid}", "--N", "8", "--M", "8", "--grid", "6x5"],
+    ["ff", "--p", "7", "--set", "random:0.4:3", "--verify", "identity"],
+    ["levels", "--in", "{grid}", "--u", "1", "--bound", "16"],
+], ids=["survey", "ff", "levels"])
+def test_report_on_stdout_is_the_out_file(tmp_path, capsys, argv):
+    grid = tmp_path / "grid.txt"
+    _write_grid(grid, 9)
+    out = tmp_path / "report.json"
+    argv = [a.format(grid=grid) for a in argv] + ["--out", str(out)]
+    rc, printed = run_cli(argv, capsys)
+    assert rc == 0
+    assert printed.encode("utf-8") == out.read_bytes()
+
+
 def test_survey_mc_mode(tmp_path, capsys):
     pts = tmp_path / "p.txt"
     run_json(["generate", "--kind", "unit_line",
@@ -354,6 +384,18 @@ def test_repro_example2(capsys):
     assert all(l.startswith("[PASS] criterion") for l in lines)
 
 
+def test_repro_all_passes_every_criterion(tmp_path, capsys):
+    out = tmp_path / "repro.json"
+    rc, printed = run_cli(["repro", "all", "--out", str(out)], capsys)
+    assert rc == 0
+    lines = printed.strip().splitlines()
+    assert len(lines) == 10
+    assert all(l.startswith("[PASS] criterion") for l in lines)
+    results = json.loads(out.read_text())["results"]
+    assert results["recipe"] == "all" and results["ok"] is True
+    assert len(results["criteria"]) == 10
+
+
 def test_repro_single_criterion(capsys):
     rc, out = run_cli(["repro", "criterion5"], capsys)
     assert rc == 0
@@ -482,7 +524,7 @@ def test_emit_profile_csv_rejects_empty(tmp_path):
     empty = DimensionProfile(
         scales=np.array([]), counts=np.array([], dtype=np.int64),
         ratio_scales=np.array([]), ratios=np.array([]),
-        estimate=0.0, method="ratio_max_tail", tail_start=0)
+        estimate=0.0, tail_start=0)
     with pytest.raises(ValueError):
         cli.emit_profile_csv(empty, str(tmp_path / "e.csv"))
     assert not (tmp_path / "e.csv").exists()

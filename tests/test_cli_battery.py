@@ -60,8 +60,7 @@ BATTERY = [
     ["dim", "--in", "line.txt", "--scales", "dyadic:32", "--out", "prof.csv"],
     ["dim", "--in", "stair.json", "--scales", "dyadic:4096",
      "--out", "stair.csv"],
-    ["dim", "--in", "grid.txt", "--kind", "centered",
-     "--method", "regression_tail"],
+    ["dim", "--in", "grid.txt", "--kind", "centered"],
     ["dim", "--in", "stair.txt"],
     ["dim", "--in", "stair.json"],
     ["dim", "--in", "line.txt", "--scales", "linear:8"],

@@ -49,14 +49,12 @@ def test_mass_staircase_closed_form_at_top_scale():
 
 def test_mass_profile_keeps_counts_beyond_int64_exact():
     cone = gen.ConeStaircase(0.5, 6)
-    scales = dim.dyadic_scales(2.0 ** 140)
-    for method in ("ratio_max_tail", "regression_tail"):
-        prof = dim.mass_dim_profile(cone, scales=scales, method=method)
-        top = cone.box_count(BoxSpec("first_quadrant", 2.0 ** 140))
-        assert top > 2 ** 127
-        assert prof.counts.dtype == object and prof.counts[-1] == top
-        assert prof.ratios[-1] == pytest.approx(math.log(top) / math.log(2.0 ** 140),
-                                                abs=1e-12)
+    prof = dim.mass_dim_profile(cone, scales=dim.dyadic_scales(2.0 ** 140))
+    top = cone.box_count(BoxSpec("first_quadrant", 2.0 ** 140))
+    assert top > 2 ** 127
+    assert prof.counts.dtype == object and prof.counts[-1] == top
+    assert prof.ratios[-1] == pytest.approx(math.log(top) / math.log(2.0 ** 140),
+                                            abs=1e-12)
     # ladders whose counts fit int64 keep the int64 array
     small = dim.mass_dim_profile(cone, scales=dim.dyadic_scales(2.0 ** 40))
     assert small.counts.dtype == np.int64
@@ -352,13 +350,11 @@ def test_level_search_config_validation():
 # Profile plumbing
 # ---------------------------------------------------------------------------
 
-def test_profile_methods_agree_on_pure_power_law():
+def test_profile_estimate_on_pure_power_law():
     scales = [4.0, 8.0, 16.0, 32.0]
     counts = [16, 64, 256, 1024]
-    tail = dim.profile_from_counts(scales, counts, method="ratio_max_tail")
-    reg = dim.profile_from_counts(scales, counts, method="regression_tail")
-    assert tail.estimate == pytest.approx(2.0, abs=1e-12)
-    assert reg.estimate == pytest.approx(2.0, abs=1e-12)
+    prof = dim.profile_from_counts(scales, counts)
+    assert prof.estimate == pytest.approx(2.0, abs=1e-12)
 
 
 def test_profile_estimate_ignores_prepended_small_scales():
