@@ -42,21 +42,15 @@ TAIL_LOG_FRACTION = 2.0 / 3.0
 
 @dataclass(frozen=True)
 class DimensionProfile:
-    """Counts and log-ratios along a ladder of scales.
-
-    ``ratio_scales`` holds the denominators actually used (side length for
-    first-quadrant boxes, full width 2l for centered boxes), ``estimate``
-    the tail summary, ``tail_start`` the first ladder index inside the tail.
-    ``counts`` is int64, or an object array of exact Python ints when a
-    count does not fit int64.
+    """Counts and log-ratios along a ladder of scales, and the tail
+    estimate.  ``counts`` is int64, or an object array of exact Python ints
+    when a count does not fit int64.
     """
 
     scales: np.ndarray
     counts: np.ndarray
-    ratio_scales: np.ndarray
     ratios: np.ndarray
     estimate: float
-    tail_start: int
 
     def __len__(self) -> int:
         return len(self.scales)
@@ -79,9 +73,9 @@ def dyadic_scales(max_scale: float) -> np.ndarray:
     return 2.0 ** np.arange(1, top + 1)
 
 
-def _tail_start(ratio_scales: np.ndarray) -> int:
-    cutoff = TAIL_LOG_FRACTION * math.log(ratio_scales[-1]) - 1e-9
-    return int(np.searchsorted(np.log(ratio_scales), cutoff))
+def _tail_start(denominators: np.ndarray) -> int:
+    cutoff = TAIL_LOG_FRACTION * math.log(denominators[-1]) - 1e-9
+    return int(np.searchsorted(np.log(denominators), cutoff))
 
 
 def _exact_counts(counts) -> np.ndarray:
@@ -100,8 +94,16 @@ def _log(counts: np.ndarray) -> np.ndarray:
     return np.log(counts)
 
 
-def profile_from_counts(scales, counts, ratio_scales=None) -> DimensionProfile:
+def profile_from_counts(scales, counts) -> DimensionProfile:
+    """Profile of ``counts`` along the ladder ``scales``, each ratio taken
+    against log(scale)."""
     scales = np.asarray(scales, dtype=float)
+    return _profile(scales, counts, scales)
+
+
+def _profile(scales: np.ndarray, counts, denominators: np.ndarray) -> DimensionProfile:
+    """Profile with ratios log(count) / log(denominator), the denominators
+    being the scales or, for centered boxes [-l, l]^2, their full width 2l."""
     counts = _exact_counts(counts)
     if scales.ndim != 1 or scales.size == 0:
         raise ValueError("scales must be a nonempty 1-d array")
@@ -109,13 +111,12 @@ def profile_from_counts(scales, counts, ratio_scales=None) -> DimensionProfile:
         raise ValueError("counts must match scales")
     if np.any(scales <= 1.0) or np.any(np.diff(scales) <= 0):
         raise ValueError("scales must be increasing and > 1")
-    rs = scales if ratio_scales is None else np.asarray(ratio_scales, dtype=float)
     ratios = np.zeros_like(scales)
     informative = counts > 1
-    ratios[informative] = _log(counts[informative]) / np.log(rs[informative])
-    t0 = _tail_start(rs)
+    ratios[informative] = _log(counts[informative]) / np.log(denominators[informative])
+    t0 = _tail_start(denominators)
     estimate = float(ratios[t0:].max()) if t0 < len(ratios) else 0.0
-    return DimensionProfile(scales, counts, rs, ratios, estimate, t0)
+    return DimensionProfile(scales, counts, ratios, estimate)
 
 
 def _default_scales(ps: PointSet, kind: str) -> np.ndarray:
@@ -150,11 +151,10 @@ def mass_dim_profile(obj, scales=None, kind: str = "first_quadrant",
         counts = np.searchsorted(keys, scales, side="right")
     else:
         counts = [obj.box_count(b) for b in boxes]
-    rs = np.array([b.ratio_scale() for b in boxes])
-    return profile_from_counts(scales, counts, ratio_scales=rs)
+    return _profile(scales, counts, 2.0 * scales if kind == "centered" else scales)
 
 
-def counting_dim_profile(ps: PointSet, window_sizes=None) -> DimensionProfile:
+def counting_dim_profile(ps: PointSet, window_sizes) -> DimensionProfile:
     """Counting dimension profile: max count over searched square windows.
 
     Windows of side s are axis-aligned half-open squares on a regular grid
@@ -162,9 +162,9 @@ def counting_dim_profile(ps: PointSet, window_sizes=None) -> DimensionProfile:
     windows per size and no better placement is missed by more than the
     half-stride.  The search is not exhaustive over all real placements, so
     the profile is a lower bound on the counting dimension at each scale.
-    Sizes must be strictly increasing even integers from 2 up to below
-    2^63; the default ladder is dyadic up to the set's extent, and a set
-    spanning more than 2^62 needs ``window_sizes`` given.
+    ``window_sizes`` must be strictly increasing even integers from 2 up
+    to below 2^63; ``dyadic_scales(extent)`` gives the dyadic ladder up to
+    the set's extent.
 
     The sizes are counted in increasing order without a sort per size
     (``_window_maxima``).  A block is a cell of the stride-h grid.  Its
@@ -184,8 +184,6 @@ def counting_dim_profile(ps: PointSet, window_sizes=None) -> DimensionProfile:
     """
     if not isinstance(ps, PointSet):
         raise ValueError("counting profiles need a materialized PointSet")
-    if window_sizes is None:
-        window_sizes = _default_windows(ps)
     sizes = np.asarray(window_sizes, dtype=float)
     if sizes.ndim != 1 or sizes.size == 0:
         raise ValueError("window sizes must be a nonempty 1-d array")
@@ -198,17 +196,6 @@ def counting_dim_profile(ps: PointSet, window_sizes=None) -> DimensionProfile:
         raise ValueError("window sizes must be strictly increasing")
     counts = _window_maxima(ps, [int(s) // 2 for s in sizes.astype(np.int64)])
     return profile_from_counts(sizes, counts)
-
-
-def _default_windows(ps: PointSet) -> np.ndarray:
-    if ps.bbox is None:
-        return np.array([2.0])
-    x0, y0, x1, y1 = ps.bbox
-    extent = max(x1 - x0, y1 - y0, 2.0)
-    if extent > 2.0 ** 62:
-        raise ValueError(f"the set spans {extent:g}, more than the largest "
-                         "window of side 2^62; window_sizes must be given")
-    return dyadic_scales(extent)
 
 
 def _window_maxima(ps: PointSet, halves: list[int]) -> list[int]:

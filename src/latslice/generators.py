@@ -27,9 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-# MAX_MATERIALIZE_POINTS and MaterializeError stay importable from here
-from .exact import (EXACT_INT_LIMIT, MAX_MATERIALIZE_POINTS, MaterializeError,
-                    as_int, floor_root, floor_sum, refuse_past_budget)
+from .exact import (EXACT_INT_LIMIT, as_int, floor_root, floor_sum,
+                    refuse_past_budget)
 from .geometry import BoxSpec, PointSet, Tube
 
 __all__ = [
@@ -157,35 +156,32 @@ def _int_span(lo, hi) -> tuple[int, int] | None:
 class ZigzagTrace:
     """Corner bookkeeping for the zigzag construction.
 
-    ``corners`` are the real-arithmetic corner iterates on the line y = x:
-    each next corner is the transfer matrix [[1+AB, A], [B, 1]] applied to
-    the previous one, with A = 1 - cot(pi/4 + delta), B = tan(pi/4 + delta) - 1.
-    Since A(1+B) = B, the diagonal direction is the leading eigenvector and
-    lambda1 = 1 + (sqrt(AB(AB+4)) + AB)/2 equals tan(pi/4 + delta) exactly.
-    ``lattice_corners`` are the integer corner abscissas actually used to
-    emit lattice points (next = ceil(previous * tan(pi/4 + delta))).
+    ``lambda1`` and ``lambda2`` are the eigenvalues of the corner transfer
+    matrix [[1+AB, A], [B, 1]], A = 1 - cot(pi/4 + delta) and
+    B = tan(pi/4 + delta) - 1, which maps a real corner on the line y = x
+    to the next.  Since A(1+B) = B, the diagonal direction is the leading
+    eigenvector and lambda1 = 1 + (sqrt(AB(AB+4)) + AB)/2 equals
+    tan(pi/4 + delta) exactly.  ``lattice_corners`` are the integer corner
+    abscissas actually used to emit lattice points (next =
+    ceil(previous * tan(pi/4 + delta))).
     """
 
     delta: float
-    A: float
-    B: float
     lambda1: float
     lambda2: float
-    corners: np.ndarray
     lattice_corners: list[int] = field(repr=False)
     truncated: bool = False
 
 
-def _zigzag_coeffs(delta: float) -> tuple[float, float, float, float, float]:
+def _zigzag_coeffs(delta: float) -> tuple[float, float]:
+    """The eigenvalues lambda1 and lambda2 of the corner transfer matrix."""
     if not (0.0 < delta < math.pi / 4):
         raise ValueError("delta must lie in (0, pi/4)")
     t = math.tan(math.pi / 4 + delta)
     a = 1.0 - 1.0 / t
     b = t - 1.0
     disc = math.sqrt(a * b * (a * b + 4.0))
-    lam1 = 1.0 + (disc + a * b) / 2.0
-    lam2 = 1.0 - (disc - a * b) / 2.0
-    return t, a, b, lam1, lam2
+    return 1.0 + (disc + a * b) / 2.0, 1.0 - (disc - a * b) / 2.0
 
 
 def _zigzag_lattice_corners(delta: float, n_levels: int,
@@ -215,11 +211,7 @@ def gen_zigzag(delta: float, n_levels: int) -> tuple[PointSet, ZigzagTrace]:
     """
     if n_levels < 1:
         raise ValueError("n_levels must be >= 1")
-    t, a, b, lam1, lam2 = _zigzag_coeffs(delta)
-    mat = np.array([[1.0 + a * b, a], [b, 1.0]])
-    real = [np.array([1.0, 1.0])]
-    for _ in range(n_levels):
-        real.append(mat @ real[-1])
+    lam1, lam2 = _zigzag_coeffs(delta)
     lattice, truncated = _zigzag_lattice_corners(delta, n_levels,
                                                  limit=EXACT_INT_LIMIT)
     est = 2 * (lattice[-1] - lattice[0]) + 1
@@ -232,8 +224,7 @@ def gen_zigzag(delta: float, n_levels: int) -> tuple[PointSet, ZigzagTrace]:
         chunks.append(np.column_stack([np.full(ys.size, float(c0)), ys]))
         xs = np.arange(c0 + 1, c1 + 1, dtype=float)
         chunks.append(np.column_stack([xs, np.full(xs.size, float(c1))]))
-    trace = ZigzagTrace(delta, a, b, lam1, lam2,
-                        corners=np.array(real), lattice_corners=lattice,
+    trace = ZigzagTrace(delta, lam1, lam2, lattice_corners=lattice,
                         truncated=truncated)
     return PointSet(np.concatenate(chunks)), trace
 

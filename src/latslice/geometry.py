@@ -268,14 +268,6 @@ class BoxSpec:
             key[ax < 0.0] = math.inf
         return key
 
-    def ratio_scale(self) -> float:
-        """Denominator scale for log-count/log-scale ratios.
-
-        Centered boxes [-l, l]^2 have side 2l, so their dimension ratios are
-        taken against log(2l); the other kinds use log(size).
-        """
-        return 2.0 * self.size if self.kind == "centered" else self.size
-
 
 # ---------------------------------------------------------------------------
 # Sorted-rank order

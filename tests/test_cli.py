@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from latslice import cli
-from latslice.generators import MAX_MATERIALIZE_POINTS
+from latslice.exact import MAX_MATERIALIZE_POINTS
 
 
 def run_cli(argv, capsys):
@@ -523,8 +523,7 @@ def test_emit_profile_csv_rejects_empty(tmp_path):
     from latslice.dimension import DimensionProfile
     empty = DimensionProfile(
         scales=np.array([]), counts=np.array([], dtype=np.int64),
-        ratio_scales=np.array([]), ratios=np.array([]),
-        estimate=0.0, tail_start=0)
+        ratios=np.array([]), estimate=0.0)
     with pytest.raises(ValueError):
         cli.emit_profile_csv(empty, str(tmp_path / "e.csv"))
     assert not (tmp_path / "e.csv").exists()

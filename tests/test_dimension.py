@@ -8,6 +8,7 @@ from latslice import dimension as dim
 from latslice import finitefield as ff
 from latslice import generators as gen
 from latslice.dimension import _axial_sorted
+from latslice.exact import MaterializeError
 from latslice.geometry import BoxSpec, PointSet, Tube
 
 
@@ -87,7 +88,7 @@ def test_mass_zero_counts_give_ratio_zero():
 
 def test_counting_full_lattice():
     ps = gen.gen_cartesian(np.arange(128), np.arange(128))
-    prof = dim.counting_dim_profile(ps)
+    prof = dim.counting_dim_profile(ps, window_sizes=dim.dyadic_scales(127))
     assert prof.estimate == pytest.approx(2.0, abs=0.01)
 
 
@@ -147,6 +148,9 @@ def test_counting_window_of_side_2_62_holds_the_whole_set():
     ps = gen.gen_cartesian(range(8), range(8))
     prof = dim.counting_dim_profile(ps, window_sizes=[2.0, 2.0 ** 62])
     assert prof.counts.tolist() == [4, 64]
+    far = PointSet([[0.0, 0.0], [2.0 ** 62 + 2.0 ** 12, 0.0]])
+    prof = dim.counting_dim_profile(far, window_sizes=[2.0, 2.0 ** 62])
+    assert prof.counts.tolist() == [1, 1]
 
 
 def test_mass_at_most_counting_at_same_scales():
@@ -330,7 +334,7 @@ def test_find_levels_scans_only_levels_a_point_can_reach():
 
 def test_find_levels_refuses_a_scan_past_the_cap_before_allocating():
     far = PointSet([[1.0, 0.5], [1e12, 0.5]])
-    with pytest.raises(gen.MaterializeError, match="level search"):
+    with pytest.raises(MaterializeError, match="level search"):
         dim.find_levels(far, math.inf, dim.LevelSearchConfig(0.0, 1.0, 10 ** 12))
     near = dim.find_levels(far, math.inf, dim.LevelSearchConfig(0.0, 1.0, 1000))
     assert near.levels.tolist() == [1]      # only (1/2, 1] holds a point
@@ -402,5 +406,3 @@ def test_default_ladders_on_a_set_of_huge_extent():
     ps = PointSet([[0.0, 0.0], [1e308, 1e308]])
     with pytest.raises(ValueError, match="max_scale=1e\\+308"):
         dim.mass_dim_profile(ps)
-    with pytest.raises(ValueError, match="window_sizes must be given"):
-        dim.counting_dim_profile(ps)

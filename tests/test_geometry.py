@@ -225,7 +225,9 @@ def test_box_size_zero_counts_corner():
 def test_centered_box():
     ps = PointSet([[-2, 0], [0, 0], [2, 0], [0, 3]])
     assert box_count(ps, BoxSpec("centered", 2.0)) == 3
-    assert BoxSpec("centered", 2.0).ratio_scale() == 4.0
+    # the square [-2, 2]^2 has side 4: its ratio is taken against log 4
+    prof = mass_dim_profile(ps, scales=[2.0], kind="centered")
+    assert prof.ratios.tolist() == [np.log(3) / np.log(4.0)]
 
 
 def test_slanted_box_matches_direct_predicate():

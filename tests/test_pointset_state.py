@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from latslice.dimension import counting_dim_profile, mass_dim_profile
+from latslice.dimension import counting_dim_profile, dyadic_scales, mass_dim_profile
 from latslice.generators import gen_parabolic_staircase
 from latslice.geometry import (BoxSpec, FloorLine, PointSet, Tube, read_points,
                                slice_floor_line, slice_tube, validate_separation,
@@ -101,7 +101,9 @@ class PointSetMachine(RuleBasedStateMachine):
 
     @rule()
     def counting_profile(self):
-        self.same(counting_dim_profile)
+        x0, y0, x1, y1 = self.ps.bbox
+        sizes = dyadic_scales(max(x1 - x0, y1 - y0))     # up to the extent
+        self.same(lambda ps: counting_dim_profile(ps, window_sizes=sizes))
 
     @rule()
     def cells(self):

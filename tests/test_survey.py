@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from latslice import generators as gen
 from latslice import survey as sv
-from latslice.generators import MaterializeError
+from latslice.exact import MAX_MATERIALIZE_POINTS, MaterializeError
 from latslice.geometry import FloorLine, PointSet, slice_floor_line
 
 
@@ -183,7 +183,7 @@ def test_exception_ray_scan_refuses_samples_beyond_the_cap_before_allocating():
     assert peak < 1 << 20
     with pytest.raises(MaterializeError):
         sv.exception_ray_scan(full, 0.3, (1.0, 2.0),
-                              gen.MAX_MATERIALIZE_POINTS + 1, 0.5)
+                              MAX_MATERIALIZE_POINTS + 1, 0.5)
 
 
 def test_exception_ray_scan_empty_set():

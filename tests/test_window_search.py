@@ -167,15 +167,3 @@ def test_count_windows_by_every_path(weight, ranks):
     assert got == ref_blocks
     assert np.all(np.diff(mx * len(mr) + my) > 0)     # merged blocks stay sorted
 
-
-def test_default_ladder_needs_window_sizes_past_2_62():
-    far = PointSet([[0.0, 0.0], [2.0 ** 62 + 2.0 ** 12, 0.0]])
-    with pytest.raises(ValueError, match="window_sizes must be given"):
-        dim.counting_dim_profile(far)
-    huge = PointSet([[0.0, 0.0], [1e308, 1e308]])
-    with pytest.raises(ValueError, match="window_sizes must be given"):
-        dim.counting_dim_profile(huge)
-    edge = PointSet([[0.0, 0.0], [2.0 ** 62, 0.0]])
-    assert dim.counting_dim_profile(edge).scales[-1] == 2.0 ** 62
-    assert dim.counting_dim_profile(far, window_sizes=[2.0, 2.0 ** 62]).counts.tolist() == [1, 1]
-
