@@ -391,17 +391,20 @@ def _run_ff(a: dict, _):
     checks = [c for c in a["verify"].split(",") if c]
     # a Chebyshev check verifies the identity on the matrix it reads, so the
     # identity check builds a matrix of its own only when none runs
-    identity_alone = not any(c.startswith("chebyshev") for c in checks)
+    identity_alone = not any(c.partition(":")[0] == "chebyshev" for c in checks)
     failures = []
     for check in checks:
+        name, colon, k_text = check.partition(":")
         if check == "identity":
             # a mismatch raises DoubleCountError: exit 3
             total = finitefield.ff_double_count(B) if identity_alone \
                 else B.cardinality * prime
             results["identity"] = {"total": total, "ok": True, "expected": total}
-        elif check.startswith("chebyshev"):
-            k = float(check.split(":", 1)[1]) if ":" in check \
-                else math.log(prime)
+        elif name == "chebyshev":
+            try:
+                k = float(k_text) if colon else math.log(prime)
+            except ValueError:
+                raise ConfigError(f"bad --verify value {check!r}") from None
             rep = finitefield.ff_chebyshev_fraction(B, k)
             ok = rep.good_fraction >= rep.markov_bound
             results["chebyshev"] = {"k": k, "good_fraction": rep.good_fraction,

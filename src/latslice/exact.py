@@ -22,7 +22,8 @@ the command line exits 3 on it.
 
 The primitives are exact on Python ints of any size: ``floor_root`` and
 ``floor_sum`` (integer floors of irrational and summed quantities),
-``as_int`` (the integer a number is exactly), ``as_int64`` and
+``as_int`` (the integer a number is exactly, or None), ``require_int``
+(that integer, or a ValueError naming the parameter), ``as_int64`` and
 ``positive_int64`` (casts that refuse to change a value) and
 ``at_least_one_apart`` (a rational distance test of two float points).
 """
@@ -94,6 +95,14 @@ def as_int(value) -> int | None:
     except (TypeError, ValueError, OverflowError):     # not a number, nan, inf
         return None
     return whole if whole == value else None
+
+
+def require_int(value, name: str) -> int:
+    """The integer ``value`` is exactly; ValueError naming ``name`` if none."""
+    whole = as_int(value)
+    if whole is None:
+        raise ValueError(f"{name}={value!r} is not an integer")
+    return whole
 
 
 def as_int64(values: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import (MAX_MATERIALIZE_POINTS, InternalCheckError, as_int,
-                    refuse_past_budget)
+                    refuse_past_budget, require_int)
 
 __all__ = [
     "ChebyshevReport",
@@ -59,9 +59,7 @@ def _check_prime(p: int) -> int:
     """``p`` as an int; ValueError unless it is an integer of at least 2,
     then ``MaterializeError`` past the budget, checked before any
     allocation or trial division, then ValueError unless it is prime."""
-    n = as_int(p)
-    if n is None:
-        raise ValueError(f"p={p!r} is not an integer")
+    n = require_int(p, "p")
     if n < 2:
         raise ValueError(f"p={n} is not prime")
     refuse_past_budget(n * n, f"the grid of F_p^2 for p={n} holds {n * n} cells")

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exact import (EXACT_INT_LIMIT, as_int, floor_root, floor_sum,
-                    refuse_past_budget)
+                    refuse_past_budget, require_int)
 from .geometry import BoxSpec, PointSet, Tube
 
 __all__ = [
@@ -60,6 +60,7 @@ def gen_unit_line(m: float, count: int) -> PointSet:
     """
     if not (math.isfinite(m) and m > 0):
         raise ValueError("slope m must be positive")
+    count = require_int(count, "count")
     if count < 1:
         raise ValueError("count must be >= 1")
     refuse_past_budget(count, f"unit line with count={count} holds {count} points")
@@ -82,6 +83,11 @@ class _ImplicitSet:
     """Base of the four implicit families: axis box counts from ``rect_count``."""
 
     # rect_count and materialize stay on each family: bench/tracer.py wraps vars(cls)
+    def _store_ints(self, *names) -> None:
+        """Store each named parameter as the int it is (``require_int``)."""
+        for name in names:
+            object.__setattr__(self, name, require_int(getattr(self, name), name))
+
     def box_count(self, box: BoxSpec) -> int:
         if box.kind == "first_quadrant":
             return self.rect_count(0.0, box.size, 0.0, box.size)
@@ -97,6 +103,7 @@ class ParabolicStaircase(_ImplicitSet):
     m_max: int
 
     def __post_init__(self):
+        self._store_ints("m_max")
         if self.m_max < 1:
             raise ValueError("m_max must be >= 1")
 
@@ -189,7 +196,7 @@ def _zigzag_lattice_corners(delta: float, n_levels: int,
     num, den = math.tan(math.pi / 4 + delta).as_integer_ratio()
     corners = [1]
     truncated = False
-    for _ in range(n_levels):
+    for _ in range(require_int(n_levels, "n_levels")):
         nxt = -(-corners[-1] * num // den)
         if limit is not None and nxt > limit:
             truncated = True
@@ -439,6 +446,7 @@ class ConeAnnuli(_BandedSet):
     def __post_init__(self):
         if not (0.0 < self.theta < math.pi / 2):
             raise ValueError("theta must lie in (0, pi/2)")
+        self._store_ints("k_min", "k_max")
         if not (0 <= self.k_min <= self.k_max):
             raise ValueError("need 0 <= k_min <= k_max")
         object.__setattr__(self, "half", Fraction(math.tan(self.theta / 2)))
@@ -475,6 +483,7 @@ class ConeStaircase(_BandedSet):
     def __post_init__(self):
         if not (0.0 < self.theta < 1.0):
             raise ValueError("theta must lie in (0, 1)")
+        self._store_ints("k_max")
         if self.k_max < 0:
             raise ValueError("k_max must be >= 0")
         _band_rows(self.k_max)      # refuse a band too deep before building to it
@@ -518,11 +527,12 @@ class ConeFixedWidth(_BandedSet):
     def __post_init__(self):
         if not (0.0 < self.theta < 1.0):
             raise ValueError("theta must lie in (0, 1)")
+        self._store_ints("k0")
         if self.k0 < 0:
             raise ValueError("k0 must be >= 0")
         self.level_rows(1)      # refuse a level too high before building 2^(2^k0)
         full = 1 << (1 << self.k0)
-        n = self.n_levels if self.n_levels is not None else full
+        n = full if self.n_levels is None else require_int(self.n_levels, "n_levels")
         if not (1 <= n <= full):
             raise ValueError(f"n_levels must lie in [1, {full}]")
         object.__setattr__(self, "n_levels", n)
@@ -603,6 +613,7 @@ def gen_random_dimension(alpha: float, l_max: int, seed: int) -> PointSet:
     """
     if not (0.0 <= alpha <= 2.0):
         raise ValueError("alpha must lie in [0, 2]")
+    l_max = require_int(l_max, "l_max")
     if l_max < 2 or l_max & (l_max - 1):
         raise ValueError("l_max must be a power of two >= 2")
     n_annuli = l_max.bit_length() - 1

@@ -776,6 +776,36 @@ def test_descriptor_without_kind_names_the_file(tmp_path, capsys):
     assert f"{desc}: implicit descriptor has no 'kind'" in captured.err
 
 
+@pytest.mark.parametrize("kind, params, needle", [
+    ("cone_annuli", {"theta": 0.3, "k_min": 0, "k_max": 2.5}, "k_max=2.5"),
+    ("parabolic_staircase", {"m_max": 4.5}, "m_max=4.5"),
+], ids=["annuli-k_max", "staircase-m_max"])
+def test_descriptor_with_a_non_integer_count_gives_config_exit(
+        tmp_path, capsys, kind, params, needle):
+    # k_max = 2.5 used to end in a TypeError traceback (exit 1), and
+    # m_max = 4.5 used to be counted as m_max = 4
+    desc = tmp_path / "set.json"
+    desc.write_text(json.dumps({"format": cli.IMPLICIT_FORMAT, "kind": kind,
+                                "params": params}))
+    rc = cli.main(["dim", "--in", str(desc), "--scales", "dyadic:64"])
+    assert rc == 2
+    assert f"{needle} is not an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verify, message", [
+    ("chebyshevfoo", "unknown --verify check 'chebyshevfoo'"),
+    ("chebyshev:abc", "bad --verify value 'chebyshev:abc'"),
+    ("identity,chebyshev:", "bad --verify value 'chebyshev:'"),
+], ids=["chebyshevfoo", "chebyshev-abc", "chebyshev-no-k"])
+def test_ff_verify_accepts_only_its_checks(tmp_path, capsys, verify, message):
+    # any entry starting "chebyshev" used to run the check
+    out = tmp_path / "report.json"
+    rc = cli.main(["ff", "--p", "7", "--verify", verify, "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_key_error_in_a_kernel_is_a_bug_not_a_config_error(tmp_path, capsys,
                                                            monkeypatch):
     pts = tmp_path / "p.txt"

@@ -409,6 +409,32 @@ def test_cone_constructors_refuse_derived_fields(build):
         build()
 
 
+@pytest.mark.parametrize("build, name, value", [
+    (gen.ParabolicStaircase, "m_max", 4),
+    (lambda k: gen.ConeAnnuli(0.2, k, 2), "k_min", 1),
+    (lambda k: gen.ConeAnnuli(0.2, 0, k), "k_max", 2),
+    (lambda k: gen.ConeStaircase(0.5, k), "k_max", 3),
+    (lambda k: gen.ConeFixedWidth(0.5, k, n_levels=2), "k0", 1),
+    (lambda n: gen.ConeFixedWidth(0.5, 1, n_levels=n), "n_levels", 2),
+    (lambda n: gen.gen_unit_line(2.0, n), "count", 4),
+    (lambda l: gen.gen_random_dimension(1.5, l, seed=1), "l_max", 4),
+    (lambda n: gen.gen_zigzag(0.2, n)[0], "n_levels", 4),
+    (lambda n: gen.zigzag_tube_counts(0.2, n, Tube(-1.0, 0.0))[1], "n_levels", 4),
+], ids=["staircase-m_max", "annuli-k_min", "annuli-k_max", "cone-staircase-k_max",
+        "fixed-width-k0", "fixed-width-n_levels", "unit-line-count",
+        "random-l_max", "zigzag-n_levels", "zigzag-tubes-n_levels"])
+def test_count_parameters_must_be_integers(build, name, value):
+    with pytest.raises(ValueError, match=f"^{name}=2.5 is not an integer$"):
+        build(2.5)
+    whole, floated = build(value), build(float(value))
+    if hasattr(whole, "materialize"):
+        assert repr(floated) == repr(whole)     # the float is stored as its int
+        whole, floated = whole.materialize(), floated.materialize()
+    if isinstance(whole, PointSet):
+        whole, floated = whole.points, floated.points
+    assert whole.size and np.array_equal(floated, whole)
+
+
 def test_cone_staircase_refuses_a_band_too_deep_on_construction():
     # each further band costs about 4x more to build the slope offsets for,
     # so the refusal comes before them
