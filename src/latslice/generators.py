@@ -83,17 +83,17 @@ class _ImplicitSet:
     """Base of the four implicit families: axis box counts from ``rect_count``."""
 
     # rect_count and materialize stay on each family: bench/tracer.py wraps vars(cls)
-    def _store_ints(self, *names) -> None:
-        """Store each named parameter as the int it is (``require_int``)."""
-        for name in names:
-            object.__setattr__(self, name, require_int(getattr(self, name), name))
-
     def box_count(self, box: BoxSpec) -> int:
         if box.kind == "first_quadrant":
             return self.rect_count(0.0, box.size, 0.0, box.size)
         if box.kind == "centered":
             return self.rect_count(-box.size, box.size, -box.size, box.size)
         raise NotImplementedError("slanted boxes need a materialized set")
+
+    def _store_ints(self, *names) -> None:
+        """Store each named parameter as the int it is (``require_int``)."""
+        for name in names:
+            object.__setattr__(self, name, require_int(getattr(self, name), name))
 
 
 @dataclass(frozen=True)
