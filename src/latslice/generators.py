@@ -49,6 +49,11 @@ __all__ = [
 # Straight line with unit spacing
 # ---------------------------------------------------------------------------
 
+# far more than any slope needs: a pad 2^32 times the first one would move
+# the spacing by about count * 1e-6
+_MAX_PAD_DOUBLINGS = 32
+
+
 def gen_unit_line(m: float, count: int) -> PointSet:
     """``count`` points spaced 1 apart along y = m x from the origin.
 
@@ -64,15 +69,17 @@ def gen_unit_line(m: float, count: int) -> PointSet:
     if count < 1:
         raise ValueError("count must be >= 1")
     refuse_past_budget(count, f"unit line with count={count} holds {count} points")
-    r = math.sqrt(1.0 + m * m)
+    r = math.hypot(1.0, m)      # sqrt(1 + m * m) would overflow past m = 1.3e154
     k = np.arange(count, dtype=float)
     pad = count * 2.5e-16
-    while True:
+    for _ in range(_MAX_PAD_DOUBLINGS):
         s = (1.0 + pad) / r
         xs, ys = k * s, k * (m * s)
         if count == 1 or np.min(np.hypot(np.diff(xs), np.diff(ys))) >= 1.0:
             return PointSet(np.column_stack([xs, ys]))
         pad *= 2.0
+    raise ValueError(f"no float spacing keeps the unit line of slope m={m!r} "
+                     "1-separated")
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +200,13 @@ def _zigzag_coeffs(delta: float) -> tuple[float, float]:
 
 def _zigzag_lattice_corners(delta: float, n_levels: int,
                             limit: int | None = None) -> tuple[list[int], bool]:
+    n_levels = require_int(n_levels, "n_levels")
+    if n_levels < 1:
+        raise ValueError("n_levels must be >= 1")
     num, den = math.tan(math.pi / 4 + delta).as_integer_ratio()
     corners = [1]
     truncated = False
-    for _ in range(require_int(n_levels, "n_levels")):
+    for _ in range(n_levels):
         nxt = -(-corners[-1] * num // den)
         if limit is not None and nxt > limit:
             truncated = True
@@ -216,8 +226,6 @@ def gen_zigzag(delta: float, n_levels: int) -> tuple[PointSet, ZigzagTrace]:
     points.  Stops early (trace.truncated) if integer corners would leave the
     exactly-representable float range.
     """
-    if n_levels < 1:
-        raise ValueError("n_levels must be >= 1")
     lam1, lam2 = _zigzag_coeffs(delta)
     lattice, truncated = _zigzag_lattice_corners(delta, n_levels,
                                                  limit=EXACT_INT_LIMIT)

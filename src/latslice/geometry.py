@@ -283,6 +283,7 @@ class RankOrder:
     distinct values plus one, so a group's keys end below the next group's
     first.  The keys are built from ranks, so they cannot overflow however
     large the values are.  Rows with equal keys keep their input order.
+    ``values``, ``order`` and ``keys`` are made read-only.
 
     ``find(groups, bound, side)`` gives, for each group, the position in
     ``order`` of the group's first row whose value is >= bound
@@ -297,6 +298,8 @@ class RankOrder:
         keys = group * self.stride + value_rank
         self.order = np.argsort(keys, kind="stable")
         self.keys = keys[self.order]
+        for arr in (self.values, self.order, self.keys):
+            arr.setflags(write=False)
 
     def find(self, groups, bound, side: str) -> np.ndarray:
         rank = np.searchsorted(self.values, bound, side=side)
@@ -308,28 +311,42 @@ class RankOrder:
 # ---------------------------------------------------------------------------
 
 class PointSet:
-    """Immutable planar point collection with a strip index for slices.
+    """Immutable planar point collection that keeps the orders its queries
+    derive from it.
 
-    The index is one ``RankOrder``, ``_strips``: a strip is B consecutive
-    occupied columns, its group is a column's rank among the distinct
-    floor(x), ``_col_x``, divided by B, and its values are the exact y.
-    B, ``_strip_width``, is ``_block_side`` of the occupied columns and
-    rows: about the square root of the occupied grid's cells per point,
-    1 on a lattice or the staircase.
+    The points never change, so each derived order is built by its first
+    use and kept, never rebuilt; only the survey's row index is replaced,
+    by a survey of another window.  Every kept array is read-only
+    (``setflags(write=False)``): a caller that writes into one raises
+    instead of corrupting every later answer.  The kept orders:
 
-    Only slices build the index, and they rent before they buy: a set's
-    first ``slice_tube`` or ``slice_floor_line`` scans every point with its
-    exact filter (one pass, cheaper than the three sorts of the build), and
-    the second builds the index and keeps it.  ``contains`` scans the
-    points, and ``cell_ranks`` sorts them itself, so a set that is only
-    tested for membership, counted in boxes or windows, validated or
-    written never pays for the index.
+    * ``_strips``, the slice index: one ``RankOrder`` in which a strip is B
+      consecutive occupied columns, its group is a column's rank among the
+      distinct floor(x), ``_col_x``, divided by B, and its values are the
+      exact y.  B, ``_strip_width``, is ``_block_side`` of the occupied
+      columns and rows: about the square root of the occupied grid's cells
+      per point, 1 on a lattice or the staircase.  Slices rent before they
+      buy: a set's first ``slice_tube`` or ``slice_floor_line`` scans every
+      point with its exact filter (one pass, cheaper than the build), and
+      the second builds the index.  Three sorts and at most 32 bytes per
+      point (order, keys, distinct y and distinct columns).
+    * ``_box_keys``: for each axis box kind (first-quadrant and centered)
+      the points' ``BoxSpec.key`` values, sorted, built by the first
+      ``box_count`` of that kind.  One sort and 8 bytes per point each;
+      every count after it is one ``searchsorted``.  Slanted keys depend
+      on ``u`` and are not kept.
+    * ``_cells``, the occupied unit cells by rank that ``cell_ranks``
+      returns, built by its first call (the window search's).  Three sorts
+      and 24 bytes per occupied cell, plus the distinct columns and rows:
+      at most 40 bytes per point.
+    * ``_row_runs``, a slot that ``survey.survey_floor_lines`` fills with
+      its row index of the window [0, n_side]^2 and replaces when a survey
+      asks for another n_side, so a set keeps at most one.  Three sorts and
+      at most 40 bytes per point of the window on an integer row, plus 24
+      bytes per occupied row.
 
-    Box counts have their own cache, ``_box_keys``: for each axis box kind
-    (first-quadrant and centered) the points' ``BoxSpec.key`` values,
-    sorted, built by the first ``box_count`` of that kind and kept.  Each
-    costs 8 bytes per point and one sort; every count after it is one
-    ``searchsorted``.  Slanted keys depend on ``u`` and are not cached.
+    ``contains`` scans the points, so a set that is only tested for
+    membership, validated or written keeps nothing.
     """
 
     def __init__(self, points):
@@ -346,6 +363,8 @@ class PointSet:
         self._strips = None
         self._sliced = False
         self._box_keys: dict[str, np.ndarray] = {}
+        self._cells: tuple[np.ndarray, ...] | None = None
+        self._row_runs = None
 
     def _index(self) -> None:
         """Build the strip index unless it is built already.  The occupied
@@ -355,6 +374,7 @@ class PointSet:
             return
         x, y = self.points.T
         self._col_x, col_rank = np.unique(np.floor(x), return_inverse=True)
+        self._col_x.setflags(write=False)
         ys, y_rank = np.unique(y, return_inverse=True)
         n_rows = np.count_nonzero(np.diff(np.floor(ys))) + min(len(ys), 1)
         self._strip_width = _block_side(len(self._col_x), n_rows, len(self.points))
@@ -415,18 +435,23 @@ class PointSet:
         """Occupied unit cells by rank, sorted by cell: the distinct
         occupied columns and rows as ascending int64 arrays, each cell's
         rank among those columns and among those rows, and its population.
-        Computed from the points on each call, with one sort of packed
-        rank keys after the two of the distinct columns and rows; the
+        Built by the first call, with one sort of packed rank keys after
+        the two of the distinct columns and rows, and kept read-only; the
         slice index is neither built nor read.  Raises ``Int64RangeError``
         for cells beyond the int64 range."""
-        floors = np.floor(self.points)
-        cols, col_rank = np.unique(floors[:, 0], return_inverse=True)
-        rows, row_rank = np.unique(floors[:, 1], return_inverse=True)
-        stride = len(rows) + 1
-        cells, population = np.unique(col_rank * stride + row_rank,
-                                      return_counts=True)
-        return (as_int64(cols), as_int64(rows), cells // stride, cells % stride,
-                population)
+        if self._cells is None:
+            floors = np.floor(self.points)
+            cols, col_rank = np.unique(floors[:, 0], return_inverse=True)
+            rows, row_rank = np.unique(floors[:, 1], return_inverse=True)
+            stride = len(rows) + 1
+            cells, population = np.unique(col_rank * stride + row_rank,
+                                          return_counts=True)
+            kept = (as_int64(cols), as_int64(rows), cells // stride,
+                    cells % stride, population)
+            for arr in kept:
+                arr.setflags(write=False)
+            self._cells = kept
+        return self._cells
 
     def box_count(self, box: BoxSpec) -> int:
         """Points in ``box``: a binary search in the sorted keys of its kind,
@@ -438,6 +463,7 @@ class PointSet:
         if keys is None:
             keys = box.key(self.points[:, 0], self.points[:, 1])
             keys.sort()
+            keys.setflags(write=False)
             self._box_keys[box.kind] = keys
         return int(np.searchsorted(keys, box.size, side="right"))
 

@@ -13,14 +13,16 @@ Chebyshev bound making slices above  k |E_N| / M  rare.
 Within a height b the interval starts b - u a for u > 0 are ordered by
 descending a, independently of u (rounding is monotone), so one presort by
 (b, -a) serves every sampled slope, and for any threshold t the points of a
-row with start <= t are a leading run of it.  A survey builds one row
-index, ``_RowRuns``, holding the window's point count, that presort as a
-``geometry.RankOrder`` (rows as groups, -a as values), the row bounds and
-the one float start b - u a that every test below uses.  Both modes work
-on runs, found for every (slope or draw, row) pair at once by one
-``RankOrder.find`` at the approximate threshold a = (b - t) / u; the float
-test at the run end's neighbours confirms it, and any end it rejects is
-found by bisection over its row, so every run end is exact.
+row with start <= t are a leading run of it.  The row index, ``_RowRuns``,
+holds the window's point count, that presort as a ``geometry.RankOrder``
+(rows as groups, -a as values), the row bounds and the one float start
+b - u a that every test below uses.  A set keeps the index of its last
+survey, read-only: a survey of the same n_side reuses it, and one of
+another n_side replaces it (``PointSet`` lists what a set keeps).  Both
+modes work on runs, found for every (slope or draw, row) pair at once by
+one ``RankOrder.find`` at the approximate threshold a = (b - t) / u; the
+float test at the run end's neighbours confirms it, and any end it rejects
+is found by bisection over its row, so every run end is exact.
 
 Monte Carlo mode never scans the points per draw: a draw (u, v) hits row b
 exactly when the last point of its run with start <= v also has
@@ -172,10 +174,11 @@ class _RowRuns:
     (pair, row) at once, then checked by ``start`` at its two neighbours.
     An end that fails the check is found by bisection over its row under
     the same test, so every end is exact whatever the rounding of
-    (b - t) / u.
+    (b - t) / u.  ``n_side`` tags the window, and every array is read-only.
     """
 
     def __init__(self, ps: PointSet, n_side: int):
+        self.n_side = n_side
         pts = ps.points
         pts = pts[(pts[:, 0] >= 0.0) & (pts[:, 0] <= n_side)
                   & (pts[:, 1] >= 0.0) & (pts[:, 1] <= n_side)]
@@ -189,6 +192,8 @@ class _RowRuns:
         self.hi = np.cumsum(size)
         self.lo = self.hi - size
         self.row_b = self.b[self.lo]
+        for arr in (self.a, self.b, self.lo, self.hi, self.row_b):
+            arr.setflags(write=False)
 
     def start(self, u, k):
         """The float start b - u a of the points ``k`` at slopes ``u``."""
@@ -307,7 +312,9 @@ def _grid_block(runs: _RowRuns, u, p0, kept, vs, m):
 def survey_floor_lines(ps: PointSet, config: SurveyConfig,
                        store_counts: bool = False) -> SurveyReport:
     """Survey floor-line slice counts of ``ps`` over (u, v) in (0, M]^2."""
-    runs = _RowRuns(ps, config.n_side)
+    runs = ps._row_runs
+    if runs is None or runs.n_side != config.n_side:
+        runs = ps._row_runs = _RowRuns(ps, config.n_side)
     m = config.m_range
     k = config.threshold_factor()
     bound = runs.point_count / m

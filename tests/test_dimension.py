@@ -350,6 +350,13 @@ def test_level_search_config_validation():
             dim.LevelSearchConfig(alpha=alpha, psi=psi, search_bound=10)
 
 
+def test_search_bound_is_read_as_an_integer():
+    with pytest.raises(ValueError, match="^search_bound=2.5 is not an integer$"):
+        dim.LevelSearchConfig(alpha=0.0, psi=1.0, search_bound=2.5)
+    bound = dim.LevelSearchConfig(alpha=0.0, psi=1.0, search_bound=4.0).search_bound
+    assert bound == 4 and type(bound) is int
+
+
 # ---------------------------------------------------------------------------
 # Profile plumbing
 # ---------------------------------------------------------------------------

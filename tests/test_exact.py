@@ -15,7 +15,8 @@ from latslice import generators as gen
 from latslice.exact import (MAX_MATERIALIZE_POINTS, InputError,
                             Int64RangeError, MaterializeError, as_int,
                             as_int64, at_least_one_apart, floor_root,
-                            floor_sum, positive_int64, refuse_past_budget)
+                            floor_sum, positive_int64, refuse_past_budget,
+                            require_int)
 from latslice.geometry import PointSet
 
 SETTINGS = settings(max_examples=300, deadline=None)
@@ -78,6 +79,13 @@ def test_as_int_is_an_integral_fraction(x):
                                Decimal("-Infinity"), "3", None])
 def test_as_int_refuses_what_is_not_a_finite_number(x):
     assert as_int(x) is None
+
+
+@pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+def test_a_bool_is_not_an_integer(flag):
+    assert as_int(flag) is None
+    with pytest.raises(ValueError, match=f"^count={flag!r} is not an integer$"):
+        require_int(flag, "count")
 
 
 def test_as_int64_at_the_ends_of_int64():

@@ -1,8 +1,10 @@
 """Tests for the example-set generators, implicit and materialized."""
 import hashlib
 import math
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -46,6 +48,35 @@ def test_unit_line_rejects_bad_params():
         gen.gen_unit_line(0.0, 5)
     with pytest.raises(ValueError):
         gen.gen_unit_line(1.0, 0)
+
+
+def test_unit_line_at_a_slope_whose_square_overflows():
+    # past m = 1.3e154, m * m is inf: the spacing came out 0 and the pad
+    # loop never ended, so a hard alarm stops the test instead of a hang
+    def stop(signum, frame):
+        raise TimeoutError("gen_unit_line(1e300, 5) did not return")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(5)
+    try:
+        start = time.perf_counter()
+        ps = gen.gen_unit_line(1e300, 5)
+        elapsed = time.perf_counter() - start
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert elapsed < 1.0
+    assert ps.points[1, 0] == pytest.approx(1e-300)
+    gaps = np.hypot(np.diff(ps.points[:, 0]), np.diff(ps.points[:, 1]))
+    assert np.all((gaps >= 1.0) & (gaps - 1.0 < 1e-12))
+    assert validate_separation(ps).valid
+
+
+def test_unit_line_pad_loop_ends_in_a_value_error(monkeypatch):
+    monkeypatch.setattr(gen, "_MAX_PAD_DOUBLINGS", 0)
+    with pytest.raises(ValueError, match="^no float spacing keeps the unit line "
+                                         "of slope m=2.0 1-separated$"):
+        gen.gen_unit_line(2.0, 5)
 
 
 def test_unit_line_refuses_a_count_past_the_cap_before_allocating():
@@ -184,6 +215,14 @@ def test_zigzag_tube_counts_level_prefix_consistency():
     _, full = gen.zigzag_tube_counts(0.2, 12, tube)
     _, short = gen.zigzag_tube_counts(0.2, 7, tube)
     assert np.array_equal(full[:7], short)
+
+
+@pytest.mark.parametrize("n_levels", [0, -3, 0.0])
+def test_both_zigzag_entry_points_refuse_fewer_than_one_level(n_levels):
+    with pytest.raises(ValueError, match="^n_levels must be >= 1$"):
+        gen.gen_zigzag(0.2, n_levels)
+    with pytest.raises(ValueError, match="^n_levels must be >= 1$"):
+        gen.zigzag_tube_counts(0.2, n_levels, Tube(-1.0, 0.0))
 
 
 def test_zigzag_tube_counts_requires_descending_edge():
@@ -426,6 +465,8 @@ def test_cone_constructors_refuse_derived_fields(build):
 def test_count_parameters_must_be_integers(build, name, value):
     with pytest.raises(ValueError, match=f"^{name}=2.5 is not an integer$"):
         build(2.5)
+    with pytest.raises(ValueError, match=f"^{name}=True is not an integer$"):
+        build(True)                             # a JSON true is not a count
     whole, floated = build(value), build(float(value))
     if hasattr(whole, "materialize"):
         assert repr(floated) == repr(whole)     # the float is stored as its int

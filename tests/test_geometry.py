@@ -288,6 +288,20 @@ def test_contains_and_box_ladders_leave_the_index_unbuilt():
     assert ps._box_keys == {}
 
 
+def test_the_kept_index_and_box_keys_are_read_only():
+    pts = np.column_stack([np.arange(40.0), np.floor(0.5 * np.arange(40.0))])
+    ps = PointSet(pts)
+    ps._index()
+    ps.box_count(BoxSpec("first_quadrant", 10.0))
+    ps.box_count(BoxSpec("centered", 10.0))
+    kept = [ps._col_x, ps._strips.order, ps._strips.keys, ps._strips.values,
+            *ps._box_keys.values()]
+    assert len(kept) == 6
+    for arr in kept:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 99
+
+
 def test_slice_tube_disjoint_is_empty():
     xs, ys = np.meshgrid(np.arange(20), np.arange(20))
     ps = PointSet(np.column_stack([xs.ravel(), ys.ravel()]))

@@ -1,4 +1,5 @@
 """Tests for the floor-line survey and the slice-dimension scans."""
+import dataclasses
 import math
 import tracemalloc
 
@@ -481,3 +482,59 @@ def test_survey_blocks_do_not_change_the_result(budget, monkeypatch):
     for w, s in zip(whole, split):
         assert np.array_equal(w.counts, s.counts)
     assert split[0].mean_exact_v == whole[0].mean_exact_v
+
+
+# ---------------------------------------------------------------------------
+# The row index a set keeps
+# ---------------------------------------------------------------------------
+
+def _counted_row_runs(monkeypatch) -> list:
+    """Patch ``survey._RowRuns`` to record the n_side of every build."""
+    built, row_runs = [], sv._RowRuns
+
+    def counted(ps, n_side):
+        built.append(n_side)
+        return row_runs(ps, n_side)
+
+    monkeypatch.setattr(sv, "_RowRuns", counted)
+    return built
+
+
+def test_surveys_of_one_window_build_the_row_index_once(monkeypatch):
+    built = _counted_row_runs(monkeypatch)
+    lattice = gen.gen_cartesian(np.arange(33), np.arange(33))
+    grid = sv.SurveyConfig(n_side=32, m_range=32.0, grid_u=16, grid_v=16)
+    mc = sv.SurveyConfig(n_side=32, m_range=32.0, mode="mc", mc_samples=64)
+    first = sv.survey_floor_lines(lattice, grid, store_counts=True)
+    sv.survey_floor_lines(lattice, mc)
+    again = sv.survey_floor_lines(lattice, grid, store_counts=True)
+    assert built == [32]
+    assert np.array_equal(again.counts, first.counts)
+
+
+def test_a_survey_of_another_window_replaces_the_row_index(monkeypatch):
+    built = _counted_row_runs(monkeypatch)
+    lattice = gen.gen_cartesian(np.arange(33), np.arange(33))
+    wide = sv.SurveyConfig(n_side=32, m_range=32.0, grid_u=16, grid_v=16)
+    narrow = sv.SurveyConfig(n_side=16, m_range=16.0, grid_u=16, grid_v=16)
+    sv.survey_floor_lines(lattice, wide)
+    got = sv.survey_floor_lines(lattice, narrow, store_counts=True)
+    fresh = sv.survey_floor_lines(PointSet(lattice.points), narrow, store_counts=True)
+    assert np.array_equal(got.counts, fresh.counts)
+    assert dataclasses.replace(got, counts=None) == dataclasses.replace(fresh, counts=None)
+    sv.survey_floor_lines(lattice, wide)    # a set keeps one index, not two
+    assert built == [32, 16, 16, 32]
+
+
+def test_the_kept_row_index_is_read_only():
+    lattice = gen.gen_cartesian(np.arange(9), np.arange(9))
+    cfg = sv.SurveyConfig(n_side=8, m_range=8.0, grid_u=4, grid_v=4)
+    before = sv.survey_floor_lines(lattice, cfg, store_counts=True)
+    runs = lattice._row_runs
+    kept = (runs.a, runs.b, runs.lo, runs.hi, runs.row_b,
+            runs.index.order, runs.index.keys, runs.index.values)
+    for arr in kept:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 99
+    after = sv.survey_floor_lines(lattice, cfg, store_counts=True)
+    assert np.array_equal(after.counts, before.counts)

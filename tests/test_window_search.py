@@ -167,3 +167,17 @@ def test_count_windows_by_every_path(weight, ranks):
     assert got == ref_blocks
     assert np.all(np.diff(mx * len(mr) + my) > 0)     # merged blocks stay sorted
 
+
+
+def test_the_kept_cells_are_built_once_and_read_only():
+    ps = PointSet([[0.5, 0.5], [0.25, 0.75], [3.0, -2.0], [7.5, 1.0]])
+    cells = ps.cell_ranks()
+    assert ps.cell_ranks() is cells
+    for arr in cells:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 99
+    assert [a.tolist() for a in cells] == [[0, 3, 7], [-2, 0, 1], [0, 1, 2],
+                                           [1, 0, 2], [2, 1, 1]]
+    sizes = [2.0, 4.0, 8.0, 16.0]
+    assert dim.counting_dim_profile(ps, window_sizes=sizes).counts.tolist() \
+        == unique_loop_counts(PointSet(ps.points), sizes)
