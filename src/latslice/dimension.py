@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import positive_int64, refuse_past_budget, require_int
+from .exact import positive_int64, refuse_past_budget, require_count
 from .geometry import BoxSpec, PointSet, Tube, slice_tube
 
 __all__ = [
@@ -359,9 +359,7 @@ class LevelSearchConfig:
         if not (self.alpha >= 0 and self.psi > 0):
             raise ValueError("need alpha >= 0 and psi > 0")
         object.__setattr__(self, "search_bound",
-                           require_int(self.search_bound, "search_bound"))
-        if self.search_bound < 1:
-            raise ValueError("search_bound must be >= 1")
+                           require_count(self.search_bound, "search_bound", 1))
 
     def threshold(self, levels) -> np.ndarray:
         m = np.asarray(levels, dtype=float)

@@ -23,9 +23,11 @@ the command line exits 3 on it.
 The primitives are exact on Python ints of any size: ``floor_root`` and
 ``floor_sum`` (integer floors of irrational and summed quantities),
 ``as_int`` (the integer a number is exactly, or None), ``require_int``
-(that integer, or a ValueError naming the parameter), ``as_int64`` and
-``positive_int64`` (casts that refuse to change a value) and
-``at_least_one_apart`` (a rational distance test of two float points).
+(that integer, or an ``InputError`` naming the parameter),
+``require_count`` (the same, also refusing a value below a floor: the one
+reading of every count, level, sample number and seed of the package),
+``as_int64`` and ``positive_int64`` (casts that refuse to change a value)
+and ``at_least_one_apart`` (a rational distance test of two float points).
 """
 
 import math
@@ -101,10 +103,19 @@ def as_int(value) -> int | None:
 
 
 def require_int(value, name: str) -> int:
-    """The integer ``value`` is exactly; ValueError naming ``name`` if none."""
+    """The integer ``value`` is exactly; ``InputError`` naming ``name`` if none."""
     whole = as_int(value)
     if whole is None:
-        raise ValueError(f"{name}={value!r} is not an integer")
+        raise InputError(f"{name}={value!r} is not an integer")
+    return whole
+
+
+def require_count(value, name: str, least: int) -> int:
+    """The integer ``value`` is exactly; ``InputError`` naming ``name`` if
+    there is none or it is below ``least``."""
+    whole = require_int(value, name)
+    if whole < least:
+        raise InputError(f"{name} must be >= {least}")
     return whole
 
 

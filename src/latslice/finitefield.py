@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import (MAX_MATERIALIZE_POINTS, InternalCheckError, as_int,
-                    refuse_past_budget, require_int)
+                    refuse_past_budget, require_count, require_int)
 
 __all__ = [
     "ChebyshevReport",
@@ -117,7 +117,7 @@ class FiniteFieldSet:
         p = _check_prime(p)
         if not (0.0 <= density <= 1.0):
             raise ValueError("density must lie in [0, 1]")
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(require_count(seed, "seed", 0))
         # the same draws as rng.random((p, p)) < density, a block of about
         # 2^16 values at a time, so no p x p float array is ever held
         grid = np.empty((p, p), dtype=bool)

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exact import (EXACT_INT_LIMIT, as_int, floor_root, floor_sum,
-                    refuse_past_budget, require_int)
+                    refuse_past_budget, require_count, require_int)
 from .geometry import BoxSpec, PointSet, Tube
 
 __all__ = [
@@ -65,9 +65,7 @@ def gen_unit_line(m: float, count: int) -> PointSet:
     """
     if not (math.isfinite(m) and m > 0):
         raise ValueError("slope m must be positive")
-    count = require_int(count, "count")
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = require_count(count, "count", 1)
     refuse_past_budget(count, f"unit line with count={count} holds {count} points")
     r = math.hypot(1.0, m)      # sqrt(1 + m * m) would overflow past m = 1.3e154
     k = np.arange(count, dtype=float)
@@ -97,11 +95,6 @@ class _ImplicitSet:
             return self.rect_count(-box.size, box.size, -box.size, box.size)
         raise NotImplementedError("slanted boxes need a materialized set")
 
-    def _store_ints(self, *names) -> None:
-        """Store each named parameter as the int it is (``require_int``)."""
-        for name in names:
-            object.__setattr__(self, name, require_int(getattr(self, name), name))
-
 
 @dataclass(frozen=True)
 class ParabolicStaircase(_ImplicitSet):
@@ -110,9 +103,7 @@ class ParabolicStaircase(_ImplicitSet):
     m_max: int
 
     def __post_init__(self):
-        self._store_ints("m_max")
-        if self.m_max < 1:
-            raise ValueError("m_max must be >= 1")
+        object.__setattr__(self, "m_max", require_count(self.m_max, "m_max", 1))
 
     def contains(self, x, y) -> bool:
         xi, yi = as_int(x), as_int(y)
@@ -189,8 +180,6 @@ class ZigzagTrace:
 
 def _zigzag_coeffs(delta: float) -> tuple[float, float]:
     """The eigenvalues lambda1 and lambda2 of the corner transfer matrix."""
-    if not (0.0 < delta < math.pi / 4):
-        raise ValueError("delta must lie in (0, pi/4)")
     t = math.tan(math.pi / 4 + delta)
     a = 1.0 - 1.0 / t
     b = t - 1.0
@@ -200,9 +189,11 @@ def _zigzag_coeffs(delta: float) -> tuple[float, float]:
 
 def _zigzag_lattice_corners(delta: float, n_levels: int,
                             limit: int | None = None) -> tuple[list[int], bool]:
-    n_levels = require_int(n_levels, "n_levels")
-    if n_levels < 1:
-        raise ValueError("n_levels must be >= 1")
+    """The integer corners to level ``n_levels`` and whether ``limit`` cut
+    them short; both entry points check delta and n_levels here, before any tan."""
+    if not (0.0 < delta < math.pi / 4):
+        raise ValueError("delta must lie in (0, pi/4)")
+    n_levels = require_count(n_levels, "n_levels", 1)
     num, den = math.tan(math.pi / 4 + delta).as_integer_ratio()
     corners = [1]
     truncated = False
@@ -226,9 +217,9 @@ def gen_zigzag(delta: float, n_levels: int) -> tuple[PointSet, ZigzagTrace]:
     points.  Stops early (trace.truncated) if integer corners would leave the
     exactly-representable float range.
     """
-    lam1, lam2 = _zigzag_coeffs(delta)
     lattice, truncated = _zigzag_lattice_corners(delta, n_levels,
                                                  limit=EXACT_INT_LIMIT)
+    lam1, lam2 = _zigzag_coeffs(delta)
     est = 2 * (lattice[-1] - lattice[0]) + 1
     refuse_past_budget(est, f"zigzag to level {n_levels} holds about {est} points",
                        "use zigzag_tube_counts for tube statistics at this depth")
@@ -454,9 +445,9 @@ class ConeAnnuli(_BandedSet):
     def __post_init__(self):
         if not (0.0 < self.theta < math.pi / 2):
             raise ValueError("theta must lie in (0, pi/2)")
-        self._store_ints("k_min", "k_max")
-        if not (0 <= self.k_min <= self.k_max):
-            raise ValueError("need 0 <= k_min <= k_max")
+        object.__setattr__(self, "k_min", require_count(self.k_min, "k_min", 0))
+        object.__setattr__(self, "k_max",
+                           require_count(self.k_max, "k_max", self.k_min))
         object.__setattr__(self, "half", Fraction(math.tan(self.theta / 2)))
 
     def _bands(self):
@@ -491,9 +482,7 @@ class ConeStaircase(_BandedSet):
     def __post_init__(self):
         if not (0.0 < self.theta < 1.0):
             raise ValueError("theta must lie in (0, 1)")
-        self._store_ints("k_max")
-        if self.k_max < 0:
-            raise ValueError("k_max must be >= 0")
+        object.__setattr__(self, "k_max", require_count(self.k_max, "k_max", 0))
         _band_rows(self.k_max)      # refuse a band too deep before building to it
         th = Fraction(self.theta)
         w, sigma, acc = [], [], Fraction(0)
@@ -535,9 +524,7 @@ class ConeFixedWidth(_BandedSet):
     def __post_init__(self):
         if not (0.0 < self.theta < 1.0):
             raise ValueError("theta must lie in (0, 1)")
-        self._store_ints("k0")
-        if self.k0 < 0:
-            raise ValueError("k0 must be >= 0")
+        object.__setattr__(self, "k0", require_count(self.k0, "k0", 0))
         self.level_rows(1)      # refuse a level too high before building 2^(2^k0)
         full = 1 << (1 << self.k0)
         n = full if self.n_levels is None else require_int(self.n_levels, "n_levels")
@@ -624,6 +611,7 @@ def gen_random_dimension(alpha: float, l_max: int, seed: int) -> PointSet:
     l_max = require_int(l_max, "l_max")
     if l_max < 2 or l_max & (l_max - 1):
         raise ValueError("l_max must be a power of two >= 2")
+    seed = require_count(seed, "seed", 0)
     n_annuli = l_max.bit_length() - 1
     expected = 1.0 + sum(3.0 * 4.0 ** j * min(1.0, 2.0 ** (j * (alpha - 2.0)))
                          for j in range(n_annuli))

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dimension import DimensionProfile, mass_dim_profile
-from .exact import refuse_past_budget
+from .exact import refuse_past_budget, require_count, require_int
 from .geometry import PointSet, RankOrder, Tube, slice_tube
 
 __all__ = [
@@ -68,6 +68,7 @@ class SurveyConfig:
     grid_u x grid_v grid and also integrates exactly over v; mc mode draws
     (u, v) uniformly.  The exception threshold is k_threshold * |E_N| /
     m_range with k_threshold = sqrt(ln m_range * ln n_side) by default.
+    The counts and the seed are integers, stored as ints (4.0 as 4).
     """
 
     n_side: int
@@ -80,20 +81,21 @@ class SurveyConfig:
     k_threshold: float | None = None
 
     def __post_init__(self):
-        if self.n_side < 2:
-            raise ValueError("n_side must be >= 2")
+        for name, least in (("n_side", 2), ("mc_samples", 1), ("seed", 0)):
+            object.__setattr__(self, name,
+                               require_count(getattr(self, name), name, least))
         if self.m_range is None:
             raise ValueError("m_range is required")
         if not (math.isfinite(self.m_range) and self.m_range >= 1.0):
             raise ValueError("m_range must be finite and >= 1")
+        for name in ("grid_u", "grid_v"):
+            object.__setattr__(self, name, require_int(getattr(self, name), name))
+        if self.grid_u < 1 or self.grid_v < 1:
+            raise ValueError("grid dimensions must be >= 1")
         if self.mode == "grid":
             gu, gv = self.grid_u, self.grid_v
-            if gu < 1 or gv < 1:
-                raise ValueError("grid dimensions must be >= 1")
             refuse_past_budget(gu * gv, f"survey grid {gu}x{gv} holds {gu * gv} cells")
         elif self.mode == "mc":
-            if self.mc_samples < 1:
-                raise ValueError("mc_samples must be >= 1")
             refuse_past_budget(self.mc_samples, f"mc survey of {self.mc_samples} samples")
         else:
             raise ValueError(f"unknown survey mode {self.mode!r}")
@@ -371,8 +373,7 @@ def exception_ray_scan(ps: PointSet, v0: float, u_interval, u_samples: int,
     profile depth actually available.  Raising the threshold never raises
     the fraction.
     """
-    if u_samples < 1:
-        raise ValueError("u_samples must be >= 1")
+    u_samples = require_count(u_samples, "u_samples", 1)
     refuse_past_budget(u_samples, f"exception ray scan of {u_samples} slope samples")
     if not math.isfinite(threshold_dim):
         raise ValueError("threshold_dim must be finite")

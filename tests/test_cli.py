@@ -792,6 +792,21 @@ def test_descriptor_with_a_non_integer_count_gives_config_exit(
     assert f"{needle} is not an integer" in capsys.readouterr().err
 
 
+def test_generate_refuses_a_bool_seed(capsys):
+    # the JSON true used to be read as seed 1
+    rc = cli.main(["generate", "--kind", "random_dimension", "--params",
+                   '{"alpha": 1.2, "l_max": 64, "seed": true}'])
+    assert rc == 2
+    assert "seed=True is not an integer" in capsys.readouterr().err
+
+
+def test_generate_reports_a_size_past_float_range_as_inf(capsys):
+    rep = run_json(["generate", "--kind", "cone_annuli", "--params",
+                    '{"theta": 0.3, "k_min": 0, "k_max": 12}',
+                    "--mode", "implicit"], capsys)
+    assert rep["results"]["size_estimate"] == "inf"
+
+
 @pytest.mark.parametrize("verify, message", [
     ("chebyshevfoo", "unknown --verify check 'chebyshevfoo'"),
     ("chebyshev:abc", "bad --verify value 'chebyshev:abc'"),

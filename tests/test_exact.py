@@ -16,8 +16,8 @@ from latslice.exact import (MAX_MATERIALIZE_POINTS, InputError,
                             Int64RangeError, MaterializeError, as_int,
                             as_int64, at_least_one_apart, floor_root,
                             floor_sum, positive_int64, refuse_past_budget,
-                            require_int)
-from latslice.geometry import PointSet
+                            require_count, require_int)
+from latslice.geometry import PointSet, Tube
 
 SETTINGS = settings(max_examples=300, deadline=None)
 
@@ -86,6 +86,70 @@ def test_a_bool_is_not_an_integer(flag):
     assert as_int(flag) is None
     with pytest.raises(ValueError, match=f"^count={flag!r} is not an integer$"):
         require_int(flag, "count")
+
+
+def test_require_count_reads_an_integer_at_or_above_its_floor():
+    assert require_count(4.0, "n", 4) == 4
+    assert type(require_count(np.int16(7), "n", 0)) is int
+    with pytest.raises(InputError, match="^n must be >= 5$"):
+        require_count(4, "n", 5)
+    with pytest.raises(InputError, match="^n=4.5 is not an integer$"):
+        require_count(4.5, "n", 5)      # the integer test comes first
+
+
+def _survey(**kw):
+    return survey.SurveyConfig(**{"n_side": 8, "m_range": 8.0, **kw})
+
+
+_RAY_SCALES = 2.0 ** np.arange(1, 4)
+
+# every integer parameter read by require_count, and grid_u/grid_v, read by
+# require_int; each builds something that a value of 4 makes valid
+COUNT_PARAMETERS = [
+    ("count", lambda n: gen.gen_unit_line(2.0, n).points),
+    ("m_max", gen.ParabolicStaircase),
+    ("n_levels", lambda n: gen.gen_zigzag(0.2, n)[1].lattice_corners),
+    ("n_levels", lambda n: gen.zigzag_tube_counts(0.2, n, Tube(-1.0, 0.0))[1]),
+    ("k_max", lambda k: gen.ConeStaircase(0.5, k)),
+    ("k0", lambda k: gen.ConeFixedWidth(0.5, k, n_levels=2)),
+    ("k_min", lambda k: gen.ConeAnnuli(0.2, k, 5)),
+    ("k_max", lambda k: gen.ConeAnnuli(0.2, 0, k)),
+    ("search_bound", lambda n: dimension.LevelSearchConfig(1.0, 0.5, n)),
+    ("n_side", lambda n: _survey(n_side=n)),
+    ("grid_u", lambda n: _survey(grid_u=n)),
+    ("grid_v", lambda n: _survey(grid_v=n)),
+    ("mc_samples", lambda n: _survey(mode="mc", mc_samples=n)),
+    ("seed", lambda s: _survey(mode="mc", seed=s)),
+    ("u_samples", lambda n: survey.exception_ray_scan(
+        GRID, 0.3, (-2.0, -0.5), n, 0.5, scales=_RAY_SCALES)),
+    ("seed", lambda s: gen.gen_random_dimension(1.2, 64, s).points),
+    ("seed", lambda s: finitefield.FiniteFieldSet.random(7, 0.5, s).grid),
+]
+COUNT_IDS = ["unit-line-count", "staircase-m_max", "zigzag-n_levels",
+             "zigzag-tubes-n_levels", "cone-staircase-k_max", "fixed-width-k0",
+             "annuli-k_min", "annuli-k_max", "level-search-bound",
+             "survey-n_side", "survey-grid_u", "survey-grid_v",
+             "survey-mc_samples", "survey-seed", "ray-scan-u_samples",
+             "random-dimension-seed", "ff-random-seed"]
+
+
+@pytest.mark.parametrize("bad", [2.5, True, math.nan, math.inf],
+                         ids=["half", "bool", "nan", "inf"])
+@pytest.mark.parametrize("name, build", COUNT_PARAMETERS, ids=COUNT_IDS)
+def test_every_count_parameter_refuses_what_is_not_an_integer(name, build, bad):
+    with pytest.raises(ValueError, match=f"^{name}={bad!r} is not an integer$"):
+        build(bad)
+
+
+@pytest.mark.parametrize("name, build", COUNT_PARAMETERS, ids=COUNT_IDS)
+def test_every_count_parameter_reads_a_whole_float_as_its_int(name, build):
+    got, want = build(4.0), build(4)
+    if hasattr(got, name):                  # a frozen dataclass stores the int
+        assert type(getattr(got, name)) is int and getattr(got, name) == 4
+    if isinstance(got, np.ndarray):
+        assert np.array_equal(got, want)
+    else:
+        assert got == want
 
 
 def test_as_int64_at_the_ends_of_int64():

@@ -225,6 +225,24 @@ def test_both_zigzag_entry_points_refuse_fewer_than_one_level(n_levels):
         gen.zigzag_tube_counts(0.2, n_levels, Tube(-1.0, 0.0))
 
 
+@pytest.mark.parametrize("delta", [-0.5, 0.0, math.pi / 4, 1.0, math.nan, math.inf])
+def test_both_zigzag_entry_points_refuse_delta_outside_its_range(delta):
+    # zigzag_tube_counts once took -0.5 (a million corners, all 1) and 1.0
+    # (corners of alternating sign)
+    with pytest.raises(ValueError, match=r"^delta must lie in \(0, pi/4\)$"):
+        gen.gen_zigzag(delta, 5)
+    with pytest.raises(ValueError, match=r"^delta must lie in \(0, pi/4\)$"):
+        gen.zigzag_tube_counts(delta, 5, Tube(-1.0, 0.0))
+
+
+def test_zigzag_stops_where_corners_leave_the_exact_float_range():
+    # just under pi/4 the first step, tan(pi/4 + delta) ~ 1.6e16, passes 2^53
+    ps, trace = gen.gen_zigzag(math.nextafter(math.pi / 4, 0.0), 5)
+    assert ps.points.tolist() == [[1.0, 1.0]]
+    assert trace.lattice_corners == [1]
+    assert trace.truncated is True
+
+
 def test_zigzag_tube_counts_requires_descending_edge():
     with pytest.raises(ValueError):
         gen.zigzag_tube_counts(0.2, 5, Tube(1.0, 0.0))
@@ -396,6 +414,12 @@ def test_deep_bands_count_without_a_row_cap():
     total = cone.box_count(BoxSpec("first_quadrant", 2.0 ** 140))
     assert total.bit_length() == 128 and total > below > 2 ** 63
     assert cone.size_estimate() == float(total)
+
+
+def test_size_estimate_past_float_range_is_inf():
+    # band 9 starts at row 2^1024, so its rows alone hold more points than a
+    # float can count
+    assert gen.ConeAnnuli(0.3, 0, 9).size_estimate() == math.inf
 
 
 def test_cone_annuli_k_min_drops_low_bands():
