@@ -17,10 +17,11 @@ from .dimension import (DimensionProfile, LevelProfile, LevelSearchConfig,
                         dim_1d_profile, dyadic_scales, ff_dim, find_levels,
                         mass_dim_profile, profile_from_counts)
 from .finitefield import (ChebyshevReport, DoubleCountError, FiniteFieldSet,
-                          ff_affine_intersection,
+                          LineCountSummary, ff_affine_intersection,
                           ff_chebyshev_fraction, ff_double_count,
                           ff_exception_limit_table, ff_line_count_matrix,
-                          ff_line_points, ff_slice_count, is_prime)
+                          ff_line_count_summary, ff_line_points,
+                          ff_slice_count, is_prime)
 from .exact import MaterializeError
 from .generators import (ConeAnnuli, ConeFixedWidth, ConeStaircase,
                          ParabolicStaircase, ZigzagTrace, gen_cartesian,
@@ -54,8 +55,8 @@ __all__ = [
     "exception_ray_scan",
     # finite field
     "FiniteFieldSet", "is_prime", "ff_line_points",
-    "ff_slice_count", "ff_line_count_matrix", "ff_double_count",
-    "DoubleCountError",
+    "ff_slice_count", "ff_line_count_matrix", "ff_line_count_summary",
+    "LineCountSummary", "ff_double_count", "DoubleCountError",
     "ChebyshevReport", "ff_chebyshev_fraction", "ff_affine_intersection",
     "ff_exception_limit_table",
 ]

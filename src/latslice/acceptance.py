@@ -19,7 +19,7 @@ from . import generators as gen
 from .dimension import LevelSearchConfig, find_levels, mass_dim_profile
 from .finitefield import (DoubleCountError, FiniteFieldSet,
                           ff_affine_intersection, ff_chebyshev_fraction,
-                          ff_double_count, ff_slice_count)
+                          ff_line_count_summary, ff_slice_count)
 from .geometry import BoxSpec, FloorLine, PointSet, Tube, slice_floor_line, \
     slice_tube, tube_edge_distance
 from .survey import SurveyConfig, survey_floor_lines, tube_dim_along
@@ -45,17 +45,15 @@ FF_BATTERY_PRIMES = (3, 5, 7, 11, 13, 17, 31)
 
 def _ff_battery(p: int):
     """100 seeded random subsets of F_p^2, densities sweeping (0, 1], each
-    with its Chebyshev report at k = ln p (None for an empty set, which gets
-    the identity check alone); a failed identity raises DoubleCountError."""
+    with its Chebyshev report at k = ln p (None for an empty set), read off
+    one certified line-count summary; a failed identity raises
+    DoubleCountError."""
     k = math.log(p)
     for i in range(100):
         B = FiniteFieldSet.random(p, density=(i + 1) / 100.0,
                                   seed=100_000 * p + i)
-        if B.cardinality:
-            yield B, ff_chebyshev_fraction(B, k)
-        else:
-            ff_double_count(B)
-            yield B, None
+        summary = ff_line_count_summary(B)
+        yield B, ff_chebyshev_fraction(summary, k) if B.cardinality else None
 
 
 def run_ff_battery(p: int) -> CriterionResult:

@@ -17,9 +17,9 @@ None).  ``run()`` writes each artifact through ``_atomic_write``, then
 serializes the report once and writes that text to ``--out``, and only
 then raises ``CheckFailure`` for a failed check; the text ``main`` prints
 is the same, byte for byte.  The report's ``params`` block holds the flag
-values other than ``out``, ``seed`` and ``cells``, so identical flags give
-identical ``params`` and ``results`` blocks; only the provenance
-(timestamp and stage timings) differs between runs.
+values other than ``out`` and ``cells`` (``survey --seed`` included), so
+identical flags give identical ``params`` and ``results`` blocks; only the
+provenance (timestamp and stage timings) differs between runs.
 
 Exit codes: 0 ok, 2 config error, 3 assertion failure, 4 I/O error.
 """
@@ -83,7 +83,6 @@ class Report:
 
     command: str
     params: dict
-    seed: int
     results: dict
     artifacts: dict = field(default_factory=dict)
     start: float = field(default_factory=time.perf_counter)
@@ -96,7 +95,6 @@ class Report:
         payload = {
             "command": self.command,
             "params": _jsonable(self.params),
-            "seed": self.seed,
             "results": _jsonable(self.results),
             "artifacts": _jsonable(self.artifacts),
             "provenance": {
@@ -384,35 +382,52 @@ def _parse_ff_set(spec: str, p: int) -> FiniteFieldSet:
     return FiniteFieldSet.from_points(p, pts.astype(np.int64))
 
 
-def _run_ff(a: dict, _):
-    prime = a["p"]
-    B = _parse_ff_set(a["set"], prime)
-    results: dict = {"p": prime, "cardinality": B.cardinality}
-    checks = [c for c in a["verify"].split(",") if c]
-    # a Chebyshev check verifies the identity on the matrix it reads, so the
-    # identity check builds a matrix of its own only when none runs
-    identity_alone = not any(c.partition(":")[0] == "chebyshev" for c in checks)
-    failures = []
-    for check in checks:
-        name, colon, k_text = check.partition(":")
-        if check == "identity":
-            # a mismatch raises DoubleCountError: exit 3
-            total = finitefield.ff_double_count(B) if identity_alone \
-                else B.cardinality * prime
-            results["identity"] = {"total": total, "ok": True, "expected": total}
+def _parse_verify(spec: str, prime: int) -> dict[str, float | None]:
+    """The ``--verify`` checks in order, each with its k (None for the
+    identity, ln p for a bare ``chebyshev``); an entry that names no check,
+    a k that is not positive, or a check named before is a config error,
+    refused before any line is counted."""
+    checks: dict[str, float | None] = {}
+    for entry in filter(None, spec.split(",")):
+        name, colon, k_text = entry.partition(":")
+        if entry == "identity":
+            k = None
         elif name == "chebyshev":
             try:
                 k = float(k_text) if colon else math.log(prime)
             except ValueError:
-                raise ConfigError(f"bad --verify value {check!r}") from None
-            rep = finitefield.ff_chebyshev_fraction(B, k)
-            ok = rep.good_fraction >= rep.markov_bound
-            results["chebyshev"] = {"k": k, "good_fraction": rep.good_fraction,
-                                    "bound": rep.markov_bound, "ok": ok}
-            if not ok:
-                failures.append("chebyshev")
+                raise ConfigError(f"bad --verify value {entry!r}") from None
+            if not k > 0:                       # nan fails too
+                raise ConfigError(
+                    f"bad --verify value {entry!r}: k must be positive")
         else:
-            raise ConfigError(f"unknown --verify check {check!r}")
+            raise ConfigError(f"unknown --verify check {entry!r}")
+        if name in checks:
+            raise ConfigError(f"--verify entry {entry!r} repeats the {name} check")
+        checks[name] = k
+    return checks
+
+
+def _run_ff(a: dict, _):
+    prime = a["p"]
+    B = _parse_ff_set(a["set"], prime)
+    checks = _parse_verify(a["verify"], prime)
+    results: dict = {"p": prime, "cardinality": B.cardinality}
+    # every check reads one certified pass over the set's lines; a failed
+    # certificate raises DoubleCountError: exit 3
+    summary = finitefield.ff_line_count_summary(B) if checks else None
+    failures = []
+    for name, k in checks.items():
+        if name == "identity":
+            total = finitefield.ff_double_count(summary)
+            results["identity"] = {"total": total, "ok": True, "expected": total}
+            continue
+        rep = finitefield.ff_chebyshev_fraction(summary, k)
+        ok = rep.good_fraction >= rep.markov_bound
+        results["chebyshev"] = {"k": k, "good_fraction": rep.good_fraction,
+                                "bound": rep.markov_bound, "ok": ok}
+        if not ok:
+            failures.append("chebyshev")
     results["ok"] = not failures
     failure = f"ff checks failed: {', '.join(failures)}" if failures else None
     return results, [], failure
@@ -525,7 +540,7 @@ COMMANDS = {
               help="prime for the ff recipe"), REPORT_OUT)),
 }
 
-_NOT_PARAMS = ("out", "seed", "cells")
+_NOT_PARAMS = ("out", "cells")
 
 
 def run(command: str, params: dict) -> str:
@@ -547,7 +562,7 @@ def run(command: str, params: dict) -> str:
     results, artifacts, failure = spec.runner(a, obj)
     write_start = time.perf_counter()
     report = Report(command, {k: v for k, v in a.items() if k not in _NOT_PARAMS},
-                    a.get("seed", 0), results, start=start, load_s=load_s,
+                    results, start=start, load_s=load_s,
                     points_loaded=points_loaded,
                     compute_s=write_start - compute_start)
     for key, path, writer in artifacts:

@@ -12,14 +12,19 @@ per-slope average |B| / p then bounds the fraction of lines with unusually
 large intersection.
 
 The p x p line-count matrix is one histogram of the residues (y - u x) mod p
-per slope u.  ``ff_line_count_matrix`` finds the points with one flat scan of
-the grid, counts a block of consecutive slopes with one ``bincount`` over
+per slope u.  One kernel counts them: it finds the points with one flat scan
+of the grid, counts a block of consecutive slopes with one ``bincount`` over
 keys that interleave residue and slope, and steps the keys from block to
 block by 16-bit subtraction with an unsigned wrap, so it takes no modulo per
-incidence and moves two bytes per incidence in each step; the matrix is
-exact int64.  Every matrix a check reads carries a certificate: each slope's
-row sums to |B| (each point lies on one line per slope, so the rows imply
-the identity) and column v sums to |B minus {x = 0}| + p [(0, v) in B].
+incidence and moves two bytes per incidence in each step; the counts are
+exact int64.  The kernel fills a buffer its caller gives with consecutive
+slopes' counts: ``ff_line_count_matrix`` gives the whole matrix, and
+``ff_line_count_summary`` one of at most 2^16 counts, which it folds into
+the column sums and a histogram of the counts before the next slopes
+overwrite it.  The checks read that summary, so none holds a p x p array.
+Every summary carries a certificate: each slope's row sums to |B| (each
+point lies on one line per slope, so the rows imply the identity) and
+column v sums to |B minus {x = 0}| + p [(0, v) in B].
 """
 
 from __future__ import annotations
@@ -36,11 +41,13 @@ __all__ = [
     "ChebyshevReport",
     "DoubleCountError",
     "FiniteFieldSet",
+    "LineCountSummary",
     "ff_affine_intersection",
     "ff_chebyshev_fraction",
     "ff_double_count",
     "ff_exception_limit_table",
     "ff_line_count_matrix",
+    "ff_line_count_summary",
     "ff_line_points",
     "ff_slice_count",
     "is_prime",
@@ -48,6 +55,9 @@ __all__ = [
 
 MAX_PRIME = math.isqrt(MAX_MATERIALIZE_POINTS)   # p x p cells fit the budget
 _BLOCK_KEYS = 1 << 12
+# counts a summary holds at once (512 KiB of int64); at least _BLOCK_KEYS and
+# MAX_PRIME, so its rows hold at least one block of slopes
+_CHUNK_COUNTS = 1 << 16
 
 
 def is_prime(p: int) -> bool:
@@ -158,8 +168,12 @@ def ff_slice_count(B: FiniteFieldSet, u: int, v: int) -> int:
     return int(np.count_nonzero(B.grid[xs, (u * xs + v) % p]))
 
 
-def ff_line_count_matrix(B: FiniteFieldSet) -> np.ndarray:
-    """Matrix counts[u, v] = |B intersect l_{u,v}| for all p^2 lines.
+def _line_count_chunks(B: FiniteFieldSet, out: np.ndarray):
+    """Fill ``out`` with the line counts of consecutive slopes and yield
+    ``(u0, out[:m])`` each time it is full, then once for the last slopes:
+    row i of the chunk holds counts[u0 + i, v] = |B intersect l_{u0+i,v}|.
+    ``out`` is int64 of shape (rows, p), rows at least one block of slopes;
+    each chunk is overwritten by the next.
 
     A point (x, y) lies on l_{u,v} iff v = (y - u x) mod p.  One scan of the
     flattened grid finds the points, their flat indices x * p + y split by
@@ -176,8 +190,7 @@ def ff_line_count_matrix(B: FiniteFieldSet) -> np.ndarray:
     max(``_BLOCK_KEYS``, p); a stepped key is below 2K and a wrapped one at
     least 2^16 - K, so the minimum is exact while 3K <= 2^16, which holds for
     every p <= ``MAX_PRIME``.  Each block's keys are copied into one intp
-    buffer, so ``bincount`` neither casts nor allocates its input.  The
-    p^2 counts fit the budget, as B's grid does.
+    buffer, so ``bincount`` neither casts nor allocates its input.
     """
     p = B.p
     xs = np.empty(B.cardinality, dtype=np.int16)
@@ -191,25 +204,62 @@ def ff_line_count_matrix(B: FiniteFieldSet) -> np.ndarray:
     up = np.uint16(p * block) - down
     lower = np.empty_like(keys)
     flat = np.empty(keys.shape, dtype=np.intp)
-    counts = np.empty((p, p), dtype=np.int64)
+    filled = 0
     for u0 in range(0, p, block):
         if u0:
             np.subtract(keys, down, out=lower)
             keys += up
             np.minimum(keys, lower, out=keys)
         m = min(block, p - u0)
+        if filled + m > len(out):
+            yield u0 - filled, out[:filled]
+            filled = 0
         flat[:m] = keys[:m]
         hist = np.bincount(flat[:m].ravel(), minlength=p * block)
-        counts[u0:u0 + m] = hist.reshape(p, block)[:, :m].T
+        out[filled:filled + m] = hist.reshape(p, block)[:, :m].T
+        filled += m
+    yield p - filled, out[:filled]
+
+
+def ff_line_count_matrix(B: FiniteFieldSet) -> np.ndarray:
+    """Matrix counts[u, v] = |B intersect l_{u,v}| for all p^2 lines, the
+    kernel's one chunk; the p^2 counts fit the budget, as B's grid does."""
+    counts = np.empty((B.p, B.p), dtype=np.int64)
+    for _ in _line_count_chunks(B, counts):
+        pass
     return counts
 
 
 class DoubleCountError(InternalCheckError):
-    """The line sums disagree with |B| * p: the counting code is wrong."""
+    """The line counts fail their certificate: the counting code is wrong."""
 
 
-def _checked_matrix(B: FiniteFieldSet) -> np.ndarray:
-    """B's line-count matrix, its row and column sums certified.
+def _certify(line: str, sums: np.ndarray, want, first: int, p: int) -> None:
+    """DoubleCountError naming the first of ``sums`` (line ``first`` on)
+    that differs from ``want``."""
+    bad = np.flatnonzero(sums != want)
+    if bad.size:
+        i = int(bad[0])
+        raise DoubleCountError(
+            f"double count: {line} {first + i} sums to {sums[i]}, "
+            f"not {np.broadcast_to(want, sums.shape)[i]}, for p={p}")
+
+
+@dataclass(frozen=True)
+class LineCountSummary:
+    """The certified line counts of a set, with no p x p array: every row
+    of the line-count matrix sums to ``cardinality``, ``column_sums[v]`` is
+    the sum of its column v, and ``histogram[c]`` is the number of lines
+    meeting the set in exactly c points, c in [0, p]."""
+
+    p: int
+    cardinality: int
+    column_sums: np.ndarray
+    histogram: np.ndarray
+
+
+def ff_line_count_summary(B: FiniteFieldSet) -> LineCountSummary:
+    """B's line counts in one pass of the kernel, certified.
 
     Each point lies on exactly one line per slope, so every row sums to |B|
     (and all p rows to the double count |B| * p).  A point (x, y) with
@@ -217,30 +267,40 @@ def _checked_matrix(B: FiniteFieldSet) -> np.ndarray:
     line (u, y) for every u, so column v sums to |B minus {x = 0}| +
     p [(0, v) in B].  The sums and the cardinality come from independent
     code paths (per-slope residue histograms vs the grid population), so the
-    check guards the counting machinery, not arithmetic tautology.  A
-    mismatch raises ``DoubleCountError`` naming the first bad slope or
-    column; ``python -O`` does not strip it.
+    check guards the counting machinery, not arithmetic tautology.  Each
+    chunk's rows are certified as it comes, the columns at the end, and a
+    line of more than p points (which the histogram has no bin for) fails
+    last.  A mismatch raises ``DoubleCountError`` naming the first bad
+    slope or column; ``python -O`` does not strip it.
     """
-    counts = ff_line_count_matrix(B)
     p, card = B.p, B.cardinality
+    column_sums = np.zeros(p, dtype=np.int64)
+    histogram = np.zeros(p + 1, dtype=np.int64)
+    buffer = np.empty((min(p, _CHUNK_COUNTS // p), p), dtype=np.int64)
+    for u0, chunk in _line_count_chunks(B, buffer):
+        _certify("slope", chunk.sum(axis=1), card, u0, p)
+        column_sums += chunk.sum(axis=0)
+        histogram += np.bincount(chunk.ravel(), minlength=p + 1)[:p + 1]
     on_axis = B.grid[0].astype(np.int64)        # 1 where (0, v) is in B
-    for line, sums, want in (
-            ("slope", counts.sum(axis=1), np.full(p, card)),
-            ("column", counts.sum(axis=0), card - on_axis.sum() + p * on_axis)):
-        bad = np.flatnonzero(sums != want)
-        if bad.size:
-            i = int(bad[0])
-            raise DoubleCountError(
-                f"double count: {line} {i} sums to {sums[i]}, not {want[i]}, "
-                f"for p={p}")
-    return counts
+    _certify("column", column_sums, card - on_axis.sum() + p * on_axis, 0, p)
+    if histogram.sum() != p * p:
+        raise DoubleCountError(
+            f"double count: {p * p - histogram.sum()} lines hold more than "
+            f"p={p} points")
+    return LineCountSummary(p, card, column_sums, histogram)
 
 
-def ff_double_count(B: FiniteFieldSet) -> int:
+def _summary(B: FiniteFieldSet | LineCountSummary) -> LineCountSummary:
+    """B's certified summary: B itself if it is one, else one pass."""
+    return B if isinstance(B, LineCountSummary) else ff_line_count_summary(B)
+
+
+def ff_double_count(B: FiniteFieldSet | LineCountSummary) -> int:
     """Sum of slice counts over all p^2 lines, checked equal to |B| * p
     slope by slope, with the column sums certified too (a mismatch raises
-    ``DoubleCountError``)."""
-    _checked_matrix(B)
+    ``DoubleCountError``).  ``B`` is a set, or the summary of one, which
+    was certified when it was built."""
+    _summary(B)
     return B.cardinality * B.p
 
 
@@ -254,21 +314,25 @@ class ChebyshevReport:
     markov_bound: float
 
 
-def ff_chebyshev_fraction(B: FiniteFieldSet, k: float) -> ChebyshevReport:
+def ff_chebyshev_fraction(B: FiniteFieldSet | LineCountSummary,
+                          k: float) -> ChebyshevReport:
     """Fraction of the p^2 lines with slice count <= k |B| / p.
 
     Exceeding lines carry more than k/p of the per-slope total |B| each, so
     fewer than p/k slopes' worth can exceed: good_fraction > 1 - 1/k always
-    (strictly, for nonempty B), reported as markov_bound.  The fraction is
-    read off a matrix whose row and column sums passed the certificate, so a
-    mismatch raises ``DoubleCountError`` here as in ``ff_double_count``.
+    (strictly, for nonempty B), reported as markov_bound.  ``B`` is a set,
+    or the summary of one, so that several k read one pass; the fraction is
+    read off the summary's histogram, whose row and column sums passed the
+    certificate, so a mismatch raises ``DoubleCountError`` here as in
+    ``ff_double_count``.
     """
     if B.cardinality < 1:
         raise ValueError("Chebyshev fraction needs a nonempty set")
     if not k > 0:                   # nan fails too
         raise ValueError("k must be positive")
     threshold = k * B.cardinality / B.p
-    good = int(np.count_nonzero(_checked_matrix(B) <= threshold))
+    histogram = _summary(B).histogram
+    good = int(histogram[np.arange(B.p + 1) <= threshold].sum())
     return ChebyshevReport(
         p=B.p, cardinality=B.cardinality, k=float(k), threshold=threshold,
         good_fraction=good / (B.p * B.p), markov_bound=1.0 - 1.0 / k)

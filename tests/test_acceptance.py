@@ -27,8 +27,14 @@ def test_criterion_01_double_count_identity():
 
 def test_criterion_01_reports_a_broken_identity(monkeypatch):
     from latslice import finitefield as ff
-    real = ff.ff_line_count_matrix
-    monkeypatch.setattr(ff, "ff_line_count_matrix", lambda B: real(B) + 1)
+    real = ff._line_count_chunks
+
+    def one_too_many(B, out):
+        for u0, chunk in real(B, out):
+            chunk += 1
+            yield u0, chunk
+
+    monkeypatch.setattr(ff, "_line_count_chunks", one_too_many)
     res = acc.criterion_01_double_count()
     assert not res.passed
     assert "double count" in res.details["error"]

@@ -529,13 +529,28 @@ def test_emit_profile_csv_rejects_empty(tmp_path):
     assert not (tmp_path / "e.csv").exists()
 
 
+def _edit_line_counts(monkeypatch, edit):
+    """Route the counting kernel's chunks through ``edit(chunk)``, which
+    changes them in place; every prime here fits one chunk."""
+    from latslice import finitefield as ff
+    real = ff._line_count_chunks
+
+    def edited(B, out):
+        for u0, chunk in real(B, out):
+            edit(chunk)
+            yield u0, chunk
+
+    monkeypatch.setattr(ff, "_line_count_chunks", edited)
+
+
 def test_ff_double_count_mismatch_gives_check_exit(tmp_path, capsys,
                                                    monkeypatch):
-    # a Chebyshev check reads a matrix that passed the identity, so a
+    # a Chebyshev check reads counts that passed the identity, so a
     # mismatch stops it as it stops the identity check: exit 3, no report
-    from latslice import finitefield as ff
-    real = ff.ff_line_count_matrix
-    monkeypatch.setattr(ff, "ff_line_count_matrix", lambda B: real(B) * 2)
+    def doubled(chunk):
+        chunk *= 2
+
+    _edit_line_counts(monkeypatch, doubled)
     out = tmp_path / "report.json"
     for verify in ("identity", "chebyshev", "chebyshev:2,identity"):
         rc = cli.main(["ff", "--p", "5", "--set", "full", "--verify", verify,
@@ -548,16 +563,11 @@ def test_ff_double_count_mismatch_gives_check_exit(tmp_path, capsys,
 def test_ff_moved_count_gives_check_exit(tmp_path, capsys, monkeypatch):
     # one count moved between two lines of a slope keeps every total, but
     # not the column sums the certificate checks
-    from latslice import finitefield as ff
-    real = ff.ff_line_count_matrix
+    def moved(chunk):
+        chunk[1, 0] -= 1
+        chunk[1, 1] += 1
 
-    def moved(B):
-        mat = real(B).copy()
-        mat[1, 0] -= 1
-        mat[1, 1] += 1
-        return mat
-
-    monkeypatch.setattr(ff, "ff_line_count_matrix", moved)
+    _edit_line_counts(monkeypatch, moved)
     out = tmp_path / "report.json"
     for verify in ("chebyshev", "identity"):
         rc = cli.main(["ff", "--p", "5", "--set", "full", "--verify", verify,
@@ -608,15 +618,22 @@ def test_failed_artifact_write_leaves_no_file(tmp_path, capsys, monkeypatch):
 
 
 def test_ff_builds_the_line_matrix_once_per_set(capsys, monkeypatch):
+    # one counting pass per set, whichever checks read it, and none for a
+    # --verify list that is refused
     from latslice import finitefield as ff
-    real, built = ff.ff_line_count_matrix, []
-    monkeypatch.setattr(ff, "ff_line_count_matrix",
-                        lambda B: built.append(B.p) or real(B))
-    for verify in ("identity,chebyshev", "chebyshev", "identity"):
+    real, built = ff._line_count_chunks, []
+    monkeypatch.setattr(ff, "_line_count_chunks",
+                        lambda B, out: built.append(B.p) or real(B, out))
+    for verify, rc, passes in (("identity,chebyshev", 0, [101]),
+                               ("chebyshev:2,identity", 0, [101]),
+                               ("chebyshev", 0, [101]), ("identity", 0, [101]),
+                               ("chebyshev:0", 2, []),
+                               ("identity,chebyshev:-1", 2, []),
+                               ("identity,identity", 2, [])):
         built.clear()
         assert cli.main(["ff", "--p", "101", "--set", "random:0.2:1",
-                         "--verify", verify]) == 0
-        assert built == [101], verify
+                         "--verify", verify]) == rc
+        assert built == passes, verify
     built.clear()
     assert cli.main(["repro", "ff", "--p", "5"]) == 0
     assert built == [5] * 100
@@ -811,9 +828,14 @@ def test_generate_reports_a_size_past_float_range_as_inf(capsys):
     ("chebyshevfoo", "unknown --verify check 'chebyshevfoo'"),
     ("chebyshev:abc", "bad --verify value 'chebyshev:abc'"),
     ("identity,chebyshev:", "bad --verify value 'chebyshev:'"),
-], ids=["chebyshevfoo", "chebyshev-abc", "chebyshev-no-k"])
+    ("identity,chebyshev:1.5,chebyshev:3",
+     "--verify entry 'chebyshev:3' repeats the chebyshev check"),
+    ("identity,identity", "--verify entry 'identity' repeats the identity check"),
+], ids=["chebyshevfoo", "chebyshev-abc", "chebyshev-no-k", "chebyshev-twice",
+        "identity-twice"])
 def test_ff_verify_accepts_only_its_checks(tmp_path, capsys, verify, message):
-    # any entry starting "chebyshev" used to run the check
+    # any entry starting "chebyshev" used to run the check, and a repeated
+    # check used to keep only its last result
     out = tmp_path / "report.json"
     rc = cli.main(["ff", "--p", "7", "--verify", verify, "--out", str(out)])
     assert rc == 2

@@ -301,17 +301,28 @@ def test_double_count_exact_across_densities():
             assert ff.ff_double_count(b) == b.cardinality * p
 
 
+def edit_line_counts(monkeypatch, edit):
+    """Route the counting kernel's chunks through ``edit(u0, chunk)``,
+    which changes the counts of slopes u0, u0 + 1, ... in place."""
+    real = ff._line_count_chunks
+
+    def edited(B, out):
+        for u0, chunk in real(B, out):
+            edit(u0, chunk)
+            yield u0, chunk
+
+    monkeypatch.setattr(ff, "_line_count_chunks", edited)
+
+
 @pytest.fixture
 def off_by_one_matrix(monkeypatch):
-    """``ff_line_count_matrix`` with one count too many."""
-    real = ff.ff_line_count_matrix
+    """The counting kernel with one count too many."""
 
-    def off_by_one(B):
-        mat = real(B).copy()
-        mat[0, 0] += 1
-        return mat
+    def off_by_one(u0, chunk):
+        if u0 == 0:
+            chunk[0, 0] += 1
 
-    monkeypatch.setattr(ff, "ff_line_count_matrix", off_by_one)
+    edit_line_counts(monkeypatch, off_by_one)
 
 
 def test_double_count_mismatch_raises_typed_error(off_by_one_matrix):
@@ -323,7 +334,7 @@ def test_double_count_mismatch_raises_typed_error(off_by_one_matrix):
 
 
 def test_chebyshev_fraction_checks_the_identity(off_by_one_matrix):
-    # every Chebyshev report is read off a matrix that passed the identity
+    # every Chebyshev report is read off counts that passed the identity
     b = ff.FiniteFieldSet.random(7, density=0.5, seed=1)
     with pytest.raises(ff.DoubleCountError, match="double count"):
         ff.ff_chebyshev_fraction(b, 2.0)
@@ -335,21 +346,84 @@ def test_chebyshev_fraction_checks_the_identity(off_by_one_matrix):
 def test_moved_count_fails_the_line_certificate(monkeypatch, to, named):
     # one count moved from line (1, 0) to another line keeps the total
     # |B| p, but not the row or column sums the certificate checks; the
-    # message names the first bad slope or column
-    real = ff.ff_line_count_matrix
+    # message names the first bad slope or column; p = 7 is one chunk
+    def moved(u0, chunk):
+        chunk[1, 0] -= 1
+        chunk[to] += 1
 
-    def moved(B):
-        mat = real(B).copy()
-        mat[1, 0] -= 1
-        mat[to] += 1
-        return mat
-
-    monkeypatch.setattr(ff, "ff_line_count_matrix", moved)
+    edit_line_counts(monkeypatch, moved)
     b = ff.FiniteFieldSet.random(7, density=0.5, seed=1)
     with pytest.raises(ff.DoubleCountError, match=f"double count: {named} "):
         ff.ff_chebyshev_fraction(b, 2.0)
     with pytest.raises(ff.DoubleCountError, match=f"double count: {named} "):
         ff.ff_double_count(b)
+
+
+# p = 1031 is the smallest tested prime whose summary takes several chunks
+CHUNKED = ff.FiniteFieldSet.random(1031, density=0.2, seed=1)
+
+
+def test_summary_of_several_chunks_matches_the_matrix():
+    # a chunk's rows hold at least one block of slopes at every prime
+    assert ff._CHUNK_COUNTS >= max(ff._BLOCK_KEYS, ff.MAX_PRIME)
+    assert ff._CHUNK_COUNTS // CHUNKED.p < CHUNKED.p
+    mat = ff.ff_line_count_matrix(CHUNKED)
+    summary = ff.ff_line_count_summary(CHUNKED)
+    assert np.array_equal(summary.histogram,
+                          np.bincount(mat.ravel(), minlength=CHUNKED.p + 1))
+    assert np.all(mat.sum(axis=1) == summary.cardinality)
+    assert np.array_equal(summary.column_sums, mat.sum(axis=0))
+    assert (summary.p, summary.cardinality) == (CHUNKED.p, CHUNKED.cardinality)
+
+
+def test_moved_count_in_the_last_chunk_names_its_true_slope(monkeypatch):
+    # a count moved from line (1029, 0) to line (1030, 0), both in the
+    # last chunk, leaves the column sums and the total as they were
+    seen = []
+
+    def moved(u0, chunk):
+        seen.append(u0)
+        if u0 + len(chunk) == CHUNKED.p:
+            chunk[1029 - u0, 0] -= 1
+            chunk[1030 - u0, 0] += 1
+
+    edit_line_counts(monkeypatch, moved)
+    with pytest.raises(ff.DoubleCountError,
+                       match=r"double count: slope 1029 sums to \d+, not "):
+        ff.ff_line_count_summary(CHUNKED)
+    assert len(seen) > 2 and seen[-1] <= 1029
+
+
+def test_count_past_p_fails_after_the_sums(monkeypatch):
+    # moving counts round a rectangle of lines keeps every row and column
+    # sum, but a line of more than p = 5 points has no histogram bin
+    def rectangle(u0, chunk):
+        chunk[0, 0] += 1
+        chunk[0, 1] -= 1
+        chunk[1, 0] -= 1
+        chunk[1, 1] += 1
+
+    edit_line_counts(monkeypatch, rectangle)
+    with pytest.raises(ff.DoubleCountError,
+                       match=r"double count: 2 lines hold more than p=5 points"):
+        ff.ff_double_count(ff.FiniteFieldSet.full(5))
+
+
+def test_chebyshev_fraction_memory_has_no_p_squared_term():
+    # the summary's one chunk of counts, then the kernel's 12 bytes per
+    # point and slope of a block and 8 bytes per point (as in the matrix
+    # bound above), with 256 KiB for a block's histogram, the summary's
+    # arrays of p or p + 1 entries and numpy's small arrays; the matrix
+    # alone would be 8 p^2 = 8.5 MB
+    p, card = CHUNKED.p, CHUNKED.cardinality
+    block = max(1, min(p, ff._BLOCK_KEYS // p))
+    tracemalloc.start()
+    try:
+        ff.ff_chebyshev_fraction(CHUNKED, math.log(p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * ff._CHUNK_COUNTS + (12 * block + 8) * card + (1 << 18)
 
 
 # ---------------------------------------------------------------------------
