@@ -412,7 +412,7 @@ def test_count_past_p_fails_after_the_sums(monkeypatch):
 def test_chebyshev_fraction_memory_has_no_p_squared_term():
     # the summary's one chunk of counts, then the kernel's 12 bytes per
     # point and slope of a block and 8 bytes per point (as in the matrix
-    # bound above), with 256 KiB for a block's histogram, the summary's
+    # bound above), with 512 KiB for a block's histogram, the summary's
     # arrays of p or p + 1 entries and numpy's small arrays; the matrix
     # alone would be 8 p^2 = 8.5 MB
     p, card = CHUNKED.p, CHUNKED.cardinality
@@ -423,7 +423,7 @@ def test_chebyshev_fraction_memory_has_no_p_squared_term():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * ff._CHUNK_COUNTS + (12 * block + 8) * card + (1 << 18)
+    assert peak <= 8 * ff._CHUNK_COUNTS + (12 * block + 8) * card + (1 << 19)
 
 
 # ---------------------------------------------------------------------------
