@@ -224,12 +224,6 @@ def criterion_08_survey_bound() -> CriterionResult:
                             "k": rep.k, "good_fraction": rep.good_fraction})
 
 
-def _naive_tube_slice(ps: PointSet, tube: Tube) -> np.ndarray:
-    pts = ps.points
-    keep = tube.contains(pts[:, 0], pts[:, 1])
-    return pts[keep]
-
-
 def _naive_floor_slice(ps: PointSet, line: FloorLine, x_max: float) -> np.ndarray:
     pts = ps.points
     ok = (pts[:, 0] <= x_max) \
@@ -268,7 +262,7 @@ def criterion_09_oracle_equivalence() -> CriterionResult:
         # index, and each query runs on a fresh copy and on ps
         slice_tube(ps, tubes[0])
         for tube in tubes:
-            naive = _naive_tube_slice(ps, tube)
+            naive = ps.points[tube.contains(*ps.points.T)]
             for path, sliced in (("scan", PointSet(ps.points)), ("index", ps)):
                 fast = np.asarray(slice_tube(sliced, tube).points)
                 if fast.shape != naive.shape or not np.array_equal(

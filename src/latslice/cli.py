@@ -21,7 +21,9 @@ values other than ``out`` and ``cells`` (``survey --seed`` included), so
 identical flags give identical ``params`` and ``results`` blocks; only the
 provenance (timestamp and stage timings) differs between runs.
 
-Exit codes: 0 ok, 2 config error, 3 assertion failure, 4 I/O error.
+Exit codes: 0 ok, 2 config error (any ``ValueError``: the runners raise
+``exact.InputError`` for bad flags, and the library its own refusals), 3
+assertion failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -48,17 +50,13 @@ from .acceptance import ALL_CRITERIA, run_criterion, run_ff_battery
 from .dimension import (DimensionProfile, LevelSearchConfig, dyadic_scales,
                         find_levels, mass_dim_profile)
 from .exact import InputError, InternalCheckError
-from .finitefield import FiniteFieldSet
-from .geometry import (FloorLine, PointSet, Tube, read_points,
+from .finitefield import BadPointError, FiniteFieldSet
+from .geometry import (FloorLine, PointSet, Tube, data_lines, read_points,
                        slice_floor_line, slice_tube, validate_separation,
                        write_points)
 from .survey import SurveyConfig, survey_floor_lines
 
 __all__ = ["COMMANDS", "Report", "run", "emit_profile_csv", "main"]
-
-
-class ConfigError(InputError):
-    """Bad flags or parameters; exit code 2."""
 
 
 class CheckFailure(AssertionError):
@@ -150,11 +148,9 @@ def emit_profile_csv(profile: DimensionProfile, path) -> None:
     """Write a profile as `scale,count,ratio` rows, 12 significant digits."""
     if len(profile) == 0:
         raise ValueError("profile is empty; nothing to emit")
-    lines = ["scale,count,ratio"]
-    for s, c, r in zip(profile.scales.tolist(), profile.counts.tolist(),
-                       profile.ratios.tolist()):
-        lines.append(f"{s:.12g},{int(c)},{r:.12g}")
-    _write_text(str(path), "\n".join(lines) + "\n")
+    rows = "".join(f"{s:.12g},{int(c)},{r:.12g}\n" for s, c, r in zip(
+        profile.scales.tolist(), profile.counts.tolist(), profile.ratios.tolist()))
+    _write_text(str(path), "scale,count,ratio\n" + rows)
 
 
 # ---------------------------------------------------------------------------
@@ -182,20 +178,20 @@ def _call_generator(kind: str, params: dict, mode: str):
     try:
         fn, names = GENERATORS[kind]
     except KeyError:
-        raise ConfigError(f"unknown generator kind {kind!r}; "
+        raise InputError(f"unknown generator kind {kind!r}; "
                           f"choose from {sorted(GENERATORS)}") from None
     unknown = set(params) - set(names)
     if unknown:
-        raise ConfigError(f"params not accepted by {kind}: {sorted(unknown)}")
+        raise InputError(f"params not accepted by {kind}: {sorted(unknown)}")
     implicit = hasattr(fn, "materialize")
     if mode == "implicit" and not implicit:
-        raise ConfigError(f"kind {kind} has no implicit form")
+        raise InputError(f"kind {kind} has no implicit form")
     kwargs = {k: params[k] for k in names if k in params}
     try:
         obj = fn(**kwargs)
         return obj.materialize() if implicit and mode == "materialize" else obj
     except TypeError as exc:
-        raise ConfigError(f"bad params for {kind}: {exc}") from None
+        raise InputError(f"bad params for {kind}: {exc}") from None
 
 
 def load_set(path: str):
@@ -210,9 +206,9 @@ def load_set(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         desc = json.load(fh)
     if desc.get("format") != IMPLICIT_FORMAT:
-        raise ConfigError(f"{path}: not a point file or implicit descriptor")
+        raise InputError(f"{path}: not a point file or implicit descriptor")
     if "kind" not in desc:
-        raise ConfigError(f"{path}: implicit descriptor has no 'kind'")
+        raise InputError(f"{path}: implicit descriptor has no 'kind'")
     return _call_generator(desc["kind"], desc.get("params", {}), "implicit")
 
 
@@ -224,9 +220,9 @@ def _run_generate(a: dict, _):
     try:
         a["params"] = json.loads(a["params"])   # the report shows the object
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"--params is not valid JSON: {exc}") from None
+        raise InputError(f"--params is not valid JSON: {exc}") from None
     if not isinstance(a["params"], dict):
-        raise ConfigError("--params must be a JSON object")
+        raise InputError("--params must be a JSON object")
     kind, mode = a["kind"], a["mode"]
     obj = _call_generator(kind, a["params"], mode)
     results: dict = {"kind": kind, "mode": mode}
@@ -258,11 +254,9 @@ def _parse_scales(spec: str) -> np.ndarray:
         try:
             top = float(spec.split(":", 1)[1])
         except ValueError:
-            top = math.nan
-        if not math.isfinite(top):
-            raise ConfigError(f"bad --scales value {spec!r}")
+            raise InputError(f"bad --scales value {spec!r}") from None
         return dyadic_scales(top)
-    raise ConfigError(f"--scales must look like dyadic:<max>, got {spec!r}")
+    raise InputError(f"--scales must look like dyadic:<max>, got {spec!r}")
 
 
 def _run_dim(a: dict, obj):
@@ -275,44 +269,35 @@ def _run_dim(a: dict, obj):
                       lambda tmp: emit_profile_csv(prof, tmp))], None
 
 
-def _parse_pair(text: str, flag: str) -> tuple[float, float]:
-    parts = text.split(",")
+def _parse_two(text: str, flag: str, sep: str, cast, form: str, what: str):
+    """The two ``sep``-separated numbers, read by ``cast``, of a flag's ``text``."""
+    parts = text.lower().split(sep)
     if len(parts) != 2:
-        raise ConfigError(f"{flag} expects U,V")
+        raise InputError(f"{flag} expects {form}")
     try:
-        return float(parts[0]), float(parts[1])
+        return cast(parts[0]), cast(parts[1])
     except ValueError:
-        raise ConfigError(f"{flag} expects numbers, got {text!r}") from None
+        raise InputError(f"{flag} expects {what}, got {text!r}") from None
 
 
 def _run_slice(a: dict, ps):
     if a["tube"] is not None and a["floor"] is not None:
-        raise ConfigError("slice takes exactly one of --tube or --floor")
+        raise InputError("slice takes exactly one of --tube or --floor")
     if a["tube"] is not None:
-        u, v = _parse_pair(a["tube"], "--tube")
+        u, v = _parse_two(a["tube"], "--tube", ",", float, "U,V", "numbers")
         sub = slice_tube(ps, Tube.horizontal(v) if u == 0.0 else Tube(u, v))
         return ({"mode": "tube", "u": u, "v": v, "count": len(sub)},
                 [("points_file", a["out"], lambda tmp: write_points(sub, tmp))],
                 None)
     if a["floor"] is None:
-        raise ConfigError("slice needs --tube U,V or --floor U,V")
-    u, v = _parse_pair(a["floor"], "--floor")
+        raise InputError("slice needs --tube U,V or --floor U,V")
+    u, v = _parse_two(a["floor"], "--floor", ",", float, "U,V", "numbers")
     ys = slice_floor_line(ps, FloorLine(u, v), a["x_max"])
     return ({"mode": "floor", "u": u, "v": v, "x_max": a["x_max"],
              "count": int(ys.size), "heights": ys},
             [("heights_file", a["out"], lambda tmp: _write_text(
                 tmp, "# distinct integer heights\n"
                 + "".join(f"{int(y)}\n" for y in ys)))], None)
-
-
-def _parse_grid(text: str) -> tuple[int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise ConfigError("--grid expects GUxGV, e.g. 512x512")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ConfigError(f"--grid expects integers, got {text!r}") from None
 
 
 def _cells_csv(counts: np.ndarray) -> str:
@@ -329,12 +314,12 @@ def _run_survey(a: dict, ps):
     kwargs = dict(n_side=a["N"], m_range=a["M"], k_threshold=a["k"])
     if a["mc"] is not None:
         if a["grid"] is not None:
-            raise ConfigError("survey takes --grid or --mc, not both")
+            raise InputError("survey takes --grid or --mc, not both")
         kwargs.update(mode="mc", mc_samples=a["mc"], seed=a["seed"])
-    else:
-        if a["grid"] is None:   # the report shows the grid that ran
-            a["grid"] = "512x512"
-        gu, gv = _parse_grid(a["grid"])
+    else:       # the report shows the grid that ran
+        a["grid"] = _DEFAULT_GRID if a["grid"] is None else a["grid"]
+        gu, gv = _parse_two(a["grid"], "--grid", "x", int,
+                            f"GUxGV, e.g. {_DEFAULT_GRID}", "integers")
         kwargs.update(mode="grid", grid_u=gu, grid_v=gv)
     scfg = SurveyConfig(**kwargs)
     rep = survey_floor_lines(ps, scfg, store_counts=bool(a["cells"]))
@@ -357,29 +342,22 @@ def _parse_ff_set(spec: str, p: int) -> FiniteFieldSet:
     if spec.startswith("random:"):
         parts = spec.split(":")
         if len(parts) != 3:
-            raise ConfigError("--set random form is random:<density>:<seed>")
+            raise InputError("--set random form is random:<density>:<seed>")
         try:
             density, seed = float(parts[1]), int(parts[2])
         except ValueError:
-            raise ConfigError(f"bad --set value {spec!r}") from None
+            raise InputError(f"bad --set value {spec!r}") from None
         return FiniteFieldSet.random(p, density, seed)
     try:
         pts = read_points(spec).points
     except OSError as exc:
         raise OSError(f"cannot read --set file {spec}: {exc}") from None
-    ok = (pts == np.floor(pts)) & (pts >= 0) & (pts < p)
-    bad = np.flatnonzero(~ok.all(axis=1))
-    if bad.size:        # name the file line of the first bad point
+    try:
+        return FiniteFieldSet.from_points(p, pts)
+    except BadPointError as exc:        # name the file line of the bad pair
         with open(spec, "r", encoding="utf-8") as fh:
-            data_lines = (n for n, line in enumerate(fh, 1)
-                          if line.split() and not line.lstrip().startswith("#"))
-            where = f"{spec}:{next(itertools.islice(data_lines, bad[0], None))}"
-        x, y = pts[bad[0]].tolist()
-        point = ", ".join(repr(v).removesuffix(".0") for v in (x, y))
-        if x.is_integer() and y.is_integer():
-            raise ConfigError(f"{where}: point ({point}) outside [0, {p})^2")
-        raise ConfigError(f"{where}: expected two integers, got ({point})")
-    return FiniteFieldSet.from_points(p, pts.astype(np.int64))
+            lines = itertools.islice(data_lines(fh.read()), exc.index, None)
+        raise InputError(f"{spec}:{next(lines)[0]}: {exc}") from None
 
 
 def _parse_verify(spec: str, prime: int) -> dict[str, float | None]:
@@ -396,14 +374,14 @@ def _parse_verify(spec: str, prime: int) -> dict[str, float | None]:
             try:
                 k = float(k_text) if colon else math.log(prime)
             except ValueError:
-                raise ConfigError(f"bad --verify value {entry!r}") from None
+                raise InputError(f"bad --verify value {entry!r}") from None
             if not k > 0:                       # nan fails too
-                raise ConfigError(
+                raise InputError(
                     f"bad --verify value {entry!r}: k must be positive")
         else:
-            raise ConfigError(f"unknown --verify check {entry!r}")
+            raise InputError(f"unknown --verify check {entry!r}")
         if name in checks:
-            raise ConfigError(f"--verify entry {entry!r} repeats the {name} check")
+            raise InputError(f"--verify entry {entry!r} repeats the {name} check")
         checks[name] = k
     return checks
 
@@ -459,7 +437,7 @@ def _run_repro(a: dict, _):
         try:
             number = int(name.removeprefix("criterion"))
         except ValueError:
-            raise ConfigError(
+            raise InputError(
                 f"unknown repro recipe {name!r}; use all, example2, ff, "
                 "or criterion<1..10>") from None
         results = [run_criterion(number)]
@@ -487,6 +465,7 @@ def _flag(*names, **kwargs):
 
 
 REPORT_OUT = _flag("--out", help="report JSON path")
+_DEFAULT_GRID = f"{SurveyConfig.grid_u}x{SurveyConfig.grid_v}"
 
 COMMANDS = {
     "generate": Command("build an example point set", _run_generate, False,
@@ -516,7 +495,7 @@ COMMANDS = {
         _flag("--N", type=int, required=True,
               help="window side: survey restricted to [0,N]^2"),
         _flag("--M", type=float, help="parameter range (0,M]^2"),
-        _flag("--grid", help="GUxGV cell grid (default 512x512)"),
+        _flag("--grid", help=f"GUxGV cell grid (default {_DEFAULT_GRID})"),
         _flag("--mc", type=int, help="Monte Carlo samples instead of --grid"),
         _flag("--seed", type=int, default=0),
         _flag("--k", type=float, help="exception threshold factor"),
@@ -557,7 +536,7 @@ def run(command: str, params: dict) -> str:
         if isinstance(obj, PointSet):
             points_loaded = len(obj)
         elif spec.reads == "points":
-            raise ConfigError(f"{command} needs a materialized point file")
+            raise InputError(f"{command} needs a materialized point file")
     compute_start = time.perf_counter()
     results, artifacts, failure = spec.runner(a, obj)
     write_start = time.perf_counter()
@@ -604,7 +583,7 @@ def main(argv=None) -> int:
     command = params.pop("command")
     try:
         text = run(command, params)
-    except ValueError as exc:       # ConfigError and library parameter checks
+    except ValueError as exc:       # InputError and library parameter checks
         print(f"latslice: config error: {exc}", file=sys.stderr)
         return 2
     except CheckFailure as exc:

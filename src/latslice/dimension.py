@@ -60,14 +60,16 @@ def dyadic_scales(max_scale: float) -> np.ndarray:
     """Powers of two from 2 up to the least one at least max_scale.
 
     The top is read off the binary exponent, so it is exact next to a power
-    of two; a max_scale past 2^1023, the largest float power of two, is
-    refused rather than topped with inf.
+    of two; a max_scale that is not finite, or past 2^1023 (the largest
+    float power of two), is refused rather than topped with inf.
     """
+    if not math.isfinite(max_scale):
+        raise ValueError(f"max_scale={max_scale!r} is not finite")
     if max_scale < 2:
         return np.array([2.0])
     mantissa, exponent = math.frexp(max_scale)
     top = exponent - 1 if mantissa == 0.5 else exponent
-    if not math.isfinite(max_scale) or top > 1023:
+    if top > 1023:
         raise ValueError(f"max_scale={max_scale!r} needs a power of two past "
                          "2^1023, the largest float one")
     return 2.0 ** np.arange(1, top + 1)
@@ -132,7 +134,8 @@ def mass_dim_profile(obj, scales=None, kind: str = "first_quadrant",
 
     ``kind`` picks the box family: boxes [0,l]^2, centered boxes [-l,l]^2
     (log denominator 2l), or slanted tube-aligned boxes for slope parameter
-    ``u`` (materialized sets only).  Implicit sets need explicit ``scales``.
+    ``u`` (materialized sets only; an axis family refuses a ``u``).
+    Implicit sets need explicit ``scales``.
     A PointSet's box keys are sorted once and searched once per scale, as
     ``PointSet.box_count`` counts one box; an implicit set box by box.
     """

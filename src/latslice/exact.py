@@ -14,8 +14,8 @@ and ``refuse_past_budget`` raises ``MaterializeError`` before anything of
 that size is allocated.
 
 The error roots: ``InputError`` (a ``ValueError``) is a request the library
-refuses, such as ``MaterializeError``, ``Int64RangeError`` and the command
-line's ``ConfigError``; the command line exits 2 on it.
+or the command line refuses, such as ``MaterializeError`` and
+``Int64RangeError``; the command line exits 2 on it.
 ``InternalCheckError`` (an ``ArithmeticError``) is a self-check of the
 counting code that failed, such as the finite-field ``DoubleCountError``;
 the command line exits 3 on it.

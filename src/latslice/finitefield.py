@@ -34,10 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import (MAX_MATERIALIZE_POINTS, InternalCheckError, as_int,
-                    refuse_past_budget, require_count, require_int)
+from .exact import (MAX_MATERIALIZE_POINTS, InputError, InternalCheckError,
+                    as_int, refuse_past_budget, require_count, require_int)
 
 __all__ = [
+    "BadPointError",
     "ChebyshevReport",
     "DoubleCountError",
     "FiniteFieldSet",
@@ -66,13 +67,12 @@ def is_prime(p: int) -> bool:
 
 
 def _check_prime(p: int) -> int:
-    """``p`` as an int; ValueError unless it is an integer of at least 2,
-    then ``MaterializeError`` past the budget, checked before any
-    allocation or trial division, then ValueError unless it is prime."""
+    """``p`` as an int; ``InputError`` unless it is an integer, then
+    ``MaterializeError`` past the budget, checked before any allocation or
+    trial division, then ValueError unless it is prime (as no p below 2 is)."""
     n = require_int(p, "p")
-    if n < 2:
-        raise ValueError(f"p={n} is not prime")
-    refuse_past_budget(n * n, f"the grid of F_p^2 for p={n} holds {n * n} cells")
+    cells = max(n, 0) ** 2      # a p below 2 is not prime, whatever its square
+    refuse_past_budget(cells, f"the grid of F_p^2 for p={n} holds {cells} cells")
     if not is_prime(n):
         raise ValueError(f"p={n} is not prime")
     return n
@@ -90,6 +90,14 @@ def _residues(values, what: str, p: int) -> list[int]:
     return out
 
 
+class BadPointError(InputError):
+    """A pair ``from_points`` refuses; ``index`` is its position."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
 class FiniteFieldSet:
     """Subset of F_p^2 held as a dense p x p boolean grid (grid[x, y])."""
 
@@ -105,18 +113,19 @@ class FiniteFieldSet:
     @classmethod
     def from_points(cls, p: int, pairs) -> "FiniteFieldSet":
         """The set of the given (x, y) pairs; repeats count once.  The
-        first pair not of two integers in [0, p) raises ValueError."""
+        first pair not of two integers in [0, p) raises ``BadPointError``
+        naming it (an integer 3.0 as 3) and carrying its index."""
         p = _check_prime(p)
         raw = np.asarray(pairs).reshape(-1, 2)
         with np.errstate(invalid="ignore"):     # inf % 1 is nan
             whole = raw % 1 == 0
             ok = whole & (raw >= 0) & (raw < p)
         if not ok.all():
-            i = np.flatnonzero(~ok.all(axis=1))[0]
-            x, y = raw[i].tolist()
-            if whole[i].all():
-                raise ValueError(f"point ({x}, {y}) outside [0, {p})^2")
-            raise ValueError(f"point ({x}, {y}) has a non-integer coordinate")
+            i = int(np.flatnonzero(~ok.all(axis=1))[0])
+            point = ", ".join(repr(v).removesuffix(".0") for v in raw[i].tolist())
+            why = (f"outside [0, {p})^2" if whole[i].all()
+                   else "has a non-integer coordinate")
+            raise BadPointError(f"point ({point}) {why}", i)
         pts = raw.astype(np.int64)
         grid = np.zeros((p, p), dtype=bool)
         grid[pts[:, 0], pts[:, 1]] = True

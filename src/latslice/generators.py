@@ -27,8 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exact import (EXACT_INT_LIMIT, as_int, floor_root, floor_sum,
-                    refuse_past_budget, require_count, require_int)
+from .exact import (EXACT_INT_LIMIT, MAX_MATERIALIZE_POINTS, as_int, floor_root,
+                    floor_sum, refuse_past_budget, require_count, require_int)
 from .geometry import BoxSpec, PointSet, Tube
 
 __all__ = [
@@ -190,11 +190,17 @@ def _zigzag_coeffs(delta: float) -> tuple[float, float]:
 def _zigzag_lattice_corners(delta: float, n_levels: int,
                             limit: int | None = None) -> tuple[list[int], bool]:
     """The integer corners to level ``n_levels`` and whether ``limit`` cut
-    them short; both entry points check delta and n_levels here, before any tan."""
+    them short; both entry points check delta and n_levels here, before any
+    tan.  With no ``limit``, the budget bounds the corner list before the loop."""
     if not (0.0 < delta < math.pi / 4):
         raise ValueError("delta must lie in (0, pi/4)")
     n_levels = require_count(n_levels, "n_levels", 1)
     num, den = math.tan(math.pi / 4 + delta).as_integer_ratio()
+    if limit is None:       # corner k >= t^k has >= k log2(t) bits, t = num/den
+        n = min(n_levels, MAX_MATERIALIZE_POINTS + 1)   # past the cap either way
+        words = n * (n * math.log2(num / den) / 128 + 1)   # digits, and a word a level
+        refuse_past_budget(words, f"zigzag corners to level {n_levels} take at "
+                           f"least {words:.4g} 64-bit words", "lower n_levels")
     corners = [1]
     truncated = False
     for _ in range(n_levels):

@@ -46,6 +46,7 @@ __all__ = [
     "SeparationReport",
     "Tube",
     "box_count",
+    "data_lines",
     "read_points",
     "slice_floor_line",
     "slice_tube",
@@ -205,7 +206,8 @@ class BoxSpec:
     kind="slanted":        square of side ``size`` with one side parallel to
         the tube t_{u,0}: axial coordinate in [0, size] (above and to the
         right of the line y = u x) and perpendicular coordinate within
-        size/2 of the tube's center offset 1/2.
+        size/2 of the tube's center offset 1/2.  It takes exactly the
+        ``u`` that ``Tube`` takes, and the other kinds take no ``u``.
     """
 
     kind: str
@@ -218,8 +220,11 @@ class BoxSpec:
         if not (math.isfinite(self.size) and self.size >= 0.0):
             raise ValueError("box size must be finite and nonnegative")
         if self.kind == "slanted":
-            if self.u is None or not math.isfinite(self.u) or self.u == 0.0:
-                raise ValueError("slanted box requires finite nonzero u")
+            if self.u is None:
+                raise ValueError("slanted box requires u")
+            Tube(self.u, 0.0)       # raises for every u the tube refuses
+        elif self.u is not None:
+            raise ValueError(f"{self.kind} box takes no u, got u={self.u!r}")
 
     def contains(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -914,13 +919,19 @@ def _comments_start_lines(text: str) -> bool:
     return True
 
 
+def data_lines(text: str):
+    """``(line number, fields)``, from 1, of each line of point-file
+    ``text`` that holds data (neither blank nor a comment): one per pair."""
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        fields = line.split()
+        if fields and not fields[0].startswith("#"):
+            yield lineno, fields
+
+
 def _first_bad_line(path, text: str) -> str | None:
     """``path:line: reason`` for the first line of ``text`` that breaks the
     point-file format, or None if there is none."""
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        fields = line.split()
-        if not fields or fields[0].startswith("#"):
-            continue
+    for lineno, fields in data_lines(text):
         if len(fields) != 2:
             return f"{path}:{lineno}: expected two fields, got {len(fields)}"
         for field in fields:

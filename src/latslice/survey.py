@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dimension import DimensionProfile, mass_dim_profile
-from .exact import refuse_past_budget, require_count, require_int
+from .exact import refuse_past_budget, require_count
 from .geometry import PointSet, RankOrder, Tube, slice_tube
 
 __all__ = [
@@ -81,17 +81,14 @@ class SurveyConfig:
     k_threshold: float | None = None
 
     def __post_init__(self):
-        for name, least in (("n_side", 2), ("mc_samples", 1), ("seed", 0)):
+        for name, least in (("n_side", 2), ("grid_u", 1), ("grid_v", 1),
+                            ("mc_samples", 1), ("seed", 0)):
             object.__setattr__(self, name,
                                require_count(getattr(self, name), name, least))
         if self.m_range is None:
             raise ValueError("m_range is required")
         if not (math.isfinite(self.m_range) and self.m_range >= 1.0):
             raise ValueError("m_range must be finite and >= 1")
-        for name in ("grid_u", "grid_v"):
-            object.__setattr__(self, name, require_int(getattr(self, name), name))
-        if self.grid_u < 1 or self.grid_v < 1:
-            raise ValueError("grid dimensions must be >= 1")
         if self.mode == "grid":
             gu, gv = self.grid_u, self.grid_v
             refuse_past_budget(gu * gv, f"survey grid {gu}x{gv} holds {gu * gv} cells")

@@ -25,16 +25,11 @@ def test_criterion_01_double_count_identity():
     assert d["elapsed_s"] < 30.0
 
 
-def test_criterion_01_reports_a_broken_identity(monkeypatch):
-    from latslice import finitefield as ff
-    real = ff._line_count_chunks
+def test_criterion_01_reports_a_broken_identity(edit_line_counts):
+    def one_too_many(u0, chunk):
+        chunk += 1
 
-    def one_too_many(B, out):
-        for u0, chunk in real(B, out):
-            chunk += 1
-            yield u0, chunk
-
-    monkeypatch.setattr(ff, "_line_count_chunks", one_too_many)
+    edit_line_counts(one_too_many)
     res = acc.criterion_01_double_count()
     assert not res.passed
     assert "double count" in res.details["error"]

@@ -222,7 +222,7 @@ def test_ff_set_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("body, line_no, needle", [
-    ("1 2\n1.5 2\n", 2, "expected two integers"),
+    ("1 2\n1.5 2\n", 2, "point (1.5, 2) has a non-integer coordinate"),
     ("# header\n3 9\n", 2, "point (3, 9) outside [0, 7)^2"),
     ("1 2 3\n", 1, "expected two fields, got 3"),
     ("\n\n-1 0\n", 3, "point (-1, 0) outside"),
@@ -239,6 +239,20 @@ def test_ff_set_file_names_the_bad_line(tmp_path, capsys, body, line_no, needle)
     assert captured.out == ""
     assert f"{pts}:{line_no}: " in captured.err
     assert needle in captured.err
+
+
+@pytest.mark.parametrize("pair", [(1.5, 2.0), (3.0, 9.0), (-1.0, 0.0), (2.0, 0.25)])
+def test_ff_set_file_prints_the_refusal_of_from_points(tmp_path, capsys, pair):
+    # the command line adds path:line to the library's message, no more
+    from latslice.finitefield import BadPointError, FiniteFieldSet
+    with pytest.raises(BadPointError) as refused:
+        FiniteFieldSet.from_points(7, [(1.0, 2.0), pair, (6.0, 6.0)])
+    assert refused.value.index == 1
+    pts = tmp_path / "b.txt"
+    pts.write_text("# x y\n1 2\n\n%r %r\n6 6\n" % pair)
+    assert cli.main(["ff", "--p", "7", "--set", str(pts)]) == 2
+    assert capsys.readouterr().err == \
+        f"latslice: config error: {pts}:4: {refused.value}\n"
 
 
 def test_ff_set_file_accepts_integers_spelled_as_floats(tmp_path, capsys):
@@ -529,28 +543,14 @@ def test_emit_profile_csv_rejects_empty(tmp_path):
     assert not (tmp_path / "e.csv").exists()
 
 
-def _edit_line_counts(monkeypatch, edit):
-    """Route the counting kernel's chunks through ``edit(chunk)``, which
-    changes them in place; every prime here fits one chunk."""
-    from latslice import finitefield as ff
-    real = ff._line_count_chunks
-
-    def edited(B, out):
-        for u0, chunk in real(B, out):
-            edit(chunk)
-            yield u0, chunk
-
-    monkeypatch.setattr(ff, "_line_count_chunks", edited)
-
-
 def test_ff_double_count_mismatch_gives_check_exit(tmp_path, capsys,
-                                                   monkeypatch):
+                                                   edit_line_counts):
     # a Chebyshev check reads counts that passed the identity, so a
     # mismatch stops it as it stops the identity check: exit 3, no report
-    def doubled(chunk):
+    def doubled(u0, chunk):
         chunk *= 2
 
-    _edit_line_counts(monkeypatch, doubled)
+    edit_line_counts(doubled)
     out = tmp_path / "report.json"
     for verify in ("identity", "chebyshev", "chebyshev:2,identity"):
         rc = cli.main(["ff", "--p", "5", "--set", "full", "--verify", verify,
@@ -560,14 +560,14 @@ def test_ff_double_count_mismatch_gives_check_exit(tmp_path, capsys,
         assert not out.exists()
 
 
-def test_ff_moved_count_gives_check_exit(tmp_path, capsys, monkeypatch):
+def test_ff_moved_count_gives_check_exit(tmp_path, capsys, edit_line_counts):
     # one count moved between two lines of a slope keeps every total, but
-    # not the column sums the certificate checks
-    def moved(chunk):
+    # not the column sums the certificate checks; p = 5 is one chunk
+    def moved(u0, chunk):
         chunk[1, 0] -= 1
         chunk[1, 1] += 1
 
-    _edit_line_counts(monkeypatch, moved)
+    edit_line_counts(moved)
     out = tmp_path / "report.json"
     for verify in ("chebyshev", "identity"):
         rc = cli.main(["ff", "--p", "5", "--set", "full", "--verify", verify,
@@ -708,7 +708,9 @@ def test_non_finite_scales_top_gives_config_exit(tmp_path, capsys, top):
     _write_grid(pts, 3)
     rc = cli.main(["dim", "--in", str(pts), "--scales", f"dyadic:{top}"])
     assert rc == 2
-    assert f"bad --scales value 'dyadic:{top}'" in capsys.readouterr().err
+    # dyadic_scales refuses the top itself; --scales only reads the number
+    assert capsys.readouterr().err == \
+        f"latslice: config error: max_scale={float(top)!r} is not finite\n"
 
 
 @pytest.mark.parametrize("scales", [[], ["--scales", "dyadic:1e308"]])

@@ -409,6 +409,14 @@ def test_dyadic_scales_refuses_a_top_past_2_1023(max_scale, recwarn):
     assert len(recwarn) == 0
 
 
+@pytest.mark.parametrize("max_scale", [-math.inf, math.inf, math.nan])
+def test_dyadic_scales_refuses_a_top_that_is_not_finite(max_scale):
+    # -inf once gave [2.0], and nan was told it needs a power of two past
+    # 2^1023
+    with pytest.raises(ValueError, match=f"^max_scale={max_scale!r} is not finite$"):
+        dim.dyadic_scales(max_scale)
+
+
 def test_default_ladders_on_a_set_of_huge_extent():
     ps = PointSet([[0.0, 0.0], [1e308, 1e308]])
     with pytest.raises(ValueError, match="max_scale=1e\\+308"):

@@ -83,9 +83,9 @@ def test_from_points_deduplicates_and_checks_range():
 
 
 @pytest.mark.parametrize("pairs, named", [
-    ([(3.5, 1)], r"\(3\.5, 1\.0\)"), ([(1, 2), (2, 0.25)], r"\(2\.0, 0\.25\)"),
-    (np.array([[1.0, 2.0], [4.0, np.nan]]), r"\(4\.0, nan\)"),
-    ([(math.inf, 1)], r"\(inf, 1\.0\)"),
+    ([(3.5, 1)], r"\(3\.5, 1\)"), ([(1, 2), (2, 0.25)], r"\(2, 0\.25\)"),
+    (np.array([[1.0, 2.0], [4.0, np.nan]]), r"\(4, nan\)"),
+    ([(math.inf, 1)], r"\(inf, 1\)"),
 ], ids=["half", "second-pair", "nan", "inf"])
 def test_from_points_refuses_non_integer_coordinates(pairs, named):
     # a cast to int64 would keep (3.5, 1) as the point (3, 1)
@@ -301,28 +301,15 @@ def test_double_count_exact_across_densities():
             assert ff.ff_double_count(b) == b.cardinality * p
 
 
-def edit_line_counts(monkeypatch, edit):
-    """Route the counting kernel's chunks through ``edit(u0, chunk)``,
-    which changes the counts of slopes u0, u0 + 1, ... in place."""
-    real = ff._line_count_chunks
-
-    def edited(B, out):
-        for u0, chunk in real(B, out):
-            edit(u0, chunk)
-            yield u0, chunk
-
-    monkeypatch.setattr(ff, "_line_count_chunks", edited)
-
-
 @pytest.fixture
-def off_by_one_matrix(monkeypatch):
+def off_by_one_matrix(edit_line_counts):
     """The counting kernel with one count too many."""
 
     def off_by_one(u0, chunk):
         if u0 == 0:
             chunk[0, 0] += 1
 
-    edit_line_counts(monkeypatch, off_by_one)
+    edit_line_counts(off_by_one)
 
 
 def test_double_count_mismatch_raises_typed_error(off_by_one_matrix):
@@ -343,7 +330,7 @@ def test_chebyshev_fraction_checks_the_identity(off_by_one_matrix):
 @pytest.mark.parametrize("to, named", [((1, 1), "column 0"),
                                       ((2, 0), "slope 1")],
                          ids=["within_a_slope", "within_a_column"])
-def test_moved_count_fails_the_line_certificate(monkeypatch, to, named):
+def test_moved_count_fails_the_line_certificate(edit_line_counts, to, named):
     # one count moved from line (1, 0) to another line keeps the total
     # |B| p, but not the row or column sums the certificate checks; the
     # message names the first bad slope or column; p = 7 is one chunk
@@ -351,7 +338,7 @@ def test_moved_count_fails_the_line_certificate(monkeypatch, to, named):
         chunk[1, 0] -= 1
         chunk[to] += 1
 
-    edit_line_counts(monkeypatch, moved)
+    edit_line_counts(moved)
     b = ff.FiniteFieldSet.random(7, density=0.5, seed=1)
     with pytest.raises(ff.DoubleCountError, match=f"double count: {named} "):
         ff.ff_chebyshev_fraction(b, 2.0)
@@ -376,7 +363,7 @@ def test_summary_of_several_chunks_matches_the_matrix():
     assert (summary.p, summary.cardinality) == (CHUNKED.p, CHUNKED.cardinality)
 
 
-def test_moved_count_in_the_last_chunk_names_its_true_slope(monkeypatch):
+def test_moved_count_in_the_last_chunk_names_its_true_slope(edit_line_counts):
     # a count moved from line (1029, 0) to line (1030, 0), both in the
     # last chunk, leaves the column sums and the total as they were
     seen = []
@@ -387,14 +374,14 @@ def test_moved_count_in_the_last_chunk_names_its_true_slope(monkeypatch):
             chunk[1029 - u0, 0] -= 1
             chunk[1030 - u0, 0] += 1
 
-    edit_line_counts(monkeypatch, moved)
+    edit_line_counts(moved)
     with pytest.raises(ff.DoubleCountError,
                        match=r"double count: slope 1029 sums to \d+, not "):
         ff.ff_line_count_summary(CHUNKED)
     assert len(seen) > 2 and seen[-1] <= 1029
 
 
-def test_count_past_p_fails_after_the_sums(monkeypatch):
+def test_count_past_p_fails_after_the_sums(edit_line_counts):
     # moving counts round a rectangle of lines keeps every row and column
     # sum, but a line of more than p = 5 points has no histogram bin
     def rectangle(u0, chunk):
@@ -403,7 +390,7 @@ def test_count_past_p_fails_after_the_sums(monkeypatch):
         chunk[1, 0] -= 1
         chunk[1, 1] += 1
 
-    edit_line_counts(monkeypatch, rectangle)
+    edit_line_counts(rectangle)
     with pytest.raises(ff.DoubleCountError,
                        match=r"double count: 2 lines hold more than p=5 points"):
         ff.ff_double_count(ff.FiniteFieldSet.full(5))

@@ -257,6 +257,32 @@ def test_zigzag_tube_counts_deep_levels_stay_logarithmic():
     assert cums[-1] <= 8.0 * math.log(lattice[-1])
 
 
+def test_zigzag_tube_counts_refuse_corners_past_the_budget():
+    # 10^5 levels at delta = 0.2 would hold about 4.6e7 words of corners
+    # (5.3 s for 4 * 10^4 levels once); the refusal comes before the first
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(MaterializeError, match="zigzag corners to level 100000"):
+            gen.zigzag_tube_counts(0.2, 100_000, Tube(-0.8, 0.0))
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1
+    assert peak < 1 << 20
+
+
+def test_zigzag_corner_words_meet_their_closed_form():
+    # the budget's n^2 log2(t) / 128 words bound the corners' digits from
+    # below, and closely
+    n = 2000
+    lattice, _ = gen.zigzag_tube_counts(0.2, n, Tube(-0.8, 0.0))
+    words = sum(c.bit_length() for c in lattice) / 64
+    closed = n * n * math.log2(math.tan(math.pi / 4 + 0.2)) / 128
+    assert closed <= words <= 1.01 * closed
+
+
 def mpmath_tube_counts(delta, n_levels, tube, dps=200):
     """Reference: the corners by Fraction products, the tube counts by
     interval arithmetic at ``dps`` digits, plus enough more that the edge

@@ -249,6 +249,34 @@ def test_slanted_box_needs_u():
         BoxSpec("slanted", 4.0)
 
 
+@pytest.mark.parametrize("kind", ["first_quadrant", "centered"])
+def test_axis_box_refuses_a_u(kind):
+    # an axis box once kept a u and ignored it, and so did the ladder
+    with pytest.raises(ValueError, match=f"^{kind} box takes no u, got u=2.0$"):
+        BoxSpec(kind, 4.0, u=2.0)
+    with pytest.raises(ValueError, match=f"^{kind} box takes no u, got u=7.0$"):
+        mass_dim_profile(PointSet([[1.0, 1.0], [3.0, 2.0]]), kind=kind, u=7.0)
+
+
+@pytest.mark.parametrize("u", [1e200, -1e-200, 0.0, math.nan])
+def test_slanted_box_refuses_the_u_its_tube_refuses(u):
+    # u = 1e200 was once accepted and refused only at the first count
+    with pytest.raises(ValueError) as refused:
+        Tube(u, 0.0)
+    with pytest.raises(ValueError) as box_refused:
+        BoxSpec("slanted", 4.0, u=u)
+    assert str(box_refused.value) == str(refused.value)
+
+
+def test_slanted_box_takes_the_horizontal_tube():
+    # u = inf is the horizontal tube: axial x in [0, s], |y - 1/2| <= s/2
+    pts = np.array([[0.0, 0.5], [4.0, 2.5], [4.0, 2.6], [-0.5, 0.0], [2.0, -1.5]])
+    box = BoxSpec("slanted", 4.0, u=math.inf)
+    assert box.contains(pts[:, 0], pts[:, 1]).tolist() == [True, True, False,
+                                                           False, True]
+    assert box_count(PointSet(pts), box) == 3
+
+
 # ---------------------------------------------------------------------------
 # Tube slicing
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from latslice.geometry import PointSet, read_points, write_points
+from latslice.geometry import PointSet, data_lines, read_points, write_points
 
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -240,6 +240,14 @@ def test_malformed_file_names_first_bad_line(lines, bad, name, data):
         with pytest.raises(ValueError) as err:
             read_points(path)
     assert str(err.value).startswith(f"{path}:{first}: ")
+
+
+def test_data_lines_are_the_lines_read_points_reads(tmp_path):
+    text = "# x y\n\n 1 2 \n\t# 5 6\n3 4\n"
+    assert list(data_lines(text)) == [(3, ["1", "2"]), (5, ["3", "4"])]
+    path = tmp_path / "pts.txt"
+    path.write_text(text)
+    assert read_points(path).points.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 def test_uniform_three_column_file_is_refused(tmp_path):

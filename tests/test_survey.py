@@ -117,6 +117,14 @@ def test_survey_config_validation():
     assert cfg2.k_threshold == 1.5
 
 
+@pytest.mark.parametrize("name", ["grid_u", "grid_v"])
+def test_survey_config_names_a_grid_count_below_one(name):
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+        sv.SurveyConfig(n_side=8, m_range=4.0, **{name: 0})
+    with pytest.raises(ValueError, match=f"^{name}=2.5 is not an integer$"):
+        sv.SurveyConfig(n_side=8, m_range=4.0, **{name: 2.5})
+
+
 @pytest.mark.parametrize("kwargs, needle", [
     ({"grid_u": 100_000, "grid_v": 100_000},
      "survey grid 100000x100000 holds 10000000000 cells; the cap is"),
