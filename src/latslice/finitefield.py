@@ -124,7 +124,7 @@ class FiniteFieldSet:
             i = int(np.flatnonzero(~ok.all(axis=1))[0])
             point = ", ".join(repr(v).removesuffix(".0") for v in raw[i].tolist())
             why = (f"outside [0, {p})^2" if whole[i].all()
-                   else "has a non-integer coordinate")
+                   else "has a non-integer coordinate (expected two integers)")
             raise BadPointError(f"point ({point}) {why}", i)
         pts = raw.astype(np.int64)
         grid = np.zeros((p, p), dtype=bool)

@@ -223,6 +223,7 @@ def test_ff_set_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("body, line_no, needle", [
     ("1 2\n1.5 2\n", 2, "point (1.5, 2) has a non-integer coordinate"),
+    ("1 2\n1.5 2\n", 2, "expected two integers"),
     ("# header\n3 9\n", 2, "point (3, 9) outside [0, 7)^2"),
     ("1 2 3\n", 1, "expected two fields, got 3"),
     ("\n\n-1 0\n", 3, "point (-1, 0) outside"),
