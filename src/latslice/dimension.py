@@ -63,15 +63,19 @@ def dyadic_scales(max_scale: float) -> np.ndarray:
     of two; a max_scale that is not finite, or past 2^1023 (the largest
     float power of two), is refused rather than topped with inf.
     """
-    if not math.isfinite(max_scale):
+    try:
+        finite = math.isfinite(max_scale)
+    except OverflowError:       # an int past float range is finite
+        finite = True
+    if not finite:
         raise ValueError(f"max_scale={max_scale!r} is not finite")
     if max_scale < 2:
         return np.array([2.0])
-    mantissa, exponent = math.frexp(max_scale)
-    top = exponent - 1 if mantissa == 0.5 else exponent
-    if top > 1023:
+    if max_scale > 2 ** 1023:
         raise ValueError(f"max_scale={max_scale!r} needs a power of two past "
                          "2^1023, the largest float one")
+    mantissa, exponent = math.frexp(max_scale)
+    top = exponent - 1 if mantissa == 0.5 else exponent
     return 2.0 ** np.arange(1, top + 1)
 
 
@@ -111,6 +115,8 @@ def _profile(scales: np.ndarray, counts, denominators: np.ndarray) -> DimensionP
         raise ValueError("scales must be a nonempty 1-d array")
     if counts.shape != scales.shape:
         raise ValueError("counts must match scales")
+    if not np.all(np.isfinite(scales)):
+        raise ValueError("scales must be finite")
     if np.any(scales <= 1.0) or np.any(np.diff(scales) <= 0):
         raise ValueError("scales must be increasing and > 1")
     ratios = np.zeros_like(scales)
@@ -144,16 +150,19 @@ def mass_dim_profile(obj, scales=None, kind: str = "first_quadrant",
             raise ValueError("implicit sets need explicit scales")
         scales = _default_scales(obj, kind)
     scales = np.asarray(scales, dtype=float)
-    boxes = [BoxSpec(kind, float(s), u) for s in scales]
+    box = BoxSpec(kind, 0.0, u)     # checks kind and u; _profile checks the ladder
     if isinstance(obj, PointSet):
         # Not cached in _box_keys: reading the first-quadrant and centered
         # ladders from the kept keys raised the peak RSS of bench/run.py's
         # pointset_queries workload from 88.3 to 98.3 MB on a 2-core x86
         # machine, past its 10% bound.
-        keys = BoxSpec(kind, 0.0, u).key(obj.points[:, 0], obj.points[:, 1])
+        keys = box.key(obj.points[:, 0], obj.points[:, 1])
         keys.sort()
         counts = np.searchsorted(keys, scales, side="right")
     else:
+        # a box per scale, each checked before the first count, which costs
+        # far more than a box
+        boxes = [BoxSpec(kind, float(s), u) for s in scales]
         counts = [obj.box_count(b) for b in boxes]
     return _profile(scales, counts, 2.0 * scales if kind == "centered" else scales)
 

@@ -27,8 +27,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exact import (EXACT_INT_LIMIT, MAX_MATERIALIZE_POINTS, as_int, floor_root,
-                    floor_sum, refuse_past_budget, require_count, require_int)
+from .exact import (EXACT_INT_LIMIT, MAX_MATERIALIZE_POINTS, InputError, as_int,
+                    floor_root, floor_sum, refuse_past_budget, require_count,
+                    require_int)
 from .geometry import BoxSpec, PointSet, Tube
 
 __all__ = [
@@ -93,7 +94,7 @@ class _ImplicitSet:
             return self.rect_count(0.0, box.size, 0.0, box.size)
         if box.kind == "centered":
             return self.rect_count(-box.size, box.size, -box.size, box.size)
-        raise NotImplementedError("slanted boxes need a materialized set")
+        raise InputError("slanted boxes need a materialized set")
 
 
 @dataclass(frozen=True)
@@ -113,17 +114,18 @@ class ParabolicStaircase(_ImplicitSet):
         return m * m == xi and m <= self.m_max and yi <= m - 1
 
     def rect_count(self, x0, x1, y0, y1) -> int:
-        """Exact count inside the closed rectangle [x0,x1] x [y0,y1]: column
-        m holds rows 0..m-1, so for rectangle rows lo..top it holds m - 1
-        clamped to [lo - 1, top], less lo - 1, points."""
+        """Exact count inside the closed rectangle [x0,x1] x [y0,y1]: the
+        columns m with m^2 in [x0, x1] are rows m_lo..m_hi of one band read
+        sideways, row m holding 0..m-1, and [y0, y1] is its column range."""
         cols = _int_span(max(x0, 1), min(x1, self.m_max ** 2))
-        rows = _int_span(max(y0, 0), min(y1, self.m_max - 1))
-        if cols is None or rows is None:
+        if cols is None:
             return 0
+        # m_hi >= m_lo - 1, and an empty row range counts 0
         m_lo, m_hi = math.isqrt(cols[0] - 1) + 1, math.isqrt(cols[1])
-        lo, top = rows
-        total = _clamped_total(_Bound(1, 1, -1, 1), m_lo, m_hi, lo - 1, top)
-        total -= (lo - 1) * (m_hi - m_lo + 1)
+        band = _Band(1, self.m_max + 1, _Bound(1, 0, 0, 1), _Bound(1, 1, -1, 1))
+        # bench/test_bench.py makes this count wrong by rewriting the first
+        # "return total" line of this file
+        total = _band_count(band, m_lo, m_hi, y0, y1)
         return total
 
     def size_estimate(self) -> float:
@@ -289,18 +291,28 @@ def zigzag_tube_counts(delta: float, n_levels: int,
 
 
 # ---------------------------------------------------------------------------
-# Vertical cone families with doubly exponential row bands
+# The band model, and the vertical cone families built on it
 # ---------------------------------------------------------------------------
 #
-# All three families place lattice points in sparse horizontal bands whose
-# heights grow like 2^(2^k), inside a narrow vertical cone.  A band is a row
-# range whose rows hold the consecutive integer x between a lower and an
-# upper bound of the form sign * floor((p*y + r) / q), cut out by exact
-# rational slopes, so implicit counts and materialized points agree bit for
-# bit.  A family yields only its bands: ``_BandedSet`` derives membership and
-# size from them, ``_ImplicitSet`` box counts from ``rect_count``.  Counts are
-# closed form (two clamped floor sums per band): exact Python ints at any band,
+# The four implicit sets share one band model.  A band is a row range whose
+# rows hold the consecutive integers between a lower and an upper bound of
+# the form sign * floor((p*y + r) / q), so implicit counts and materialized
+# points agree bit for bit.  ``_band_rows`` is the one map from a band index
+# k to its rows, and ``_band_count`` the one count of a band's points in a
+# column range: two clamped floor sums, exact Python ints at any band in
 # O(log) integer operations, not one step per row.
+#
+# The three cone families place sparse bands whose heights grow like 2^(2^k)
+# inside a narrow vertical cone, their bounds cut out by exact rational
+# slopes.  A cone family yields only its bands: ``_BandedSet`` derives
+# membership and size from them, ``_ImplicitSet`` box counts from
+# ``rect_count``.  The parabolic staircase is one band read sideways: its
+# columns m are the rows, column m holding 0..m-1.
+#
+# One depth rule: band k <= 20, where a row index already has 2^21 bits,
+# and fixed-width level j is band k0 + j - 1.  ``ConeAnnuli`` and
+# ``ConeStaircase`` check band k_max and ``ConeFixedWidth`` band k0 at
+# construction, before building anything that deep.
 
 class _Bound(NamedTuple):
     """Row bound y -> sign * floor((p*y + r) / q), p >= 0 and q >= 1, so it
@@ -346,7 +358,8 @@ def _slope_span(lo: Fraction, hi: Fraction) -> tuple[_Bound, _Bound]:
 
 
 def _band_rows(k: int) -> tuple[int, int]:
-    """Row range [lo, hi) of band k: lo = 2^(2^(k+1)), height 2^(2^k)."""
+    """Row range [lo, hi) of band k: lo = 2^(2^(k+1)), height 2^(2^k).
+    The one depth limit of the implicit families: k <= 20."""
     if k > 20:
         raise ValueError("band index too large to represent")
     lo = 1 << (1 << (k + 1))
@@ -454,6 +467,7 @@ class ConeAnnuli(_BandedSet):
         object.__setattr__(self, "k_min", require_count(self.k_min, "k_min", 0))
         object.__setattr__(self, "k_max",
                            require_count(self.k_max, "k_max", self.k_min))
+        _band_rows(self.k_max)      # refuse a band too deep before counting to it
         object.__setattr__(self, "half", Fraction(math.tan(self.theta / 2)))
 
     def _bands(self):
@@ -517,9 +531,10 @@ class ConeStaircase(_BandedSet):
 class ConeFixedWidth(_BandedSet):
     """Fixed slope width theta/2^(2^k0), walked across the cone level by level.
 
-    Level j >= 1 sits at height h_j = 2^(2^(k0+j)) with vertical extent
-    h_(j-1) and slope interval [(j-1) w, j w), w = theta/2^(2^k0).  The full
-    walk (n_levels = 2^(2^k0)) exhausts the opening theta exactly.
+    Level j >= 1 is band k0 + j - 1: rows from h_j = 2^(2^(k0+j)) with
+    vertical extent h_(j-1), over the slope interval [(j-1) w, j w),
+    w = theta/2^(2^k0).  The full walk (n_levels = 2^(2^k0)) exhausts the
+    opening theta exactly.  Level 1 is band k0, so k0 <= 20.
     """
 
     theta: float
@@ -531,7 +546,7 @@ class ConeFixedWidth(_BandedSet):
         if not (0.0 < self.theta < 1.0):
             raise ValueError("theta must lie in (0, 1)")
         object.__setattr__(self, "k0", require_count(self.k0, "k0", 0))
-        self.level_rows(1)      # refuse a level too high before building 2^(2^k0)
+        _band_rows(self.k0)     # refuse level 1 too deep before building 2^(2^k0)
         full = 1 << (1 << self.k0)
         n = full if self.n_levels is None else require_int(self.n_levels, "n_levels")
         if not (1 <= n <= full):
@@ -539,25 +554,18 @@ class ConeFixedWidth(_BandedSet):
         object.__setattr__(self, "n_levels", n)
         object.__setattr__(self, "_w", Fraction(self.theta) / (1 << (1 << self.k0)))
 
-    def level_rows(self, j: int) -> tuple[int, int]:
-        """Row range [h_j, h_j + h_(j-1)) of level j >= 1."""
-        if self.k0 + j > 24:
-            raise ValueError("level height too large to represent")
-        h_j = 1 << (1 << (self.k0 + j))
-        h_prev = 1 << (1 << (self.k0 + j - 1))
-        return h_j, h_j + h_prev
-
     def _bands(self):
         for j in range(1, self.n_levels + 1):
-            yield _Band(*self.level_rows(j),
+            yield _Band(*_band_rows(self.k0 + j - 1),
                         *_slope_span((j - 1) * self._w, j * self._w))
 
     def rect_count(self, x0, x1, y0, y1) -> int:
         return _bands_rect_count(self._bands(), x0, x1, y0, y1)
 
     def level_count(self, j: int) -> int:
-        """Exact point count of level j (a closed-form rectangle count)."""
-        b_lo, b_hi = self.level_rows(j)
+        """Exact point count of level j, band k0 + j - 1 (a closed-form
+        rectangle count)."""
+        b_lo, b_hi = _band_rows(self.k0 + j - 1)
         return self.rect_count(-math.inf, math.inf, b_lo, b_hi - 1)
 
     def materialize(self) -> PointSet:

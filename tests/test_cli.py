@@ -780,7 +780,7 @@ def test_generate_refuses_a_fixed_width_level_too_high_at_once(
     finally:
         tracemalloc.stop()
     assert rc == 2
-    assert "level height too large" in capsys.readouterr().err
+    assert "band index too large" in capsys.readouterr().err
     assert peak < 1 << 20
     assert not out.exists()
 

@@ -386,11 +386,30 @@ def test_profile_rejects_bad_scales():
         dim.profile_from_counts([], [])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_profiles_refuse_a_scale_that_is_not_finite(bad):
+    # nan passes every comparison of the ladder check, and inf a diff > 0
+    ps = gen.gen_cartesian(np.arange(4), np.arange(4))
+    with pytest.raises(ValueError, match="^scales must be finite$"):
+        dim.profile_from_counts([2.0, bad], [1, 2])
+    with pytest.raises(ValueError, match="^scales must be finite$"):
+        dim.mass_dim_profile(ps, scales=[2.0, bad])
+    with pytest.raises(ValueError, match="finite"):
+        dim.mass_dim_profile(gen.ConeAnnuli(0.3, 0, 2), scales=[2.0, bad])
+
+
+def test_slanted_profile_of_an_implicit_set_is_a_refusal():
+    with pytest.raises(ValueError, match="slanted boxes need a materialized set"):
+        dim.mass_dim_profile(gen.ConeAnnuli(0.3, 0, 2), scales=[2.0, 4.0],
+                             kind="slanted", u=1.0)
+
+
 def test_dyadic_scales():
     assert dim.dyadic_scales(64.0).tolist() == [2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
     # covers max_scale from above: 63 still yields 64
     assert dim.dyadic_scales(63.0).tolist() == [2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
     assert dim.dyadic_scales(1.0).tolist() == [2.0]
+    assert dim.dyadic_scales(-10 ** 400).tolist() == [2.0]
 
 
 def test_dyadic_scales_top_is_exact_next_to_a_power_of_two():
@@ -402,7 +421,10 @@ def test_dyadic_scales_top_is_exact_next_to_a_power_of_two():
     assert len(top) == 1023 and top[-1] == 2.0 ** 1023
 
 
-@pytest.mark.parametrize("max_scale", [1e308, 2.0 ** 1023 * 1.5, math.inf, math.nan])
+@pytest.mark.parametrize("max_scale", [
+    1e308, 2.0 ** 1023 * 1.5, math.inf, math.nan,
+    # an int too large for math.isfinite to turn into a float
+    pytest.param(10 ** 400, id="10**400")])
 def test_dyadic_scales_refuses_a_top_past_2_1023(max_scale, recwarn):
     with pytest.raises(ValueError, match="max_scale"):
         dim.dyadic_scales(max_scale)

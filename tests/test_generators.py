@@ -534,19 +534,36 @@ def test_cone_staircase_refuses_a_band_too_deep_on_construction():
 
 
 def test_cone_fixed_width_refuses_a_level_too_high_on_construction():
-    # every level of k0 >= 24 is too high to count, and 2^(2^k0) doubles in
-    # bits with each step of k0, so the refusal comes before it is built
+    # level 1 is band k0, and every band past 20 is too deep to count;
+    # 2^(2^k0) doubles in bits with each step of k0, so the refusal comes
+    # before it is built
     tracemalloc.start()
     try:
-        for k0 in (24, 26):
-            with pytest.raises(ValueError, match="level height too large"):
+        for k0 in (21, 24):
+            with pytest.raises(ValueError, match="band index too large"):
                 gen.ConeFixedWidth(0.5, k0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    first = gen.ConeFixedWidth(0.5, 23, n_levels=1).level_rows(1)
-    assert first[0] == 1 << (1 << 24)
+    assert gen.ConeFixedWidth(0.5, 20, n_levels=1).n_levels == 1
+
+
+@pytest.mark.parametrize("build", [
+    lambda: gen.ConeFixedWidth(0.5, 21, n_levels=1),
+    lambda: gen.ConeAnnuli(0.3, 0, 21),
+], ids=["fixed-width-k0", "annuli-k_max"])
+def test_a_band_past_20_is_refused_on_construction(build):
+    # band 21 starts at row 2^(2^22): the refusal comes before any count
+    # or bound reaches it
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="band index too large"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_cone_staircase_slope_intervals_stack():

@@ -340,7 +340,7 @@ def test_box_count_is_the_axis_rect_count(name, size):
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_slanted_box_needs_a_materialized_set(name):
-    with pytest.raises(NotImplementedError, match="slanted"):
+    with pytest.raises(ValueError, match="slanted"):
         FAMILIES[name].box_count(BoxSpec("slanted", 10.0, u=1.0))
 
 
