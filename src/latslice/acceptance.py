@@ -76,8 +76,10 @@ def criterion_01_double_count() -> CriterionResult:
             return CriterionResult(1, "ff double count", False,
                                    {"p": p, "error": str(exc)})
     elapsed = time.perf_counter() - t0
-    return CriterionResult(1, "ff double count", elapsed < 30.0,
-                           {"sets": checked, "elapsed_s": round(elapsed, 3)})
+    if elapsed >= 30.0:     # only a failure names its time: results stay stable
+        return CriterionResult(1, "ff double count", False, {
+            "sets": checked, "error": f"took {elapsed:.3f} s, past 30 s"})
+    return CriterionResult(1, "ff double count", True, {"sets": checked})
 
 
 def criterion_02_chebyshev() -> CriterionResult:

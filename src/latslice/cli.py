@@ -284,6 +284,8 @@ def _run_slice(a: dict, ps):
     if a["tube"] is not None and a["floor"] is not None:
         raise InputError("slice takes exactly one of --tube or --floor")
     if a["tube"] is not None:
+        if a["x_max"] != math.inf:      # nan included
+            raise InputError("--x-max applies only to --floor slices")
         u, v = _parse_two(a["tube"], "--tube", ",", float, "U,V", "numbers")
         sub = slice_tube(ps, Tube.horizontal(v) if u == 0.0 else Tube(u, v))
         return ({"mode": "tube", "u": u, "v": v, "count": len(sub)},
@@ -317,6 +319,8 @@ def _run_survey(a: dict, ps):
             raise InputError("survey takes --grid or --mc, not both")
         kwargs.update(mode="mc", mc_samples=a["mc"], seed=a["seed"])
     else:       # the report shows the grid that ran
+        if a["seed"] != 0:
+            raise InputError("--seed applies only to --mc surveys")
         a["grid"] = _DEFAULT_GRID if a["grid"] is None else a["grid"]
         gu, gv = _parse_two(a["grid"], "--grid", "x", int,
                             f"GUxGV, e.g. {_DEFAULT_GRID}", "integers")
@@ -497,7 +501,7 @@ COMMANDS = {
         _flag("--M", type=float, help="parameter range (0,M]^2"),
         _flag("--grid", help=f"GUxGV cell grid (default {_DEFAULT_GRID})"),
         _flag("--mc", type=int, help="Monte Carlo samples instead of --grid"),
-        _flag("--seed", type=int, default=0),
+        _flag("--seed", type=int, default=0, help="--mc sampler seed"),
         _flag("--k", type=float, help="exception threshold factor"),
         REPORT_OUT, _flag("--cells", help="per-cell CSV sidecar"))),
     "ff": Command("finite-field incidence checks", _run_ff, True, None, (

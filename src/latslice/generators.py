@@ -361,7 +361,7 @@ def _band_rows(k: int) -> tuple[int, int]:
     """Row range [lo, hi) of band k: lo = 2^(2^(k+1)), height 2^(2^k).
     The one depth limit of the implicit families: k <= 20."""
     if k > 20:
-        raise ValueError("band index too large to represent")
+        raise InputError("band index too large to represent")
     lo = 1 << (1 << (k + 1))
     return lo, lo + (1 << (1 << k))
 

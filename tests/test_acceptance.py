@@ -21,8 +21,7 @@ def check(result, number):
 
 def test_criterion_01_double_count_identity():
     d = check(acc.criterion_01_double_count(), 1)
-    assert d["sets"] == 700                 # 7 primes x 100 subsets
-    assert d["elapsed_s"] < 30.0
+    assert d == {"sets": 700}               # 7 primes x 100 subsets, no timing
 
 
 def test_criterion_01_reports_a_broken_identity(edit_line_counts):

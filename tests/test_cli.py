@@ -112,6 +112,10 @@ def test_slice_requires_exactly_one_mode(tmp_path, capsys):
     rc2, _ = run_cli(["slice", "--in", str(pts), "--tube=1,0",
                       "--floor", "1,0"], capsys)
     assert rc2 == 2
+    # a tube slice reads no --x-max, so one given to it is refused
+    assert cli.main(["slice", "--in", str(pts), "--tube=1,0",
+                     "--x-max", "2"]) == 2
+    assert "--x-max applies only to --floor slices" in capsys.readouterr().err
 
 
 def test_survey_report_and_cells(tmp_path, capsys):
@@ -186,7 +190,8 @@ def test_survey_reports_the_grid_that_ran(tmp_path, capsys):
     (["--mc", "0"], "mc_samples must be >= 1"),
     (["--mc", "64", "--grid", "axb"], "survey takes --grid or --mc, not both"),
     (["--mc", "64", "--grid", "8x8"], "survey takes --grid or --mc, not both"),
-], ids=["mc-0", "mc-and-bad-grid", "mc-and-grid"])
+    (["--grid", "4x4", "--seed", "5"], "--seed applies only to --mc surveys"),
+], ids=["mc-0", "mc-and-bad-grid", "mc-and-grid", "seed-without-mc"])
 def test_survey_refuses_a_plan_it_would_not_run(tmp_path, capsys, extra, needle):
     pts = tmp_path / "grid.txt"
     _write_grid(pts, 4)

@@ -115,6 +115,29 @@ BATTERY = [
     ["repro", "ff", "--p", "5", "--out", "repro_ff.json"],
     ["repro", "bogus"],
     ["repro", "criterion99"],
+    # appended rows: a point file whose x spacing is 1e-300, implicit sets
+    # counted at scale 1e40 and refused past band 20 or a non-integer k_max,
+    # a prime whose line counts fold in several chunks, a larger ff battery
+    ["generate", "--kind", "unit_line", "--params", '{"m": 1e300, "count": 5}',
+     "--out", "steep.txt"],
+    ["validate", "--in", "steep.txt"],
+    ["generate", "--kind", "cone_annuli", "--params",
+     '{"theta": 0.3, "k_min": 0, "k_max": 4}', "--mode", "implicit",
+     "--out", "annuli.json"],
+    ["dim", "--in", "annuli.json", "--scales", "dyadic:1e40",
+     "--kind", "centered"],
+    ["generate", "--kind", "cone_annuli", "--params",
+     '{"theta": 0.3, "k_min": 0, "k_max": 21}', "--mode", "implicit",
+     "--out", "annuli21.json"],
+    ["generate", "--kind", "cone_fixed_width", "--params",
+     '{"theta": 0.5, "k0": 21, "n_levels": 1}', "--mode", "implicit",
+     "--out", "fixed21.json"],
+    ["generate", "--kind", "cone_annuli", "--params",
+     '{"theta": 0.3, "k_min": 0, "k_max": 2.5}', "--mode", "implicit",
+     "--out", "bad.json"],
+    ["ff", "--p", "1031", "--set", "random:0.2:1", "--verify",
+     "identity,chebyshev"],
+    ["repro", "ff", "--p", "31"],
 ]
 
 # input files the battery reads but no command writes

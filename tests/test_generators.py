@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from latslice import generators as gen
-from latslice.exact import MAX_MATERIALIZE_POINTS, MaterializeError
+from latslice.exact import InputError, MAX_MATERIALIZE_POINTS, MaterializeError
 from latslice.geometry import (BoxSpec, FloorLine, PointSet, Tube,
                                slice_floor_line, slice_tube,
                                validate_separation)
@@ -564,6 +564,14 @@ def test_a_band_past_20_is_refused_on_construction(build):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_a_count_that_reaches_band_21_is_an_input_error():
+    # ConeFixedWidth(0.5, 3) keeps 256 levels and constructs, since none
+    # is built before a count reaches it; that count meets band 21
+    fixed = gen.ConeFixedWidth(0.5, 3)
+    with pytest.raises(InputError, match="^band index too large to represent$"):
+        fixed.rect_count(-math.inf, math.inf, 0, math.inf)
 
 
 def test_cone_staircase_slope_intervals_stack():
